@@ -62,9 +62,11 @@ from .torus import (
     density_mass,
     jacobian,
     phi_profile,
+    preimage_count,
     preimages_cover,
     psi,
     radius,
+    singular_constants,
     t_of_distance,
 )
 

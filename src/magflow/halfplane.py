@@ -145,18 +145,19 @@ def mobius_apply(g: Moebius, p: Tangent) -> Tangent:
 
 
 def hyp_dist(z: complex, w: complex) -> float:
-    """Hyperbolic distance, arccosh(1 + |z-w|^2 / (2 Im z Im w))."""
-    arg = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    # rounding can only push the argument above 1, but clamp defensively
-    return math.acosh(arg if arg > 1.0 else 1.0)
+    """Hyperbolic distance, 2 arcsinh(|z-w| / (2 sqrt(Im z Im w))).
+
+    Equal to arccosh(1 + |z-w|^2 / (2 Im z Im w)), but keeps full relative
+    accuracy for small distances, where 1 + x rounds x away.
+    """
+    return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
 
 
 def hyp_dist_vec(z, w):
     """Vectorized hyp_dist; z, w broadcastable complex arrays."""
     z = np.asarray(z)
     w = np.asarray(w)
-    arg = 1.0 + np.abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return np.arccosh(np.maximum(arg, 1.0))
+    return 2.0 * np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
 
 
 def rotate_fiber(p: Tangent, angle: float) -> Tangent:

@@ -46,7 +46,7 @@ from .halfplane import (
     hyp_norm,
     rotation_about_i,
 )
-from .torus import DensitySample, Flag, jacobian, preimages_cover, radius
+from .torus import DensitySample, Flag, alpha_radial, preimages_cover, radius
 
 __all__ = [
     "ENUM_CAP",
@@ -267,8 +267,8 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
 
 def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
                     center_band: float = 1e-3, boundary_band: float = 1e-3) -> DensitySample:
-    """Surface pushforward density: the planar density summed over all lifts
-    of y that land in the projected disk."""
+    """Surface pushforward density: the planar density alpha_radial summed
+    over all lifts of y that land in the projected disk."""
     require_chern(cfg)
     y0 = reduce_point(group, y).representative
     R = radius(cfg)
@@ -283,10 +283,8 @@ def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
             continue
         near_center = near_center or d < center_band * R
         near_boundary = near_boundary or abs(d - R) < boundary_band * R
-        for q in preimages_cover(cfg, w):
-            j = jacobian(cfg, q.theta, q.t)
-            total = math.inf if j == 0.0 else total + 1.0 / j
-            pre.append(q)
+        total += alpha_radial(cfg, d)
+        pre.extend(preimages_cover(cfg, w))
     if near_center:
         flag = Flag.NEAR_CENTER
     elif near_boundary:
@@ -320,6 +318,8 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError("equidistribution test requires critical energy")
     if not T > 0.0:
         raise ValueError("averaging time must be positive")
+    if n_steps < 1:
+        raise ValueError(f"step count must be at least 1, got {n_steps}")
     if abs(hyp_norm(p0) - cfg.lam) > 1e-8:
         raise ValueError("off energy shell")
     unit = Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v)))

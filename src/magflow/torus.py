@@ -23,8 +23,9 @@ just inside the boundary circle, and integrates to 2 pi T_E (raw
 normalization; dividing by 2 pi T_E gives a probability density).
 
 Regular interior points have exactly two preimages (ingoing and outgoing
-branch of the distance profile phi(t) = d(i, Psi(0, t))); boundary points
-one; exterior points none.
+branch of the distance profile phi(t) = d(i, Psi(0, t)), at the closed-form
+times t_1 = t_of_distance(d) and T_E - t_1); boundary points one; exterior
+points none.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ __all__ = [
     "phi_profile",
     "t_of_distance",
     "alpha_radial",
+    "singular_constants",
     "jacobian",
+    "preimage_count",
     "preimages_cover",
     "density_cover",
     "density_mass",
@@ -143,13 +146,24 @@ def t_of_distance(cfg: MagneticConfig, d):
     return (2.0 / g) * np.arcsin(s)
 
 
+def _on_rim(cfg: MagneticConfig, d):
+    # the boundary circle is a band of one part in 10^12 on both sides:
+    # points constructed to lie on it land within float noise of R_E, on
+    # either side; phi is flat at T/2, so that noise alone would split the
+    # branch times t_1, T - t_1 by more than the merge window, or leave no
+    # preimage past R_E.  On the band there is one preimage, at T/2.
+    R = radius(cfg)
+    return np.abs(d - R) <= 1e-12 * max(1.0, R)
+
+
 def alpha_radial(cfg: MagneticConfig, d):
     """Closed-form raw density as a function of distance to the center.
 
     Summing 1/(2E|b|) over the two preimage branches collapses to
     (gamma/E) / |sin(gamma t_1)| = (gamma/E) / (2 S sqrt(1 - S^2)) with
     S^2 = gamma^2 (cosh d - 1) / (4E).  Returns inf on the singular set
-    (d = 0 and the boundary circle) and 0 outside; vectorized.
+    (d = 0 and the boundary circle, as banded by _on_rim) and 0 outside;
+    vectorized.
     """
     _require_torus(cfg)
     d = np.asarray(d, dtype=float)
@@ -159,10 +173,19 @@ def alpha_radial(cfg: MagneticConfig, d):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (g / E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
     out = np.where(s2 > 1.0, 0.0, val)
-    out = np.where(np.isnan(out), np.inf, out)
+    out = np.where(np.isnan(out) | _on_rim(cfg, d), np.inf, out)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def singular_constants(cfg: MagneticConfig) -> tuple:
+    """(c_center, c_bd) with alpha ~ c_center / d at the center and
+    alpha ~ c_bd / sqrt(R_E - d) just inside the boundary circle."""
+    _require_torus(cfg)
+    c_center = math.sqrt(2.0 / cfg.E)
+    c_bd = (1.0 / cfg.E) * math.sqrt(cfg.lam * (cfg.B ** 2 - 2.0 * cfg.E) / (4.0 * cfg.B))
+    return c_center, c_bd
 
 
 def jacobian(cfg: MagneticConfig, theta: float, t: float) -> float:
@@ -178,17 +201,18 @@ def _theta_from_point(cfg: MagneticConfig, y: complex, t: float) -> float:
     return (math.atan2(cur.imag, cur.real) - math.atan2(ref.imag, ref.real)) % (2.0 * math.pi)
 
 
-def _bisect_profile(cfg: MagneticConfig, d: float, lo: float, hi: float, increasing: bool) -> float:
-    # phi is strictly monotone on each half-period branch
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            break
-        if (phi_profile(cfg, mid) < d) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def preimage_count(cfg: MagneticConfig, d):
+    """Number of torus preimages (0, 1 or 2) of points at distance d from the
+    center; vectorized.  The center itself, whose fiber is a full circle,
+    counts 0.
+    """
+    d = np.asarray(d, dtype=float)
+    R = radius(cfg)
+    T = period(cfg)
+    t1 = t_of_distance(cfg, np.minimum(d, R))
+    n = np.where(d > R, 0, np.where(0.5 * T - t1 < 0.5 * _MERGE_T, 1, 2))
+    n = np.where(_on_rim(cfg, d), 1, n)
+    return np.where(d < _CENTER_TOL, 0, n)
 
 
 def preimages_cover(cfg: MagneticConfig, y: complex) -> list:
@@ -198,25 +222,16 @@ def preimages_cover(cfg: MagneticConfig, y: complex) -> list:
     d = hyp_dist(1j, y)
     if d < _CENTER_TOL:
         raise ValueError("degenerate center: full circle fiber")
-    R = radius(cfg)
-    T = period(cfg)
-    # the boundary is a band of one part in 10^12 on both sides: points
-    # constructed to lie on the circle land within float noise of it, and
-    # their two bisection roots would straddle T/2 by more than the merge
-    # window while reproducing y to machine accuracy either way
-    if abs(d - R) <= 1e-12 * max(1.0, R):
-        return [TorusPoint(_theta_from_point(cfg, y, 0.5 * T), 0.5 * T)]
-    if d > R:
+    n = int(preimage_count(cfg, d))
+    if n == 0:
         return []
-    t1 = _bisect_profile(cfg, d, 0.0, 0.5 * T, increasing=True)
-    t2 = _bisect_profile(cfg, d, 0.5 * T, T, increasing=False)
-    if abs(t2 - t1) < _MERGE_T:
-        tm = 0.5 * (t1 + t2)
-        return [TorusPoint(_theta_from_point(cfg, y, tm), tm)]
-    return [
-        TorusPoint(_theta_from_point(cfg, y, t1), t1),
-        TorusPoint(_theta_from_point(cfg, y, t2), t2),
-    ]
+    T = period(cfg)
+    if n == 1:
+        ts = (0.5 * T,)
+    else:
+        t1 = float(t_of_distance(cfg, d))
+        ts = (t1, T - t1)
+    return [TorusPoint(_theta_from_point(cfg, y, t), t) for t in ts]
 
 
 def _flag_for(d: float, R: float, center_band: float, boundary_band: float) -> Flag:
@@ -237,23 +252,19 @@ def density_cover(
 ) -> DensitySample:
     """Pushforward density at y on the universal cover.
 
-    alpha_raw sums 1/|det dPsi| over the preimages; alpha_normalized divides
-    by the total mass 2 pi T_E.  Band widths are relative to R_E and only
-    affect the flag.
+    alpha_raw is the closed-form branch sum alpha_radial(d(i, y)) of
+    1/|det dPsi| over the preimages; alpha_normalized divides by the total
+    mass 2 pi T_E.  Band widths are relative to R_E and only affect the flag.
     """
     pre = preimages_cover(cfg, y)
-    total = 0.0
-    for q in pre:
-        j = jacobian(cfg, q.theta, q.t)
-        total = math.inf if j == 0.0 else total + 1.0 / j
     d = hyp_dist(1j, y)
-    R = radius(cfg)
+    total = alpha_radial(cfg, d)
     return DensitySample(
         point=y,
         alpha_raw=total,
         alpha_normalized=total / (2.0 * math.pi * period(cfg)),
         preimages=tuple(pre),
-        flag=_flag_for(d, R, center_band, boundary_band),
+        flag=_flag_for(d, radius(cfg), center_band, boundary_band),
     )
 
 
@@ -269,17 +280,12 @@ def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:
         raise ValueError("quadrature resolution too coarse: need at least 64 radial nodes")
     _require_torus(cfg)
     R = radius(cfg)
-    E = cfg.E
     delta = 1e-4
 
-    def alpha_at(r: float) -> float:
-        return density_cover(cfg, 1j * math.exp(r)).alpha_raw
-
     # excised bands, integrated from the leading singular behavior:
-    # alpha ~ sqrt(2/E)/r near 0 (alpha sinh r -> sqrt(2/E));
-    # alpha ~ c_bd / sqrt(R - r) inside the boundary
-    c_bd = math.sqrt((cfg.B * cfg.B - 2.0 * E) / (2.0 * E * cfg.lam * cfg.B))
-    mass = 2.0 * math.pi * math.sqrt(2.0 / E) * delta
+    # alpha ~ c_center / r near 0 and alpha ~ c_bd / sqrt(R - r) inside the boundary
+    c_center, c_bd = singular_constants(cfg)
+    mass = 2.0 * math.pi * c_center * delta
     mass += 2.0 * math.pi * math.sinh(R) * c_bd * 2.0 * math.sqrt(delta)
 
     half = n_radial // 2
@@ -290,14 +296,12 @@ def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:
     a, b = delta, mid
     r = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     w = 0.5 * (b - a) * weights
-    mass += sum(wi * alpha_at(ri) * 2.0 * math.pi * math.sinh(ri) for ri, wi in zip(r, w))
+    mass += float(np.sum(w * alpha_radial(cfg, r) * 2.0 * math.pi * np.sinh(r)))
 
     # [R/2, R - delta] via u = sqrt(R - r): removes the 1/sqrt singularity
     ua, ub = math.sqrt(delta), math.sqrt(R - mid)
     u = 0.5 * (ub - ua) * nodes + 0.5 * (ua + ub)
     wu = 0.5 * (ub - ua) * weights
-    mass += sum(
-        wi * 2.0 * ui * alpha_at(R - ui * ui) * 2.0 * math.pi * math.sinh(R - ui * ui)
-        for ui, wi in zip(u, wu)
-    )
+    r = R - u * u
+    mass += float(np.sum(wu * 2.0 * u * alpha_radial(cfg, r) * 2.0 * math.pi * np.sinh(r)))
     return mass

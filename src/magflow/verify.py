@@ -3,7 +3,8 @@
 Each check_* function runs one criterion end to end with fixed seeds and
 returns a plain dict (name, passed, measured, tolerance, detail) so the
 pytest suite and the command-line `verify` subcommand share one
-implementation.  run_all executes the full battery in order.
+implementation.  CHECKS lists the twelve criteria in order; the CLI runs
+them followed by check_flow_oracle.
 
 The flow-oracle check accepts a j_sign argument: flipping the orientation
 of the magnetic term in the numerical integrator must make that check fail,
@@ -19,7 +20,6 @@ import numpy as np
 
 from .flow import (
     MagneticConfig,
-    Regime,
     flow_exact,
     flow_numeric,
     lyapunov_exponent,
@@ -40,9 +40,17 @@ from .surface import (
     translates_meeting_disk,
     word_element,
 )
-from .torus import density_cover, density_mass, preimages_cover, psi, psi_many, radius
+from .torus import (
+    density_cover,
+    density_mass,
+    preimages_cover,
+    psi,
+    psi_many,
+    radius,
+    singular_constants,
+)
 
-__all__ = ["run_all", "CHECKS"]
+__all__ = ["CHECKS"]
 
 _STD = MagneticConfig(1.0, 0.25)
 
@@ -162,8 +170,7 @@ def check_singularity_asymptotics() -> dict:
     """1/d blowup at the center, 1/sqrt blowup inside the boundary circle."""
     cfg = _STD
     R = radius(cfg)
-    c_center = math.sqrt(2.0 / cfg.E)
-    c_bd = (1.0 / cfg.E) * math.sqrt(cfg.lam * (cfg.B ** 2 - 2.0 * cfg.E) / (4.0 * cfg.B))
+    c_center, c_bd = singular_constants(cfg)
 
     d0 = 1e-6
     a0 = density_cover(cfg, 1j * math.exp(d0)).alpha_raw
@@ -389,10 +396,3 @@ CHECKS = (
     check_bolza_integrity,
     check_equidistribution,
 )
-
-
-def run_all(j_sign: float = 1.0) -> list:
-    """Run the twelve acceptance criteria plus the flow-oracle pairing."""
-    results = [check() for check in CHECKS]
-    results.append(check_flow_oracle(j_sign=j_sign))
-    return results

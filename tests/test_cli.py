@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from magflow import MagneticConfig, alpha_radial, cli, density_cover, radius
+from magflow import MagneticConfig, alpha_radial, cli, density_cover, preimages_cover, radius
 from magflow.halfplane import from_disk
 
 STD = MagneticConfig(1.0, 0.25)
@@ -92,6 +92,31 @@ class TestDensityCommand:
             assert int(row[5]) == len(s.preimages)
             checked += 1
         assert checked > 20
+
+    def test_cover_row_counts_match_preimages_at_the_rim(self):
+        R = radius(STD)
+        rim = math.tanh(0.5 * R)
+        # disk radii in the NearBoundary flag band, on both sides of the 1e-12
+        # rim band and inside it; the grid is xs x xs, so (x, 0) has |u| = x
+        xs = np.array([0.0, 0.3, rim * (1.0 - 1e-3), rim * (1.0 - 1e-11), rim * (1.0 - 1e-13),
+                       rim, rim * (1.0 + 1e-13), rim * (1.0 + 1e-11), rim * (1.0 + 1e-3), 0.9])
+        rows = cli._cover_rows(STD, xs, 1e-3)
+        near_band = on_rim = 0
+        for x, y, d, _, _, n_pre, flag in rows:
+            if not math.isfinite(d) or d < 1e-9:
+                continue  # off the disk model, or the center's circle fiber
+            assert n_pre == len(preimages_cover(STD, complex(from_disk(complex(x, y)))))
+            near_band += flag == "NearBoundary"
+            on_rim += abs(d - R) <= 1e-12 * R
+        assert near_band >= 8 and on_rim >= 4
+
+    def test_bad_bands_fail(self, tmp_path, capsys):
+        for bands in ("-1", "nan", "inf"):
+            out = tmp_path / bands
+            rc = cli.main(["density", "--grid", "8", "--bands", bands, "--out", str(out)])
+            assert rc == 2
+            assert "bands must be a finite nonnegative width" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bolza_grid(self, tmp_path):
         rc = cli.main(["density", "--surface", "bolza", "--B", "1", "--E", "0.25",
@@ -217,6 +242,13 @@ class TestEquidistCommand:
         assert len(group["generators"]) == 8
         assert group["relation_residual"] < 1e-9
         assert group["area"] == pytest.approx(4.0 * math.pi, abs=1e-6)
+
+    def test_bad_step_count_fails(self, tmp_path, capsys):
+        for n in ("0", "-3"):
+            rc = cli.main(["equidist", "--T", "5", "--n", n, "--grid", "40",
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            assert "step count must be at least 1" in capsys.readouterr().err
 
     def test_off_critical_energy_fails(self, tmp_path, capsys):
         rc = cli.main(["equidist", "--E", "0.3", "--out", str(tmp_path)])

@@ -18,6 +18,7 @@ from magflow import (
     rotation_about_i,
     to_disk,
 )
+from magflow.halfplane import hyp_dist_vec
 
 
 def random_moebius(rng, scale=1.0):
@@ -130,6 +131,15 @@ class TestMobiusApply:
 class TestHypDist:
     def test_coincident_points(self):
         assert hyp_dist(1j, 1j) == 0.0
+
+    def test_small_distances_keep_relative_accuracy(self):
+        # arccosh(1 + x) rounds x away below about 1e-8; both forms must not
+        assert hyp_dist(1j, complex(1e-9, 1.0)) == pytest.approx(1e-9, rel=1e-12)
+        assert hyp_dist(1j, 1j * (1.0 + 1e-9)) == pytest.approx(math.log1p(1e-9), rel=1e-12)
+        assert hyp_dist(2j, complex(1e-6, 2.0)) == pytest.approx(
+            2.0 * math.asinh(0.25e-6), rel=1e-12)
+        got = hyp_dist_vec(np.array([complex(1e-9, 1.0), complex(1e-6, 2.0)]), np.array([1j, 2j]))
+        np.testing.assert_allclose(got, [1e-9, 2.0 * math.asinh(0.25e-6)], rtol=1e-12)
 
     def test_imaginary_axis(self):
         # along the vertical geodesic the distance is the log of the ratio

@@ -226,3 +226,10 @@ class TestBirkhoffAverage:
         with pytest.raises(ValueError, match="off energy shell"):
             birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
                              T=1.0, p0=Tangent(1j, 0.2j), n_steps=100)
+
+    def test_rejects_empty_step_count(self):
+        cfg = MagneticConfig(1.0, 0.5)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="step count must be at least 1"):
+                birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
+                                 T=1.0, p0=Tangent(1j, 1j * cfg.lam), n_steps=n)

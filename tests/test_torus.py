@@ -16,12 +16,15 @@ from magflow import (
     jacobian,
     period,
     phi_profile,
+    preimage_count,
     preimages_cover,
     psi,
     radius,
+    singular_constants,
     t_of_distance,
     variation_coeffs,
 )
+from magflow.halfplane import from_disk
 from magflow.torus import psi_many
 
 STD = MagneticConfig(1.0, 0.25)
@@ -220,7 +223,42 @@ class TestPreimages:
             assert 0.0 <= q.t < T_STD
 
 
+class TestPreimageCount:
+    def test_counts_by_distance(self):
+        band = 1e-12 * R_STD
+        d = np.array([0.0, 0.5e-9, 0.3, R_STD - 1e-6, R_STD - 0.3 * band, R_STD,
+                      R_STD + 0.3 * band, R_STD + 1e-6, np.inf])
+        assert preimage_count(STD, d).tolist() == [0, 0, 2, 2, 1, 1, 1, 0, 0]
+        assert int(preimage_count(STD, 0.3)) == 2
+
+
 class TestDensityCover:
+    def test_value_is_the_radial_kernel(self):
+        rng = np.random.default_rng(41)
+        ys = [psi(STD, th, 0.5 * T_STD) for th in rng.uniform(0.0, 2.0 * math.pi, 20)]
+        for _ in range(200):
+            d = rng.uniform(1e-6, 1.2) * R_STD
+            u = math.tanh(0.5 * d) * np.exp(2j * math.pi * rng.uniform())
+            ys.append(complex(from_disk(u)))
+        for y in ys:
+            assert density_cover(STD, y).alpha_raw == alpha_radial(STD, hyp_dist(1j, y))
+        # the boundary circle is singular: one preimage, infinite density
+        for y in ys[:20]:
+            s = density_cover(STD, y)
+            assert len(s.preimages) == 1 and s.alpha_raw == math.inf
+        band = 1e-12 * R_STD
+        assert np.all(alpha_radial(STD, R_STD + band * np.array([-0.3, 0.0, 0.3])) == np.inf)
+
+    def test_singular_constants(self):
+        c_center, c_bd = singular_constants(STD)
+        assert c_center == pytest.approx(math.sqrt(8.0), rel=1e-15)
+        assert c_bd == pytest.approx(1.189207, abs=1e-6)
+        cfg = MagneticConfig(1.5, 0.6)
+        c_center, c_bd = singular_constants(cfg)
+        R = radius(cfg)
+        assert float(alpha_radial(cfg, 1e-6)) * 1e-6 == pytest.approx(c_center, rel=1e-2)
+        assert float(alpha_radial(cfg, R - 1e-6)) * 1e-3 == pytest.approx(c_bd, rel=1e-2)
+
     def test_outside_support(self):
         s = density_cover(STD, 1j * math.exp(R_STD + 0.2))
         assert s.alpha_raw == 0.0
