@@ -12,7 +12,6 @@ from .flow import (
     generator,
     lyapunov_exponent,
     period,
-    regime,
     variation_coeffs,
 )
 from .halfplane import (

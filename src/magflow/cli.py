@@ -61,6 +61,12 @@ from .torus import (
 
 __all__ = ["main"]
 
+# work budgets, checked before any loop or allocation; each sits well above
+# the largest perfbench workload (about 178k RK4 steps, 200k rungs, grid 300)
+_MAX_RK4_STEPS = 10_000_000
+_MAX_RUNGS = 2_000_000
+_MAX_GRID = 1000
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -152,13 +158,22 @@ def _traj_csv(ts, pts) -> str:
 
 def cmd_flow(args) -> int:
     cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
-    rows = max(2, _opt(args, "grid", 1001))
+    rows = _opt(args, "grid", 1001)
     dt = _opt(args, "dt", 1e-3)
     out = _opt(args, "out", ".")
+    if rows < 2:
+        raise ValueError("grid must have at least 2 rows")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     p0 = Tangent(1j, 1j * cfg.lam) if cfg.lam > 0.0 else Tangent(1j, 0j)
 
     subcritical = cfg.regime is Regime.SUBCRITICAL
     t_total = 2.0 * period(cfg) if subcritical else 10.0
+    # the integrator takes ceil(step / dt) steps per row, at least one
+    steps = max(rows - 1, t_total / dt)
+    if not steps <= _MAX_RK4_STEPS:
+        raise ValueError(f"about {steps:.3g} RK4 steps needed at dt={dt!r}, grid={rows}; "
+                         f"the limit is {_MAX_RK4_STEPS}")
     ts = [t_total * i / (rows - 1) for i in range(rows)]
 
     exact = [flow_exact(cfg, p0, t) for t in ts]
@@ -285,8 +300,8 @@ def cmd_density(args) -> int:
     out = _opt(args, "out", ".")
     if surface not in ("cover", "bolza"):
         raise ValueError(f"unknown surface: {surface}")
-    if n < 2:
-        raise ValueError("grid must have at least 2 points per side")
+    if not 2 <= n <= _MAX_GRID:
+        raise ValueError(f"grid must have 2 to {_MAX_GRID} points per side, got {n}")
     if not (math.isfinite(band) and band >= 0.0):
         raise ValueError(f"bands must be a finite nonnegative width, got {band}")
 
@@ -342,6 +357,8 @@ def cmd_spectrum(args) -> int:
     E = _opt(args, "E")
     out = _opt(args, "out", ".")
 
+    if k * B > _MAX_RUNGS:
+        raise ValueError(f"k B = {k * B:.6g} rungs; the limit is {_MAX_RUNGS}")
     entries = ladder(k, B)
     if not entries:
         raise ValueError("empty ladder: kB < 1")

@@ -24,9 +24,11 @@ exp(t F) has closed forms in all regimes:
     I + t F                                    at E_c
     cosh(g t/2) I + (2/g) sinh(g t/2) F        g = sqrt(2E-B^2) > 0
 
-with a single power series covering the neighborhood of E_c.  An independent
-4th-order integrator for the second-order equation on the half-plane provides
-the verification oracle for the closed form.
+with a single power series covering the neighborhood of E_c.  One kernel
+evaluates (C, S) with exp(tF) = C I + S F; the flow matrix, the Jacobi
+coefficients and the torus map all read it.  An independent 4th-order
+integrator for the second-order equation on the half-plane provides the
+verification oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "flow_exact",
     "flow_numeric",
     "period",
-    "regime",
     "lyapunov_exponent",
     "variation_coeffs",
 ]
@@ -127,28 +128,35 @@ def generator(cfg: MagneticConfig) -> np.ndarray:
     return np.array([[0.5 * lam, -0.5 * B], [0.5 * B, -0.5 * lam]])
 
 
-def _exp_scalars(cfg: MagneticConfig, t: float):
-    """(C, S) with exp(tF) = C I + S F."""
+def _exp_scalars(cfg: MagneticConfig, t):
+    """(C, S) with exp(tF) = C I + S F, for a float t (through math) or
+    elementwise over an array t (through numpy).  Raises ValueError where a
+    supercritical exp(tF) would leave float range."""
     w = cfg.discriminant
     if abs(w) < _SERIES_CUT:
         # series in q = (2E - B^2) t^2 / 4, valid across the critical energy
         q = -0.25 * w * t * t
-        ck = 1.0  # q^k / (2k)!
-        sk = 1.0  # q^k / (2k+1)!
-        C, S = ck, sk
+        ck = sk = C = S = 1.0  # q^k / (2k)!, q^k / (2k+1)! and their sums
         for k in range(1, 60):
-            ck *= q / ((2 * k - 1) * (2 * k))
-            sk *= q / ((2 * k) * (2 * k + 1))
-            C += ck
-            S += sk
-            if abs(ck) + abs(sk) < 1e-18 * (abs(C) + abs(S)):
+            ck = ck * (q / ((2 * k - 1) * (2 * k)))
+            sk = sk * (q / ((2 * k) * (2 * k + 1)))
+            C = C + ck
+            S = S + sk
+            live = abs(ck) + abs(sk) >= 1e-18 * (abs(C) + abs(S))  # bool for a float t
+            if live is False or (live is not True and not live.any()):
                 break
+            ck, sk = ck * live, sk * live  # converged array elements take no more terms
         return C, S * t
+    xp = np if isinstance(t, np.ndarray) else math
     g = cfg.gamma
     h = 0.5 * g * t
     if w > 0.0:
-        return math.cos(h), math.sin(h) * (2.0 / g)
-    return math.cosh(h), math.sinh(h) * (2.0 / g)
+        return xp.cos(h), xp.sin(h) * (2.0 / g)
+    # entries grow like e^|h| (1 + lam) / g; the determinant and S^2 square them
+    if (abs(h).max(initial=0.0) if xp is np else abs(h)) + math.log1p((1.0 + cfg.lam) / g) > 354.0:
+        t_bad = float(abs(t).max()) if xp is np else t
+        raise ValueError(f"exp(tF) overflows at B={cfg.B!r}, E={cfg.E!r}, t={t_bad!r}")
+    return xp.cosh(h), xp.sinh(h) * (2.0 / g)
 
 
 def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
@@ -233,10 +241,6 @@ def period(cfg: MagneticConfig) -> float:
     return 2.0 * math.pi / cfg.gamma
 
 
-def regime(cfg: MagneticConfig) -> Regime:
-    return cfg.regime
-
-
 def lyapunov_exponent(cfg: MagneticConfig, t_max: float) -> float:
     """Top Lyapunov exponent of the cocycle t -> exp(tF).
 
@@ -260,34 +264,12 @@ def lyapunov_exponent(cfg: MagneticConfig, t_max: float) -> float:
     return acc / n
 
 
-def variation_coeffs(cfg: MagneticConfig, t: float) -> VariationCoeffs:
+def variation_coeffs(cfg: MagneticConfig, t) -> VariationCoeffs:
     """Closed-form Jacobi-field coefficients along the flow.
 
-    b solves b'' = (2E - B^2) b with b(0) = 0, b'(0) = 1 (so b = sin(gt)/g,
-    t, or sinh(gt)/g by regime); a = -B int_0^t b and c = 1 + 2E int_0^t b.
-    Continuous across the critical energy via the same series as exp(tF).
+    b solves b'' = (2E - B^2) b with b(0) = 0, b'(0) = 1 (sin(gt)/g, t or
+    sinh(gt)/g by regime); a = -B int_0^t b and c = 1 + 2E int_0^t b.  With
+    exp(tF) = C I + S F, b = C S and int_0^t b = S^2 / 2 in every regime.
     """
-    w = cfg.discriminant
-    if abs(w) < _SERIES_CUT:
-        q = -w * t * t
-        bk = 1.0  # q^k / (2k+1)!
-        ik = 0.5  # q^k / (2k+2)!
-        bs, integ = bk, ik
-        for k in range(1, 60):
-            bk *= q / ((2 * k) * (2 * k + 1))
-            ik *= q / ((2 * k + 1) * (2 * k + 2))
-            bs += bk
-            integ += ik
-            if abs(bk) + abs(ik) < 1e-18 * (abs(bs) + abs(integ)):
-                break
-        b = t * bs
-        ib = t * t * integ
-    elif w > 0.0:
-        g = cfg.gamma
-        b = math.sin(g * t) / g
-        ib = (1.0 - math.cos(g * t)) / (g * g)
-    else:
-        g = cfg.gamma
-        b = math.sinh(g * t) / g
-        ib = (math.cosh(g * t) - 1.0) / (g * g)
-    return VariationCoeffs(-cfg.B * ib, b, 1.0 + 2.0 * cfg.E * ib)
+    C, S = _exp_scalars(cfg, t)
+    return VariationCoeffs(-0.5 * cfg.B * S * S, C * S, 1.0 + cfg.E * S * S)

@@ -346,6 +346,8 @@ def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> flo
     area (angle defect).  Supports observables vanishing near the domain
     boundary best; the mask is the Dirichlet membership test.
     """
+    if resolution < 2:
+        raise ValueError(f"area-average resolution must be at least 2, got {resolution}")
     re = math.tanh(0.5 * group.circumradius)
     xs = np.linspace(-re, re, resolution)
     cell = (xs[1] - xs[0]) ** 2

@@ -4,8 +4,11 @@ For subcritical energy 0 < E < E_c every magnetic trajectory through the
 center i is a closed curve; collecting all launch directions theta and flow
 times t gives a two-torus in the unit tangent bundle, parametrized by
 
-    Psi(theta, t) = base point of the flow of the rotated shell tangent.
+    Psi(theta, t) = base point of the flow of the rotated shell tangent
+                  = R(theta) exp(tF) . i,
 
+with R(theta) the rotation about i and exp(tF) = C I + S F; psi, the
+Jacobian and the launch angle read (C, S) from the flow module's kernel.
 Its footpoint projection fills the closed disk of hyperbolic radius
 
     R_E = arccosh((B^2 + 2E) / (B^2 - 2E))
@@ -16,9 +19,9 @@ area is
 
     alpha(y) = sum over preimages (theta_i, t_i) of 1 / (2E |b(t_i)|),
 
-with b the Jacobi coefficient from the flow module; the Jacobian identity
+with b = C S the Jacobi coefficient from the flow module; the Jacobian identity
 |det dPsi| = 2E |b(t)| makes this exact.  alpha depends only on d(i, y),
-blows up like sqrt(2/E)/d at the center and like C / sqrt(dist to boundary)
+blows up like sqrt(2/E)/d at the center and like c_bd / sqrt(dist to boundary)
 just inside the boundary circle, and integrates to 2 pi T_E (raw
 normalization; dividing by 2 pi T_E gives a probability density).
 
@@ -37,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import MagneticConfig, Regime, flow_matrix, period, variation_coeffs
-from .halfplane import hyp_dist, rotation_about_i, to_disk
+from .flow import MagneticConfig, Regime, _exp_scalars, period, variation_coeffs
+from .halfplane import hyp_dist, to_disk
 
 __all__ = [
     "TorusPoint",
@@ -92,20 +95,14 @@ def _require_torus(cfg: MagneticConfig) -> None:
 
 def psi(cfg: MagneticConfig, theta: float, t: float) -> complex:
     """Footpoint of the trajectory launched from the center at angle theta, time t."""
-    _require_torus(cfg)
-    m = rotation_about_i(theta) @ flow_matrix(cfg, t)
-    return m.apply(1j)
+    return complex(psi_many(cfg, theta, t))
 
 
 def psi_many(cfg: MagneticConfig, theta, t):
-    """Vectorized psi over broadcastable arrays of angles and times."""
+    """psi over broadcastable arrays of angles and times."""
     _require_torus(cfg)
     theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    g = cfg.gamma
-    half = 0.5 * g * t
-    C = np.cos(half)
-    S = np.sin(half) * (2.0 / g)
+    C, S = _exp_scalars(cfg, np.asarray(t, dtype=float))
     lam, B = cfg.lam, cfg.B
     m11 = C + 0.5 * S * lam
     m12 = -0.5 * S * B
@@ -132,6 +129,11 @@ def phi_profile(cfg: MagneticConfig, t: float) -> float:
     return hyp_dist(1j, psi(cfg, 0.0, t))
 
 
+def _sin2_half(cfg: MagneticConfig, d):
+    # sin^2(gamma t_1 / 2) = gamma^2 (cosh d - 1) / (4E) at distance d
+    return cfg.gamma * cfg.gamma * (np.cosh(d) - 1.0) / (4.0 * cfg.E)
+
+
 def t_of_distance(cfg: MagneticConfig, d):
     """First passage time t in [0, T_E/2] with phi(t) = d, in closed form.
 
@@ -139,11 +141,8 @@ def t_of_distance(cfg: MagneticConfig, d):
     Values of d beyond R_E are clipped to the boundary time T_E/2.
     """
     _require_torus(cfg)
-    d = np.asarray(d, dtype=float)
-    g = cfg.gamma
-    s2 = g * g * (np.cosh(d) - 1.0) / (4.0 * cfg.E)
-    s = np.sqrt(np.clip(s2, 0.0, 1.0))
-    return (2.0 / g) * np.arcsin(s)
+    s = np.sqrt(np.clip(_sin2_half(cfg, d), 0.0, 1.0))
+    return (2.0 / cfg.gamma) * np.arcsin(s)
 
 
 def _on_rim(cfg: MagneticConfig, d):
@@ -167,16 +166,12 @@ def alpha_radial(cfg: MagneticConfig, d):
     """
     _require_torus(cfg)
     d = np.asarray(d, dtype=float)
-    g = cfg.gamma
-    E = cfg.E
-    s2 = g * g * (np.cosh(d) - 1.0) / (4.0 * E)
+    s2 = _sin2_half(cfg, d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (g / E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
+        val = (cfg.gamma / cfg.E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
     out = np.where(s2 > 1.0, 0.0, val)
     out = np.where(np.isnan(out) | _on_rim(cfg, d), np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def singular_constants(cfg: MagneticConfig) -> tuple:
@@ -195,10 +190,13 @@ def jacobian(cfg: MagneticConfig, theta: float, t: float) -> float:
 
 
 def _theta_from_point(cfg: MagneticConfig, y: complex, t: float) -> float:
-    # launch-angle rotation acts on the disk centered at i as w -> e^{i theta} w
-    ref = to_disk(psi(cfg, 0.0, t))
+    # launch-angle rotation acts on the disk centered at i as w -> e^{i theta} w;
+    # psi(0, t) sits at to_disk = i S lam / (2i C - S B), and S lam > 0 on
+    # 0 < t < T_E, so its angle is pi/2 - atan2(2C, -S B)
+    C, S = _exp_scalars(cfg, t)
     cur = to_disk(y)
-    return (math.atan2(cur.imag, cur.real) - math.atan2(ref.imag, ref.real)) % (2.0 * math.pi)
+    ref = 0.5 * math.pi - math.atan2(2.0 * C, -S * cfg.B)
+    return (math.atan2(cur.imag, cur.real) - ref) % (2.0 * math.pi)
 
 
 def preimage_count(cfg: MagneticConfig, d):

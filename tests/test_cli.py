@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,32 @@ class TestFlowCommand:
         summary = read_json(tmp_path / "flow_summary.json")
         assert summary["regime"] == "Supercritical"
         assert summary["lyapunov"] == pytest.approx(0.5, abs=1e-3)
+
+    def test_supercritical_overflow_fails(self, tmp_path, capsys):
+        # two rows put the whole horizon t = 10 into one exp(tF), whose cosh overflows
+        rc = cli.main(["flow", "--B", "1", "--E", "1e6", "--grid", "2",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "exp(tF) overflows at B=1.0, E=1000000.0, t=10.0" in capsys.readouterr().err
+
+    def test_bad_grid_fails(self, tmp_path, capsys):
+        for grid in ("-5", "0", "1"):
+            rc = cli.main(["flow", "--grid", grid, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "grid must have at least 2 rows" in capsys.readouterr().err
+        assert not (tmp_path / "flow_summary.json").exists()
+
+    def test_step_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        for flags in (["--dt", "1e-9"], ["--grid", "100000000"]):
+            rc = cli.main(["flow", *flags, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "RK4 steps needed" in capsys.readouterr().err
+        rc = cli.main(["flow", "--dt", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "dt must be positive" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "flow_summary.json").exists()
 
 
 class TestDensityCommand:
@@ -117,6 +148,15 @@ class TestDensityCommand:
             assert rc == 2
             assert "bands must be a finite nonnegative width" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_grid_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        for grid in ("1", "100000000"):
+            rc = cli.main(["density", "--grid", grid, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "grid must have 2 to 1000 points per side" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "density_grid.csv").exists()
 
     def test_bolza_grid(self, tmp_path):
         rc = cli.main(["density", "--surface", "bolza", "--B", "1", "--E", "0.25",
@@ -192,6 +232,14 @@ class TestSpectrumCommand:
         assert rc == 2
         assert "empty ladder: kB < 1" in capsys.readouterr().err
 
+    def test_rung_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = cli.main(["spectrum", "--k", "100000000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "rungs; the limit is 2000000" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestSampleCommand:
     def test_golden_rerun_is_byte_identical(self, tmp_path):
@@ -249,6 +297,13 @@ class TestEquidistCommand:
                            "--out", str(tmp_path)])
             assert rc == 2
             assert "step count must be at least 1" in capsys.readouterr().err
+
+    def test_bad_grid_fails(self, tmp_path, capsys):
+        for grid in ("0", "1"):
+            rc = cli.main(["equidist", "--T", "5", "--n", "100", "--grid", grid,
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            assert "resolution must be at least 2" in capsys.readouterr().err
 
     def test_off_critical_energy_fails(self, tmp_path, capsys):
         rc = cli.main(["equidist", "--E", "0.3", "--out", str(tmp_path)])
@@ -311,3 +366,20 @@ class TestConfigHandling:
         rc = cli.main(["spectrum", "--k", "3", "--B", "1", "--out", str(nested)])
         assert rc == 0
         assert (nested / "spectrum.csv").exists()
+
+
+class TestBenchmarkTracer:
+    def test_traced_run_succeeds(self, tmp_path):
+        # the benchmark's tracer wraps library functions by name; a rename
+        # of any of them fails here
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        summary = tmp_path / "S.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(summary),
+             str(tmp_path / "S.npz"), "0", "--", "spectrum", "--k", "10",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(summary)["exit_code"] == 0

@@ -17,10 +17,11 @@ from magflow import (
     hyp_norm,
     lyapunov_exponent,
     period,
-    regime,
     rotate_fiber,
     variation_coeffs,
 )
+
+from magflow.flow import _exp_scalars
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -38,9 +39,9 @@ class TestConfig:
             assert cfg.lam**2 == pytest.approx(2.0 * cfg.E, rel=1e-15)
 
     def test_regime_trichotomy(self):
-        assert regime(MagneticConfig(1.0, 0.25)) is Regime.SUBCRITICAL
-        assert regime(MagneticConfig(1.0, 0.5)) is Regime.CRITICAL
-        assert regime(MagneticConfig(1.0, 1.0)) is Regime.SUPERCRITICAL
+        assert MagneticConfig(1.0, 0.25).regime is Regime.SUBCRITICAL
+        assert MagneticConfig(1.0, 0.5).regime is Regime.CRITICAL
+        assert MagneticConfig(1.0, 1.0).regime is Regime.SUPERCRITICAL
 
     def test_regime_window_around_critical(self):
         # |B^2 - 2E| within 1e-12 counts as critical
@@ -285,3 +286,75 @@ class TestVariationCoeffs:
             bp = variation_coeffs(cfg, t + h).b
             dd = (bp - 2.0 * b0 + bm) / (h * h)
             assert dd == pytest.approx(-cfg.discriminant * b0, abs=1e-4)
+
+    def test_matches_regime_formulas(self):
+        # the per-regime forms b = sin(gt)/g, int b = (1 - cos gt)/g^2 (and
+        # sinh, cosh - 1 above E_c; t, t^2/2 at E_c) as an independent oracle
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            B = rng.uniform(0.3, 2.0)
+            cfgs = (
+                MagneticConfig(B, rng.uniform(0.05, 0.45) * B * B),
+                MagneticConfig(B, 0.5 * B * B),
+                MagneticConfig(B, rng.uniform(0.55, 3.0) * B * B),
+            )
+            for cfg in cfgs:
+                t = rng.uniform(0.5, 5.0)
+                g = cfg.gamma
+                if cfg.regime is Regime.SUBCRITICAL:
+                    b, ib = math.sin(g * t) / g, (1.0 - math.cos(g * t)) / (g * g)
+                elif cfg.regime is Regime.CRITICAL:
+                    b, ib = t, 0.5 * t * t
+                else:
+                    b, ib = math.sinh(g * t) / g, (math.cosh(g * t) - 1.0) / (g * g)
+                got = variation_coeffs(cfg, t)
+                assert got.b == pytest.approx(b, rel=1e-12, abs=1e-15)
+                assert got.a == pytest.approx(-cfg.B * ib, rel=1e-12)
+                assert got.c == pytest.approx(1.0 + 2.0 * cfg.E * ib, rel=1e-12)
+
+
+class TestExpScalars:
+    CONFIGS = (
+        STD,
+        MagneticConfig(1.0, 0.5),
+        MagneticConfig(1.0, 2.0),
+        # series branch off the critical point: several terms per element
+        MagneticConfig(1.0, 0.5 * (1.0 - 4e-9)),
+        MagneticConfig(1.0, 0.5 * (1.0 + 4e-9)),
+    )
+
+    def test_array_matches_float_calls(self):
+        rng = np.random.default_rng(22)
+        base = np.concatenate([rng.uniform(-20.0, 20.0, 60), [0.0, 1e-3]])
+        for cfg in self.CONFIGS:
+            series = abs(cfg.discriminant) < 1e-8
+            t = base
+            if series and cfg.discriminant != 0.0:
+                # long times give the series many terms, unevenly; below E_c,
+                # C crosses zero near t = pi / gamma, where terms taken only
+                # because a longer time in the array needs them would still
+                # move the last bit of C
+                t_zero = math.pi / cfg.gamma
+                t = np.concatenate([base, [3e4, -3.0 * t_zero],
+                                    t_zero + rng.uniform(-1.0, 1.0, 40)])
+            C, S = _exp_scalars(cfg, t)
+            assert C.shape == S.shape == t.shape
+            pairs = [_exp_scalars(cfg, float(x)) for x in t]
+            assert all(isinstance(c, float) and isinstance(s, float) for c, s in pairs)
+            want_C = np.array([c for c, _ in pairs])
+            want_S = np.array([s for _, s in pairs])
+            if series:
+                # same arithmetic, term for term: equal to the bit
+                assert np.array_equal(C, want_C) and np.array_equal(S, want_S)
+            else:
+                # numpy and math trig may differ in the last place
+                np.testing.assert_allclose(C, want_C, rtol=1e-15, atol=1e-15)
+                np.testing.assert_allclose(S, want_S, rtol=1e-15, atol=1e-15)
+
+    def test_overflow_names_the_config(self):
+        cfg = MagneticConfig(1.0, 1e6)
+        for t in (10.0, np.array([0.0, -10.0])):
+            with pytest.raises(ValueError, match=r"overflows at B=1.0, E=1000000.0, t=10.0"):
+                _exp_scalars(cfg, t)
+        C, S = _exp_scalars(cfg, 0.2)
+        assert math.isfinite(C) and math.isfinite(S)

@@ -212,6 +212,11 @@ class TestBirkhoffAverage:
         got = area_average(GROUP, lambda z: np.ones(np.shape(z)), resolution=400)
         assert got == pytest.approx(1.0, rel=5e-3)
 
+    def test_area_average_rejects_coarse_grid(self):
+        for resolution in (0, 1):
+            with pytest.raises(ValueError, match="resolution must be at least 2"):
+                area_average(GROUP, lambda z: np.ones(np.shape(z)), resolution=resolution)
+
     def test_rejects_off_critical_energy(self):
         p0 = Tangent(1j, 1j * math.sqrt(0.6))
         with pytest.raises(ValueError, match="equidistribution test requires critical energy"):

@@ -12,6 +12,7 @@ from magflow import (
     alpha_radial,
     density_cover,
     density_mass,
+    flow_matrix,
     hyp_dist,
     jacobian,
     period,
@@ -20,6 +21,7 @@ from magflow import (
     preimages_cover,
     psi,
     radius,
+    rotation_about_i,
     singular_constants,
     t_of_distance,
     variation_coeffs,
@@ -61,12 +63,16 @@ class TestPsi:
             assert max(ds) - min(ds) < 1e-12
 
     def test_vectorized_matches_scalar(self):
+        # the Moebius product R(theta) exp(tF) . i is the independent reference
         rng = np.random.default_rng(14)
         th = rng.uniform(0.0, 2.0 * math.pi, 50)
         t = rng.uniform(0.0, T_STD, 50)
         z = psi_many(STD, th, t)
         for i in range(50):
-            assert abs(z[i] - psi(STD, float(th[i]), float(t[i]))) < 1e-12
+            one = psi(STD, float(th[i]), float(t[i]))
+            ref = (rotation_about_i(float(th[i])) @ flow_matrix(STD, float(t[i]))).apply(1j)
+            assert abs(z[i] - one) < 1e-12
+            assert abs(z[i] - ref) < 1e-12
 
     def test_rejects_non_subcritical_and_zero_energy(self):
         for E in (0.0, 0.5, 1.0):
