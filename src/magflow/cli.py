@@ -62,10 +62,13 @@ from .torus import (
 __all__ = ["main"]
 
 # work budgets, checked before any loop or allocation; each sits well above
-# the largest perfbench workload (about 178k RK4 steps, 200k rungs, grid 300)
+# the largest perfbench workload (about 178k RK4 steps, 200k rungs, grid 300,
+# 150k Birkhoff steps, 4e6 samples)
 _MAX_RK4_STEPS = 10_000_000
 _MAX_RUNGS = 2_000_000
 _MAX_GRID = 1000
+_MAX_BIRKHOFF_STEPS = 100_000_000  # over the three orbits of equidist
+_MAX_SAMPLES = 400_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +398,8 @@ def cmd_sample(args) -> int:
     n = _opt(args, "n", 1_000_000)
     seed = _opt(args, "seed", 1234)
     out = _opt(args, "out", ".")
+    if n > _MAX_SAMPLES:
+        raise ValueError(f"{n} samples requested; the limit is {_MAX_SAMPLES}")
 
     hist = sample_pushforward(cfg, n, seed)
     report = compare_to_closed_form(hist, cfg)
@@ -453,6 +458,11 @@ def cmd_equidist(args) -> int:
     cfg = MagneticConfig(B, E)
     if abs(cfg.E - cfg.Ec) > 1e-9:
         raise ValueError("equidistribution test requires critical energy")
+    if 3 * n_steps > _MAX_BIRKHOFF_STEPS:
+        raise ValueError(f"3 orbits of {n_steps} steps requested; "
+                         f"the limit is {_MAX_BIRKHOFF_STEPS} Birkhoff steps")
+    if res > _MAX_GRID:
+        raise ValueError(f"area-average resolution {res} is above the limit of {_MAX_GRID}")
     group = bolza_group()
     require_chern(cfg)
 

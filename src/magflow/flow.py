@@ -159,11 +159,16 @@ def _exp_scalars(cfg: MagneticConfig, t):
     return xp.cosh(h), xp.sinh(h) * (2.0 / g)
 
 
-def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
-    """exp(t F) in closed form."""
+def _exp_entries(cfg: MagneticConfig, t):
+    """Entries (a, b, c, d) of exp(tF) = C I + S F, for a float or an array t."""
     C, S = _exp_scalars(cfg, t)
     lam, B = cfg.lam, cfg.B
-    return Moebius(C + 0.5 * S * lam, -0.5 * S * B, 0.5 * S * B, C - 0.5 * S * lam)
+    return C + 0.5 * S * lam, -0.5 * S * B, 0.5 * S * B, C - 0.5 * S * lam
+
+
+def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
+    """exp(t F) in closed form."""
+    return Moebius(*_exp_entries(cfg, t))
 
 
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:

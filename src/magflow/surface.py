@@ -16,12 +16,14 @@ single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = 1, encoded by
 the index word (0, 3, 6, 1, 4, 7, 2, 5).
 
 Operations: fold points into the fundamental domain (greedy distance
-descent; a point is a local minimum of d(., i) over the generator orbit
-exactly when it lies in the Dirichlet domain), enumerate the group elements
-whose translated domain can meet a centered disk (breadth-first search over
-the Cayley graph), fold the planar pushforward density onto the surface by
-summing over those translates, and time-average observables along critical
-energy trajectories, which equidistribute toward the area measure.
+descent, for one point or an array at once; a point is a local minimum of
+d(., i) over the generator orbit exactly when it lies in the Dirichlet
+domain), enumerate the group elements whose translated domain can meet a
+centered disk (breadth-first search over the Cayley graph), fold the planar
+pushforward density onto the surface by summing over those translates, and
+time-average observables along critical energy trajectories, which
+equidistribute toward the area measure; the averages take their samples in
+blocks of closed-form frames, each block folded as one array.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -36,13 +38,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, flow_matrix, period
+from .flow import MagneticConfig, _exp_entries, period
 from .halfplane import (
     Moebius,
     Tangent,
     frame_of,
     from_disk,
     hyp_dist,
+    hyp_dist_vec,
     hyp_norm,
     rotation_about_i,
 )
@@ -68,6 +71,13 @@ __all__ = [
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
 _DESCENT_EPS = 1e-12
 _MAX_STEPS = 100_000
+# a Birkhoff block holds at most _BLOCK_STEPS samples spanning flow time t
+# with B t <= _BLOCK_BT, so its frames lie within cosh d = 1 + (B t)^2 / 2
+# <= 33 of the block's start frame
+_BLOCK_STEPS = 1024
+_BLOCK_BT = 8.0
+# a single step longer than _BLOCK_BT / B may reach this far, no further
+_MAX_BLOCK_COSH = 1e8
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,43 @@ def _descend(generators, z: complex):
         z = generators[best].apply(z)
         d0 = hyp_dist(z, 1j)
         word.append(best)
+    raise ValueError("reduction failed")
+
+
+def _descend_many(generators, z):
+    """Array form of _descend with the same move rule and tie-break.
+
+    Each point's candidates g.z are ranked by |g.z - i|^2 / Im g.z, which is
+    monotone in d(g.z, i) and equals |(a - ic) z + b - id|^2 / Im z for
+    g = (a, b; c, d): only the numerator varies, and it is linear in
+    (Re z, Im z, 1).  The chosen move alone is applied and measured.
+    Returns the folded points and their words: row j holds the generator
+    indices applied to z[j] in order, padded with -1.
+    """
+    z = np.array(z, dtype=complex).ravel()
+    ga, gb, gc, gd = (np.array(col) for col in zip(*(g.entries() for g in generators)))
+    rank = np.concatenate([np.stack([ga, gc, gb], 1), np.stack([-gc, ga, -gd], 1)])
+    n = len(generators)
+    d0 = hyp_dist_vec(z, 1j)
+    live = np.arange(z.size)
+    moves = []
+    for _ in range(_MAX_STEPS):
+        zl = z[live]
+        r = rank @ np.array([zl.real, zl.imag, np.ones(zl.size)])
+        r *= r
+        best = np.argmin(r[:n] + r[n:], axis=0)  # first minimum: the lowest index
+        w = (ga[best] * zl + gb[best]) / (gc[best] * zl + gd[best])
+        best_d = hyp_dist_vec(w, 1j)
+        go = best_d < d0[live] - _DESCENT_EPS
+        if not go.any():
+            words = np.full((z.size, len(moves)), -1, dtype=np.int8)
+            for k, (at, idx) in enumerate(moves):
+                words[at, k] = idx
+            return z, words
+        live = live[go]
+        z[live] = w[go]
+        d0[live] = best_d[go]
+        moves.append((live, best[go]))
     raise ValueError("reduction failed")
 
 
@@ -309,33 +356,46 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     Only defined at the critical energy, where the flow is uniquely ergodic
     and the average converges to the area average for every initial
     condition.  The observable must accept complex half-plane points as a
-    numpy array.  Midpoint composite rule; trajectory frames are closed-form
-    (no step-to-step error accumulation), and the fold into the fundamental
-    domain is maintained incrementally.
+    numpy array.  Midpoint composite rule over n_steps samples, taken in
+    blocks: a block's frames are F_s exp(tau F) in closed form, with F_s the
+    folded frame of the previous block's last sample and tau the time since
+    it (exp(aF) exp(bF) = exp((a+b)F)), so no error accumulates from step to
+    step.  Each block's points are folded at once by _descend_many and the
+    observable runs once per block, so memory is O(block).
     """
     require_chern(cfg)
     if abs(cfg.E - cfg.Ec) > 1e-9:
         raise ValueError("equidistribution test requires critical energy")
-    if not T > 0.0:
-        raise ValueError("averaging time must be positive")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
     if abs(hyp_norm(p0) - cfg.lam) > 1e-8:
         raise ValueError("off energy shell")
-    unit = Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v)))
-    g0 = frame_of(unit)
-    gens = group.generators
     dt = T / n_steps
-    fold = Moebius.identity()
-    pts = np.empty(n_steps, dtype=complex)
-    for j in range(n_steps):
-        frame = fold @ (g0 @ flow_matrix(cfg, (j + 0.5) * dt))
-        z = frame.apply(1j)
-        z, moves = _descend(gens, z)
-        for idx in moves:
-            fold = gens[idx] @ fold
-        pts[j] = z
-    return float(np.mean(observable(pts)))
+    block = max(1, int(min(_BLOCK_STEPS, n_steps, _BLOCK_BT / cfg.B * (n_steps / T))))
+    # cosh d(i, exp(tF) i) over a block; a frame point that far from the
+    # block's start carries a rounding error of about 1e-16 cosh d (its Im is
+    # a cancelling determinant)
+    if not 0.5 * sum(x * x for x in _exp_entries(cfg, block * dt)) <= _MAX_BLOCK_COSH:
+        raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
+                         f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
+    unit = Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v)))
+    start = frame_of(unit)
+    total = 0.0
+    done = 0
+    while done < n_steps:
+        m = min(block, n_steps - done)
+        # the first block starts at t = 0, before the first midpoint
+        ea, eb, ec, ed = _exp_entries(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt)
+        fa, fb = start.a * ea + start.b * ec, start.a * eb + start.b * ed
+        fc, fd = start.c * ea + start.d * ec, start.c * eb + start.d * ed
+        z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))
+        total += float(np.sum(observable(z)))
+        last = words[-1]
+        start = word_element(group, last[last >= 0]) @ Moebius(fa[-1], fb[-1], fc[-1], fd[-1])
+        done += m
+    return total / n_steps
 
 
 def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> float:
@@ -355,6 +415,9 @@ def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> flo
     inside_disk = np.abs(u) < re
     z = np.where(inside_disk, from_disk(np.where(inside_disk, u, 0.0)), 1j)
     mask = inside_disk & in_domain_mask(group, z)
+    if not mask.any():
+        raise ValueError(f"area-average resolution {resolution} puts no grid point "
+                         "inside the domain")
     weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
     vals = np.asarray(observable(z), dtype=float)
     integral = float(np.sum(np.where(mask, vals * weight, 0.0)) * cell)

@@ -269,6 +269,14 @@ class TestSampleCommand:
                           "exact_ring_avg", "rel_err"]
         assert sum(int(r[2]) for r in rows) == 200000
 
+    def test_sample_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = cli.main(["sample", "--n", "400000001", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "samples requested; the limit is 400000000" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "histogram.csv").exists()
+
     def test_small_n_fails(self, tmp_path, capsys):
         rc = cli.main(["sample", "--n", "5000", "--out", str(tmp_path)])
         assert rc == 2
@@ -299,11 +307,32 @@ class TestEquidistCommand:
             assert "step count must be at least 1" in capsys.readouterr().err
 
     def test_bad_grid_fails(self, tmp_path, capsys):
-        for grid in ("0", "1"):
+        for grid, message in (("0", "resolution must be at least 2"),
+                              ("1", "resolution must be at least 2"),
+                              ("2", "resolution 2 puts no grid point inside the domain"),
+                              ("1001", "resolution 1001 is above the limit of 1000")):
             rc = cli.main(["equidist", "--T", "5", "--n", "100", "--grid", grid,
                            "--out", str(tmp_path)])
             assert rc == 2
-            assert "resolution must be at least 2" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    def test_non_finite_or_overlong_horizon_fails(self, tmp_path, capsys):
+        for T, message in (("inf", "averaging time must be positive and finite, got inf"),
+                           ("nan", "averaging time must be positive and finite, got nan"),
+                           ("1e300", "T/n_steps = 2e+296 is too long")):
+            rc = cli.main(["equidist", "--T", T, "--n", "5000", "--grid", "40",
+                           "--out", str(tmp_path)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "equidist.json").exists()
+
+    def test_step_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = cli.main(["equidist", "--n", "40000000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "the limit is 100000000 Birkhoff steps" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "equidist.json").exists()
 
     def test_off_critical_energy_fails(self, tmp_path, capsys):
         rc = cli.main(["equidist", "--E", "0.3", "--out", str(tmp_path)])

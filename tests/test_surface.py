@@ -25,8 +25,16 @@ from magflow import (
     relation_residual,
     translates_meeting_disk,
 )
-from magflow.halfplane import from_disk, hyp_dist_vec
-from magflow.surface import ENUM_CAP, in_domain_mask, require_chern, word_element
+from magflow import surface
+from magflow.halfplane import frame_of, from_disk, hyp_dist_vec
+from magflow.surface import (
+    ENUM_CAP,
+    _descend,
+    _descend_many,
+    in_domain_mask,
+    require_chern,
+    word_element,
+)
 
 STD = MagneticConfig(1.0, 0.25)
 GROUP = bolza_group()
@@ -110,6 +118,59 @@ class TestReduce:
             z = complex(rng.uniform(-3, 3), math.exp(rng.uniform(-2, 2)))
             rep = reduce_point(GROUP, z).representative
             assert bool(in_domain_mask(GROUP, np.asarray(rep))) is True
+
+
+def _side_points(rng, count, offsets):
+    """Points on rays from i at the octagon's boundary, displaced radially by
+    each offset (negative: inside), found by bisection of the Dirichlet
+    condition min_k d(g_k z, i) - d(z, i) = 0."""
+    pts = []
+    for _ in range(count):
+        ray = np.exp(2j * math.pi * rng.uniform())
+
+        def excess(r):
+            z = from_disk(math.tanh(0.5 * r) * ray)
+            return min(hyp_dist(g.apply(z), 1j) for g in GROUP.generators) - hyp_dist(z, 1j)
+
+        lo, hi = GROUP.inradius - 1e-3, GROUP.circumradius + 1e-3
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        pts.extend(from_disk(math.tanh(0.5 * (lo + off)) * ray) for off in offsets)
+    return np.array(pts)
+
+
+class TestDescendMany:
+    def _assert_matches_scalar(self, z):
+        folded, words = _descend_many(GROUP.generators, z)
+        for j, zj in enumerate(z):
+            rep, word = _descend(GROUP.generators, complex(zj))
+            assert abs(folded[j] - rep) < 1e-12
+            assert [int(k) for k in words[j] if k >= 0] == word
+            assert (words[j][len(word):] == -1).all()
+
+    def test_matches_scalar_descent_out_to_block_reach(self):
+        # a block's frames lie within cosh d = 33 of its folded start frame
+        rng = np.random.default_rng(31)
+        start = from_disk(rng.uniform(0.0, 0.6, 300) * np.exp(2j * math.pi * rng.uniform(size=300)))
+        reach = np.arccosh(rng.uniform(1.0, 33.0, 300))
+        step = from_disk(np.tanh(0.5 * reach) * np.exp(2j * math.pi * rng.uniform(size=300)))
+        z = start.imag * step + start.real  # the isometry taking i to start
+        self._assert_matches_scalar(z)
+
+    def test_matches_scalar_descent_at_the_sides(self):
+        rng = np.random.default_rng(32)
+        z = _side_points(rng, 60, (-1e-9, 0.0, 1e-9))
+        self._assert_matches_scalar(z)
+        # seen from across a side pairing too
+        self._assert_matches_scalar(GROUP.generators[2].apply(z))
+
+    def test_step_limit_raises(self, monkeypatch):
+        far = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
+        monkeypatch.setattr(surface, "_MAX_STEPS", 1)
+        for descend in (_descend, _descend_many):
+            with pytest.raises(ValueError, match="reduction failed"):
+                descend(GROUP.generators, far)
 
 
 class TestTranslates:
@@ -200,7 +261,50 @@ class TestDensitySurface:
         assert mass == pytest.approx(2.0 * math.pi * period(STD), rel=0.02)
 
 
+def _radial(z):
+    # cosh d(z, i): the side pairings preserve it, so it is continuous on the
+    # surface and blind to which side a boundary point folds to
+    z = np.asarray(z)
+    return 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
+
+
+def _oracle_average(cfg, observable, T, p0, n_steps):
+    """Independent midpoint average over the unfolded frames g0 (I + tF),
+    folded by greedy descent of |z - i|^2 / Im z over the generator orbit."""
+    g0 = frame_of(Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v))))
+    t = (np.arange(n_steps) + 0.5) * (T / n_steps)
+    a, b = 1.0 + 0.5 * t * cfg.lam, -0.5 * t * cfg.B
+    c, d = 0.5 * t * cfg.B, 1.0 - 0.5 * t * cfg.lam
+    z = (((g0.a * a + g0.b * c) * 1j + (g0.a * b + g0.b * d))
+         / ((g0.c * a + g0.d * c) * 1j + (g0.c * b + g0.d * d)))
+    while True:
+        cand = np.stack([g.apply(z) for g in GROUP.generators])
+        u = np.abs(cand - 1j) ** 2 / cand.imag
+        pick = np.argmin(u, axis=0)
+        cols = np.arange(z.size)
+        move = u[pick, cols] < (np.abs(z - 1j) ** 2 / z.imag) * (1.0 - 1e-12)
+        if not move.any():
+            return float(np.mean(observable(z)))
+        z = np.where(move, cand[pick, cols], z)
+
+
 class TestBirkhoffAverage:
+    @pytest.mark.parametrize("B, T, n_steps", [
+        (1.0, 50.0, 20000),
+        (1.0, 0.7, 1),
+        (1.0, 5.0, surface._BLOCK_STEPS + 1),
+        (1.0, 50.0, 2500),  # blocks of 400 steps, set by B t <= 8
+        (2.0, 50.0, 7000),  # blocks of 560 steps and a last one of 280
+    ])
+    def test_matches_unfolded_frame_oracle(self, B, T, n_steps):
+        cfg = MagneticConfig(B, 0.5 * B * B)
+        rng = np.random.default_rng(int(T * n_steps))
+        z = from_disk(0.4 * np.exp(2j * math.pi * rng.uniform()))
+        p0 = Tangent(complex(z), cfg.lam * z.imag * np.exp(2j * math.pi * rng.uniform()))
+        got = birkhoff_average(GROUP, cfg, _radial, T, p0, n_steps)
+        want = _oracle_average(cfg, _radial, T, p0, n_steps)
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_constant_observable_is_exact(self):
         cfg = MagneticConfig(1.0, 0.5)
         p0 = Tangent(1j, 1j * cfg.lam)
@@ -231,6 +335,16 @@ class TestBirkhoffAverage:
         with pytest.raises(ValueError, match="off energy shell"):
             birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
                              T=1.0, p0=Tangent(1j, 0.2j), n_steps=100)
+
+    def test_rejects_non_finite_horizon_and_overlong_steps(self):
+        cfg = MagneticConfig(1.0, 0.5)
+        p0 = Tangent(1j, 1j * cfg.lam)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="averaging time must be positive and finite"):
+                birkhoff_average(GROUP, cfg, _radial, T=T, p0=p0, n_steps=100)
+        for T, n in ((1e300, 50000), (1e12, 3)):
+            with pytest.raises(ValueError, match="is too long"):
+                birkhoff_average(GROUP, cfg, _radial, T=T, p0=p0, n_steps=n)
 
     def test_rejects_empty_step_count(self):
         cfg = MagneticConfig(1.0, 0.5)
