@@ -104,11 +104,15 @@ def _dumps(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
+def _write(out_dir: str, name: str, text) -> str:
+    """Write text: a string, or an iterable of strings written in turn."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
     print(f"wrote {path}")
     return path
 
@@ -354,6 +358,15 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum
 
+def _ladder_csv(entries):
+    """spectrum.csv line by line, so the whole table is never held as lines
+    or text at once.  Ladder fields are builtin int and float, so :.17g gives
+    the bytes of _fmt."""
+    yield "k,m,lambda,scaled\n"
+    for k, m, lam, scaled in entries:
+        yield f"{k},{m},{lam:.17g},{scaled:.17g}\n"
+
+
 def cmd_spectrum(args) -> int:
     k = _opt(args, "k", 10)
     B = _opt(args, "B", 1.0)
@@ -365,9 +378,6 @@ def cmd_spectrum(args) -> int:
     entries = ladder(k, B)
     if not entries:
         raise ValueError("empty ladder: kB < 1")
-    lines = ["k,m,lambda,scaled"]
-    for e in entries:
-        lines.append(f"{e.k},{e.m},{_fmt(e.lam)},{_fmt(e.scaled)}")
 
     gaps = critical_gap(k, B)
     top = max(entries, key=lambda e: e.lam)
@@ -385,7 +395,7 @@ def cmd_spectrum(args) -> int:
         }
 
     print(f"levels {len(entries)} top scaled {_fmt(top.scaled)}")
-    _write(out, "spectrum.csv", "\n".join(lines) + "\n")
+    _write(out, "spectrum.csv", _ladder_csv(entries))
     _write_json(out, "spectrum_summary.json", summary)
     return 0
 

@@ -60,6 +60,9 @@ __all__ = [
 _SERIES_CUT = 1e-8
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
+# largest |det - 1| that flow_matrix accepts from the closed-form entries;
+# Moebius renormalizes them by 1/sqrt(det), a relative move of about half that
+_DET_TOL = 1e-6
 
 
 class Regime(str, Enum):
@@ -131,7 +134,8 @@ def generator(cfg: MagneticConfig) -> np.ndarray:
 def _exp_scalars(cfg: MagneticConfig, t):
     """(C, S) with exp(tF) = C I + S F, for a float t (through math) or
     elementwise over an array t (through numpy).  Raises ValueError where a
-    supercritical exp(tF) would leave float range."""
+    supercritical exp(tF) would leave float range, or where the near-critical
+    series does not converge in its 60 terms or leaves float range."""
     w = cfg.discriminant
     if abs(w) < _SERIES_CUT:
         # series in q = (2E - B^2) t^2 / 4, valid across the critical energy
@@ -146,7 +150,12 @@ def _exp_scalars(cfg: MagneticConfig, t):
             if live is False or (live is not True and not live.any()):
                 break
             ck, sk = ck * live, sk * live  # converged array elements take no more terms
-        return C, S * t
+        else:
+            raise _range_error(cfg, t, "series does not converge")
+        S = S * t
+        if not (np.isfinite(C).all() and np.isfinite(S).all()):
+            raise _range_error(cfg, t, "series overflows")
+        return C, S
     xp = np if isinstance(t, np.ndarray) else math
     g = cfg.gamma
     h = 0.5 * g * t
@@ -154,9 +163,15 @@ def _exp_scalars(cfg: MagneticConfig, t):
         return xp.cos(h), xp.sin(h) * (2.0 / g)
     # entries grow like e^|h| (1 + lam) / g; the determinant and S^2 square them
     if (abs(h).max(initial=0.0) if xp is np else abs(h)) + math.log1p((1.0 + cfg.lam) / g) > 354.0:
-        t_bad = float(abs(t).max()) if xp is np else t
-        raise ValueError(f"exp(tF) overflows at B={cfg.B!r}, E={cfg.E!r}, t={t_bad!r}")
+        raise _range_error(cfg, t, "overflows")
     return xp.cosh(h), xp.sinh(h) * (2.0 / g)
+
+
+def _range_error(cfg: MagneticConfig, t, what: str) -> ValueError:
+    """The error for an exp(tF) out of float range, naming B, E and the
+    largest |t| of an array t."""
+    t_bad = float(abs(t).max()) if isinstance(t, np.ndarray) else t
+    return ValueError(f"exp(tF) {what} at B={cfg.B!r}, E={cfg.E!r}, t={t_bad!r}")
 
 
 def _exp_entries(cfg: MagneticConfig, t):
@@ -167,8 +182,14 @@ def _exp_entries(cfg: MagneticConfig, t):
 
 
 def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
-    """exp(t F) in closed form."""
-    return Moebius(*_exp_entries(cfg, t))
+    """exp(t F) in closed form.  Raises ValueError once a d - b c cancels
+    (supercritical, g t / 2 past about 9): Moebius would renormalize the
+    accurate entries by the drifted determinant."""
+    a, b, c, d = _exp_entries(cfg, t)
+    drift = a * d - b * c - 1.0
+    if not abs(drift) <= _DET_TOL:
+        raise _range_error(cfg, t, f"loses its determinant (det - 1 = {drift:.3g})")
+    return Moebius(a, b, c, d)
 
 
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:
@@ -216,27 +237,35 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     total = abs(t)
     n = max(1, math.ceil(total / dt - 1e-12))
     h = sign * (total / n)
+    hh = 0.5 * h
+    h6 = h / 6.0
 
-    def deriv(state):
-        x, y, vx, vy = state
-        return (
-            vx,
-            vy,
-            2.0 * vx * vy / y + B * vy,
-            (vy * vy - vx * vx) / y - B * vx,
-        )
-
-    s = (p.z.real, p.z.imag, p.v.real, p.v.imag)
+    # classical RK4 on (x, y, vx, vy), unrolled; the stage derivatives of x
+    # and y are the stage velocities, so each stage keeps (vx, vy, ax, ay)
+    x, y, vx, vy = p.z.real, p.z.imag, p.v.real, p.v.imag
     for _ in range(n):
-        k1 = deriv(s)
-        k2 = deriv(tuple(si + 0.5 * h * ki for si, ki in zip(s, k1)))
-        k3 = deriv(tuple(si + 0.5 * h * ki for si, ki in zip(s, k2)))
-        k4 = deriv(tuple(si + h * ki for si, ki in zip(s, k3)))
-        s = tuple(
-            si + (h / 6.0) * (a + 2.0 * b2 + 2.0 * c2 + d2)
-            for si, a, b2, c2, d2 in zip(s, k1, k2, k3, k4)
-        )
-    return NumericFlowResult(Tangent(complex(s[0], s[1]), complex(s[2], s[3])), warn)
+        ax1 = 2.0 * vx * vy / y + B * vy
+        ay1 = (vy * vy - vx * vx) / y - B * vx
+        y2 = y + hh * vy
+        vx2 = vx + hh * ax1
+        vy2 = vy + hh * ay1
+        ax2 = 2.0 * vx2 * vy2 / y2 + B * vy2
+        ay2 = (vy2 * vy2 - vx2 * vx2) / y2 - B * vx2
+        y3 = y + hh * vy2
+        vx3 = vx + hh * ax2
+        vy3 = vy + hh * ay2
+        ax3 = 2.0 * vx3 * vy3 / y3 + B * vy3
+        ay3 = (vy3 * vy3 - vx3 * vx3) / y3 - B * vx3
+        y4 = y + h * vy3
+        vx4 = vx + h * ax3
+        vy4 = vy + h * ay3
+        ax4 = 2.0 * vx4 * vy4 / y4 + B * vy4
+        ay4 = (vy4 * vy4 - vx4 * vx4) / y4 - B * vx4
+        x = x + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
+        y = y + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
+        vx = vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        vy = vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    return NumericFlowResult(Tangent(complex(x, y), complex(vx, vy)), warn)
 
 
 def period(cfg: MagneticConfig) -> float:

@@ -13,6 +13,7 @@ and the top of the ladder approaches E_c = B^2/2 at rate O(1/k).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,10 @@ __all__ = [
     "select_level",
     "critical_gap",
 ]
+
+
+# rungs per tolist() slice in ladder()
+_CHUNK = 4096
 
 
 class SpectrumEntry(NamedTuple):
@@ -65,9 +70,18 @@ def ladder_arrays(k: int, B: float):
 
 
 def ladder(k: int, B: float) -> list:
-    """All ladder entries for tensor power k."""
+    """All ladder entries for tensor power k, with builtin int and float fields.
+
+    Entries are built from tolist() slices of _CHUNK rungs: a whole-array
+    tolist() leaves its transient lists' memory in the heap, where it raises
+    the peak RSS of long ladders by several MB."""
     m, lam, scaled = ladder_arrays(k, B)
-    return [SpectrumEntry(k, int(mi), float(li), float(si)) for mi, li, si in zip(m, lam, scaled)]
+    out = []
+    for i in range(0, len(m), _CHUNK):
+        j = i + _CHUNK
+        rows = zip(repeat(k), m[i:j].tolist(), lam[i:j].tolist(), scaled[i:j].tolist())
+        out.extend(map(SpectrumEntry._make, rows))
+    return out
 
 
 def select_level(k: int, B: float, E: float) -> SpectrumEntry:

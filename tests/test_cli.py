@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magflow import MagneticConfig, alpha_radial, cli, density_cover, preimages_cover, radius
+from magflow import (
+    MagneticConfig, alpha_radial, cli, density_cover, ladder, preimages_cover, radius,
+)
 from magflow.halfplane import from_disk
 
 STD = MagneticConfig(1.0, 0.25)
@@ -67,6 +69,16 @@ class TestFlowCommand:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "exp(tF) overflows at B=1.0, E=1000000.0, t=10.0" in capsys.readouterr().err
+
+    def test_lost_determinant_fails(self, tmp_path, capsys):
+        # exp(tF) entries whose a d - b c has cancelled are refused, not renormalized
+        for E, t in (("5", "7.49"), ("1e6", "0.02")):
+            rc = cli.main(["flow", "--B", "1", "--E", E, "--out", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "exp(tF) loses its determinant" in err
+            assert f"at B=1.0, E={float(E)!r}, t={t}" in err
+        assert not (tmp_path / "flow_summary.json").exists()
 
     def test_bad_grid_fails(self, tmp_path, capsys):
         for grid in ("-5", "0", "1"):
@@ -231,6 +243,15 @@ class TestSpectrumCommand:
         rc = cli.main(["spectrum", "--k", "1", "--B", "0.5", "--out", str(tmp_path)])
         assert rc == 2
         assert "empty ladder: kB < 1" in capsys.readouterr().err
+
+    def test_csv_lines_match_fmt(self, tmp_path):
+        # the CSV writer formats with :.17g; _fmt of the same entries gives the same bytes
+        rc = cli.main(["spectrum", "--k", "10000", "--B", "1.5", "--out", str(tmp_path)])
+        assert rc == 0
+        want = ["k,m,lambda,scaled"] + [
+            f"{e.k},{e.m},{cli._fmt(e.lam)},{cli._fmt(e.scaled)}" for e in ladder(10000, 1.5)
+        ]
+        assert (tmp_path / "spectrum.csv").read_text() == "\n".join(want) + "\n"
 
     def test_rung_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -398,17 +419,27 @@ class TestConfigHandling:
 
 
 class TestBenchmarkTracer:
-    def test_traced_run_succeeds(self, tmp_path):
-        # the benchmark's tracer wraps library functions by name; a rename
-        # of any of them fails here
+    # the benchmark's tracer wraps library functions by name; a rename of
+    # any of them fails here
+    @staticmethod
+    def trace(tmp_path, *argv):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         summary = tmp_path / "S.json"
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "tracer.py"), str(summary),
-             str(tmp_path / "S.npz"), "0", "--", "spectrum", "--k", "10",
-             "--out", str(tmp_path / "out")],
+             str(tmp_path / "S.npz"), "0", "--", *argv, "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert read_json(summary)["exit_code"] == 0
+        return read_json(summary)
+
+    def test_traced_run_succeeds(self, tmp_path):
+        assert self.trace(tmp_path, "spectrum", "--k", "10")["exit_code"] == 0
+
+    def test_traced_flow_counts_rk4_steps(self, tmp_path):
+        # the tracer reads cfg, t and dt from flow_numeric's signature and
+        # repeats its step rule: 2 rows of 889 steps at dt = 1e-2
+        result = self.trace(tmp_path, "flow", "--grid", "3", "--dt", "1e-2")
+        assert result["exit_code"] == 0
+        assert result["counters"]["flow.rk4_steps"] == 1778

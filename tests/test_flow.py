@@ -141,6 +141,17 @@ class TestFlowMatrix:
             assert m.close_to(flow_matrix(cfg, 2.3), 1e-12)
             assert abs(flow_matrix(cfg, 5.0).det - 1.0) < 1e-12
 
+    def test_lost_determinant_names_the_config(self):
+        # supercritical entries stay accurate, but a d - b c cancels once
+        # g t / 2 passes about 9
+        # at E = 2, t = 10 the drift is about 4e-9, inside the tolerance;
+        # renormalizing by it moves the entries by half that, relatively
+        m = flow_matrix(MagneticConfig(1.0, 2.0), 10.0)
+        assert m.trace == pytest.approx(2.0 * math.cosh(5.0 * math.sqrt(3.0)), rel=3e-9)
+        for E, t in ((5.0, 10.0), (1e6, 0.03)):
+            with pytest.raises(ValueError, match=rf"loses its determinant .* at B=1.0, E={E!r}, t={t!r}"):
+                flow_matrix(MagneticConfig(1.0, E), t)
+
     def test_series_branch_continuous_at_critical(self):
         # closed-form branches on both sides of the series cut agree with the
         # series values just inside it
@@ -152,7 +163,47 @@ class TestFlowMatrix:
             assert mo.close_to(mi, 1e-9)
 
 
+def reference_rk4(cfg, p, t, dt, j_sign=1.0):
+    """The tuple-and-zip RK4 loop that flow_numeric unrolls: same step rule,
+    same operation order, so the two must agree to the bit."""
+    B = j_sign * cfg.B
+    sign = 1.0 if t > 0.0 else -1.0
+    total = abs(t)
+    n = max(1, math.ceil(total / dt - 1e-12))
+    h = sign * (total / n)
+
+    def deriv(state):
+        x, y, vx, vy = state
+        return (vx, vy, 2.0 * vx * vy / y + B * vy, (vy * vy - vx * vx) / y - B * vx)
+
+    s = (p.z.real, p.z.imag, p.v.real, p.v.imag)
+    for _ in range(n):
+        k1 = deriv(s)
+        k2 = deriv(tuple(si + 0.5 * h * ki for si, ki in zip(s, k1)))
+        k3 = deriv(tuple(si + 0.5 * h * ki for si, ki in zip(s, k2)))
+        k4 = deriv(tuple(si + h * ki for si, ki in zip(s, k3)))
+        s = tuple(
+            si + (h / 6.0) * (a + 2.0 * b2 + 2.0 * c2 + d2)
+            for si, a, b2, c2, d2 in zip(s, k1, k2, k3, k4)
+        )
+    return s
+
+
 class TestFlowNumeric:
+    def test_matches_reference_loop_bitwise(self):
+        cases = (
+            (STD, 1.0, 1e-3, 1.0),
+            (STD, -2.5, 1e-3, 1.0),
+            (STD, 1.2345, 1e-2, -1.0),  # t not a multiple of dt
+            (MagneticConfig(1.0, 2.0), 3.0, 1e-3, 1.0),
+            (MagneticConfig(2.0, 0.7), -0.77, 3e-3, 1.0),
+        )
+        for cfg, t, dt, j_sign in cases:
+            p = shell_tangent(cfg, 0.3 + 1.7j, 0.4)
+            got = flow_numeric(cfg, p, t, dt, j_sign=j_sign).p
+            want = reference_rk4(cfg, p, t, dt, j_sign)
+            assert (got.z.real, got.z.imag, got.v.real, got.v.imag) == want
+
     def test_matches_exact_flow(self):
         p = shell_tangent(STD)
         got = flow_numeric(STD, p, 1.0, 1e-4)
@@ -358,3 +409,22 @@ class TestExpScalars:
                 _exp_scalars(cfg, t)
         C, S = _exp_scalars(cfg, 0.2)
         assert math.isfinite(C) and math.isfinite(S)
+
+    def test_unconverged_series_names_the_config(self):
+        # just off E_c, long times need more than the series' 60 terms: the
+        # truncated sum is low above E_c and cancels badly below it
+        for E in (0.5 + 2e-9, 0.5 - 2e-9):
+            cfg = MagneticConfig(1.0, E)
+            for t in (3e6, np.array([1.0, -3e6])):
+                with pytest.raises(ValueError, match=rf"series does not converge at B=1.0, E={E!r}, t=3000000.0"):
+                    _exp_scalars(cfg, t)
+            C, S = _exp_scalars(cfg, 1e5)
+            assert math.isfinite(C) and math.isfinite(S)
+
+    def test_series_overflow_names_the_config(self):
+        # below E_c the alternating terms reach inf - inf = nan, which the
+        # convergence test reads as converged; above it they stay inf and live
+        with pytest.raises(ValueError, match=r"series overflows at B=1.0, E=0.499999998, t=1000000000.0"):
+            _exp_scalars(MagneticConfig(1.0, 0.5 - 2e-9), 1e9)
+        with pytest.raises(ValueError, match=r"series does not converge at B=1.0, E=0.500000002, t=1000000000.0"):
+            _exp_scalars(MagneticConfig(1.0, 0.5 + 2e-9), 1e9)

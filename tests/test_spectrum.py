@@ -45,6 +45,19 @@ class TestLadder:
             assert np.all(scaled >= 0.0)
             assert np.all(scaled <= 0.5 * B * B + 0.5 * B / k + 1e-12)
 
+    def test_entries_are_builtin_scalars_across_chunks(self):
+        # longer than one tolist() chunk; numpy scalars would change JSON output
+        k, B = 10000, 1.5
+        got = ladder(k, B)
+        m, lam, scaled = ladder_arrays(k, B)
+        want = [SpectrumEntry(k, int(mi), float(li), float(si))
+                for mi, li, si in zip(m, lam, scaled)]
+        assert len(got) == len(want) == 15000
+        assert got == want
+        for e in got:
+            assert type(e) is SpectrumEntry
+            assert (type(e.k), type(e.m), type(e.lam), type(e.scaled)) == (int, int, float, float)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ladder(0, 1.0)
