@@ -47,6 +47,7 @@ from .surface import (
     birkhoff_average,
     bolza_group,
     density_surface,
+    density_surface_many,
     octagon_area,
     reduce_point,
     relation_residual,

@@ -43,7 +43,7 @@ from .surface import (
     area_average,
     birkhoff_average,
     bolza_group,
-    density_surface,
+    density_surface_many,
     octagon_area,
     relation_residual,
     require_chern,
@@ -245,58 +245,53 @@ def _singular_fits(cfg: MagneticConfig) -> dict:
     }
 
 
-def _grid_axes(extent: float, n: int) -> np.ndarray:
-    return np.linspace(-extent, extent, n)
-
-
-def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float) -> list:
-    """Vectorized cover grid through the torus kernels alpha_radial and
-    preimage_count, the same ones density_cover reads pointwise."""
-    R = radius(cfg)
+def _disk_grid(xs: np.ndarray):
+    """The grid xs x xs of the disk model (row iy holds y = xs[iy]): the
+    points inside it and their half-plane images, i at the others."""
     u = xs[None, :] + 1j * xs[:, None]
     valid = np.abs(u) < 0.999999
-    z = from_disk(np.where(valid, u, 0.0))
+    return valid, from_disk(np.where(valid, u, 0.0))
+
+
+def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
+    """Cover grid columns (d_to_center, alpha_raw, n_preimages, flag) as
+    grid-shaped arrays, through the torus kernels that density_cover reads
+    at one point."""
+    R = radius(cfg)
+    valid, z = _disk_grid(xs)
     d = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
     alpha = np.where(valid, alpha_radial(cfg, np.minimum(d, R + 1.0)), 0.0)
-    n_pre = preimage_count(cfg, d)
+    return d, alpha, preimage_count(cfg, d), _flag_for(d, R, band, band)
+
+
+def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
+    """Surface grid columns, as _cover_rows, from one density_surface_many
+    call over the points inside the disk; d_to_center is the folded point's."""
+    valid, z = _disk_grid(xs)
+    d = np.full(z.shape, np.inf)
+    alpha = np.zeros(z.shape)
+    n_pre = np.zeros(z.shape, dtype=np.int64)
+    flags = np.empty(z.shape, dtype=object)
+    flags[:] = Flag.OUTSIDE  # np.full would store the plain string
+    y0, alpha[valid], n_pre[valid], flags[valid] = density_surface_many(
+        group, cfg, z[valid], band, band)
+    d[valid] = hyp_dist_vec(y0, 1j)
+    return d, alpha, n_pre, flags
+
+
+def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
+    """density_grid.csv line by line, one grid row of builtin values at a
+    time, so the table is never held as lines or text; :.17g on a builtin
+    float gives the bytes of _fmt."""
+    d, alpha, n_pre, flags = columns
     norm = 2.0 * math.pi * period(cfg)
-    rows = []
-    n = len(xs)
-    for iy in range(n):
-        for ix in range(n):
-            dd = float(d[iy, ix])
-            flag = _flag_for(dd, R, band, band) if np.isfinite(dd) else Flag.OUTSIDE
-            rows.append((
-                float(u[iy, ix].real), float(u[iy, ix].imag), dd,
-                float(alpha[iy, ix]), float(alpha[iy, ix]) / norm,
-                int(n_pre[iy, ix]), flag.value,
-            ))
-    return rows
-
-
-def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float) -> list:
-    rows = []
-    for y in xs:
-        for x in xs:
-            u = complex(x, y)
-            if abs(u) >= 0.999999:
-                rows.append((x, y, math.inf, 0.0, 0.0, 0, Flag.OUTSIDE.value))
-                continue
-            s = density_surface(group, cfg, complex(from_disk(u)), band, band)
-            rows.append((
-                x, y, hyp_dist(1j, s.point), s.alpha_raw, s.alpha_normalized,
-                len(s.preimages), s.flag.value,
-            ))
-    return rows
-
-
-def _density_csv(rows) -> str:
-    lines = ["x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag"]
-    for r in rows:
-        lines.append(
-            ",".join(_fmt(v) for v in r[:5]) + f",{r[5]},{r[6]}"
-        )
-    return "\n".join(lines) + "\n"
+    x_row = xs.tolist()
+    yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
+    for iy, y in enumerate(x_row):
+        for x, dd, a, an, k, f in zip(x_row, d[iy].tolist(), alpha[iy].tolist(),
+                                      (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
+                                      flags[iy].tolist()):
+            yield f"{x:.17g},{y:.17g},{dd:.17g},{a:.17g},{an:.17g},{k},{f.value}\n"
 
 
 def cmd_density(args) -> int:
@@ -322,24 +317,20 @@ def cmd_density(args) -> int:
     if surface == "bolza":
         group = bolza_group()
         require_chern(cfg)
-        if R >= ENUM_CAP:
-            sidecar["enumeration_cap"] = ENUM_CAP
-            sidecar["enumeration_cap_exceeded"] = True
-            _write_json(out, "density_summary.json", sidecar)
-            print(
-                f"error: projected disk radius {_fmt(R)} exceeds the "
-                f"enumeration cap {_fmt(ENUM_CAP)}",
-                file=sys.stderr,
-            )
-            return 2
         sidecar["enumeration_cap"] = ENUM_CAP
-        sidecar["enumeration_cap_exceeded"] = False
+        sidecar["enumeration_cap_exceeded"] = R >= ENUM_CAP
+        if R >= ENUM_CAP:
+            _write_json(out, "density_summary.json", sidecar)
+            print(f"error: projected disk radius {_fmt(R)} exceeds the "
+                  f"enumeration cap {_fmt(ENUM_CAP)}", file=sys.stderr)
+            return 2
         sidecar["translates"] = len(translates_meeting_disk(group, R))
-        xs = _grid_axes(math.tanh(0.5 * group.circumradius), n)
-        rows = _surface_rows(group, cfg, xs, band)
+        extent = math.tanh(0.5 * group.circumradius)
+        xs = np.linspace(-extent, extent, n)
+        columns = _surface_rows(group, cfg, xs, band)
     else:
-        xs = _grid_axes(math.tanh(0.5 * R), n)
-        rows = _cover_rows(cfg, xs, band)
+        xs = np.linspace(-math.tanh(0.5 * R), math.tanh(0.5 * R), n)
+        columns = _cover_rows(cfg, xs, band)
 
     mass = density_mass(cfg)
     sidecar.update(_singular_fits(cfg))
@@ -350,7 +341,7 @@ def cmd_density(args) -> int:
 
     print(f"R_E {_fmt(R)}")
     print(f"mass {_fmt(mass)} expected {_fmt(expected)}")
-    _write(out, "density_grid.csv", _density_csv(rows))
+    _write(out, "density_grid.csv", _density_csv(cfg, xs, columns))
     _write_json(out, "density_summary.json", sidecar)
     return 0
 

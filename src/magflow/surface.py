@@ -15,15 +15,16 @@ so g_{k+4} = g_k^{-1} and all traces equal 2(1 + sqrt 2).  They satisfy the
 single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = 1, encoded by
 the index word (0, 3, 6, 1, 4, 7, 2, 5).
 
-Operations: fold points into the fundamental domain (greedy distance
-descent, for one point or an array at once; a point is a local minimum of
-d(., i) over the generator orbit exactly when it lies in the Dirichlet
+Operations, each an array kernel with one-point wrappers: fold points into
+the fundamental domain (greedy distance descent; a point is a local minimum
+of d(., i) over the generator orbit exactly when it lies in the Dirichlet
 domain), enumerate the group elements whose translated domain can meet a
-centered disk (breadth-first search over the Cayley graph), fold the planar
-pushforward density onto the surface by summing over those translates, and
-time-average observables along critical energy trajectories, which
-equidistribute toward the area measure; the averages take their samples in
-blocks of closed-form frames, each block folded as one array.
+centered disk (breadth-first search over the Cayley graph, keyed on orbit
+points g.i), fold the planar pushforward density onto the surface by
+summing over those translates, and time-average observables along critical
+energy trajectories, which equidistribute toward the area measure; the
+averages take their samples in blocks of closed-form frames, each block
+folded as one array.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -49,7 +50,7 @@ from .halfplane import (
     hyp_norm,
     rotation_about_i,
 )
-from .torus import DensitySample, Flag, alpha_radial, preimages_cover, radius
+from .torus import DensitySample, _flags, alpha_radial, preimage_count, preimages_cover, radius
 
 __all__ = [
     "ENUM_CAP",
@@ -64,6 +65,7 @@ __all__ = [
     "in_domain_mask",
     "translates_meeting_disk",
     "density_surface",
+    "density_surface_many",
     "birkhoff_average",
     "area_average",
 ]
@@ -169,39 +171,18 @@ def require_chern(cfg: MagneticConfig, genus: int = 2) -> None:
         )
 
 
-def _descend(generators, z: complex):
-    """Greedy steepest descent of d(., i) over generator moves.
-
-    Returns the local minimizer (a Dirichlet-domain representative) and the
-    applied index word.
-    """
-    word = []
-    d0 = hyp_dist(z, 1j)
-    for _ in range(_MAX_STEPS):
-        best = -1
-        best_d = d0 - _DESCENT_EPS
-        for idx, g in enumerate(generators):
-            dd = hyp_dist(g.apply(z), 1j)
-            if dd < best_d:
-                best = idx
-                best_d = dd
-        if best < 0:
-            return z, word
-        z = generators[best].apply(z)
-        d0 = hyp_dist(z, 1j)
-        word.append(best)
-    raise ValueError("reduction failed")
-
-
 def _descend_many(generators, z):
-    """Array form of _descend with the same move rule and tie-break.
+    """Greedy steepest descent of d(., i) over generator moves, for an array
+    of points at once: the one fold rule.
 
-    Each point's candidates g.z are ranked by |g.z - i|^2 / Im g.z, which is
-    monotone in d(g.z, i) and equals |(a - ic) z + b - id|^2 / Im z for
-    g = (a, b; c, d): only the numerator varies, and it is linear in
-    (Re z, Im z, 1).  The chosen move alone is applied and measured.
-    Returns the folded points and their words: row j holds the generator
-    indices applied to z[j] in order, padded with -1.
+    A move must lower d(., i) by more than _DESCENT_EPS, the first minimum
+    (lowest generator index) wins, and a point still moving after _MAX_STEPS
+    passes raises "reduction failed".  Each point's candidates g.z are ranked
+    by |g.z - i|^2 / Im g.z, which is monotone in d(g.z, i) and equals
+    |(a - ic) z + b - id|^2 / Im z for g = (a, b; c, d): only the numerator
+    varies, and it is linear in (Re z, Im z, 1).  The chosen move alone is
+    applied and measured.  Returns the folded points and their words: row j
+    holds the generator indices applied to z[j] in order, padded with -1.
     """
     z = np.array(z, dtype=complex).ravel()
     ga, gb, gc, gd = (np.array(col) for col in zip(*(g.entries() for g in generators)))
@@ -232,8 +213,10 @@ def _descend_many(generators, z):
 
 def reduce_point(group: FuchsianGroup, z: complex) -> DomainReduction:
     """Fold z into the fundamental domain, recording the generator word."""
-    rep, word = _descend(group.generators, z)
-    return DomainReduction(representative=rep, word=tuple(word))
+    folded, words = _descend_many(group.generators, z)
+    word = words[0]
+    return DomainReduction(representative=complex(folded[0]),
+                           word=tuple(word[word >= 0].tolist()))
 
 
 def in_domain_mask(group: FuchsianGroup, z, slack: float = 1e-12):
@@ -247,31 +230,34 @@ def in_domain_mask(group: FuchsianGroup, z, slack: float = 1e-12):
     return ok
 
 
-class _UpToSignSet:
-    """Set of PSL(2, R) elements robust to float jitter: entries are
-    quantized to cells, with neighbor-cell probing on lookup."""
+class _OrbitPoints:
+    """Group elements keyed by their orbit points w = g.i.
 
-    def __init__(self, cell: float = 1e-4):
-        self.cell = cell
+    The group is torsion-free and its Dirichlet domain about i holds the
+    disk of radius rho (the inradius), so distinct elements have orbit
+    points at least 2 rho apart: g is known when a stored point lies within
+    rho of its own.  Cells are squares of side rho in the hyperboloid
+    coordinates ((|w|^2 - 1) / (2 Im w), Re w / Im w), whose plane distance
+    is at least the hyperbolic one, so a cell holds at most one orbit point;
+    a jittered copy of a stored point lies in its cell or a neighbouring one.
+    """
+
+    def __init__(self, rho: float):
+        self.rho = rho
         self._cells = {}
 
-    def _key(self, g: Moebius):
-        q = self.cell
-        return (round(g.a / q), round(g.b / q), round(g.c / q), round(g.d / q))
-
-    def __contains__(self, g: Moebius) -> bool:
-        ka, kb, kc, kd = self._key(g)
-        for da in (0, -1, 1):
-            for db in (0, -1, 1):
-                for dc in (0, -1, 1):
-                    for dd in (0, -1, 1):
-                        bucket = self._cells.get((ka + da, kb + db, kc + dc, kd + dd))
-                        if bucket and any(g.close_to(h, 1e-8) for h in bucket):
-                            return True
-        return False
-
-    def add(self, g: Moebius) -> None:
-        self._cells.setdefault(self._key(g), []).append(g)
+    def insert(self, g: Moebius) -> bool:
+        """Store g unless it is known; return whether it was new."""
+        w = g.apply(1j)
+        kx = round((abs(w) ** 2 - 1.0) / (2.0 * w.imag * self.rho))
+        ky = round(w.real / (w.imag * self.rho))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for v in self._cells.get((kx + dx, ky + dy), ()):
+                    if hyp_dist(w, v) < self.rho:
+                        return False
+        self._cells.setdefault((kx, ky), []).append(w)
+        return True
 
 
 @lru_cache(maxsize=16)
@@ -291,20 +277,19 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
         raise ValueError("disk radius must be nonnegative")
     include = math.cosh(R + group.circumradius)
     explore = math.cosh(R + 2.0 * group.circumradius + 0.5)
-    seen = _UpToSignSet()
+    seen = _OrbitPoints(group.inradius)
     ident = Moebius.identity()
-    seen.add(ident)
+    seen.insert(ident)
     queue = deque([ident])
     found = [ident]
     while queue:
         g = queue.popleft()
         for gen in group.generators:
             h = g @ gen
-            if h in seen:
-                continue
-            seen.add(h)
             ch = h.cosh_displacement()
-            if ch <= explore:
+            # elements past the exploration radius are never queued, so they
+            # need no place in the seen set
+            if ch <= explore and seen.insert(h):
                 queue.append(h)
                 if ch <= include:
                     found.append(h)
@@ -312,40 +297,51 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
     return tuple(found)
 
 
+def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y,
+                         center_band: float = 1e-3, boundary_band: float = 1e-3):
+    """Surface pushforward density at an array of points y: alpha_radial
+    summed over the lifts that land in the projected disk (within R_E + 1e-9
+    of the center), one pass per translate in the order of
+    translates_meeting_disk.  Flags: NearCenter if a lift lies in the center
+    band, else NearBoundary if one lies in the boundary band, else Regular
+    if the point has a preimage, else Outside.  Returns the folded points,
+    alpha_raw, the preimage counts and the flags, as flat arrays.
+    """
+    require_chern(cfg)
+    R = radius(cfg)
+    y0, _ = _descend_many(group.generators, y)
+    alpha = np.zeros(y0.shape)
+    count = np.zeros(y0.shape, dtype=np.int64)
+    near_center = np.zeros(y0.shape, dtype=bool)
+    near_boundary = np.zeros(y0.shape, dtype=bool)
+    for g in translates_meeting_disk(group, R):
+        d = hyp_dist_vec(1j, g.apply(y0))
+        hit = d < R + 1e-9
+        near_center |= hit & (d < center_band * R)
+        near_boundary |= hit & (np.abs(d - R) < boundary_band * R)
+        alpha += np.where(hit, alpha_radial(cfg, d), 0.0)
+        count += preimage_count(cfg, d)
+    return y0, alpha, count, _flags(near_center, near_boundary, count == 0)
+
+
 def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
                     center_band: float = 1e-3, boundary_band: float = 1e-3) -> DensitySample:
-    """Surface pushforward density: the planar density alpha_radial summed
-    over all lifts of y that land in the projected disk."""
-    require_chern(cfg)
-    y0 = reduce_point(group, y).representative
-    R = radius(cfg)
-    total = 0.0
+    """density_surface_many at one point, with the torus coordinates of each
+    lift that has preimages."""
+    y0, alpha, _, flags = density_surface_many(group, cfg, y, center_band, boundary_band)
+    y0 = complex(y0[0])
+    total = float(alpha[0])
     pre = []
-    near_center = False
-    near_boundary = False
-    for g in translates_meeting_disk(group, R):
+    for g in translates_meeting_disk(group, radius(cfg)):
         w = g.apply(y0)
-        d = hyp_dist(1j, w)
-        if d >= R + 1e-9:
-            continue
-        near_center = near_center or d < center_band * R
-        near_boundary = near_boundary or abs(d - R) < boundary_band * R
-        total += alpha_radial(cfg, d)
-        pre.extend(preimages_cover(cfg, w))
-    if near_center:
-        flag = Flag.NEAR_CENTER
-    elif near_boundary:
-        flag = Flag.NEAR_BOUNDARY
-    elif pre:
-        flag = Flag.REGULAR
-    else:
-        flag = Flag.OUTSIDE
+        if preimage_count(cfg, hyp_dist(1j, w)):
+            pre.extend(preimages_cover(cfg, w))
     return DensitySample(
         point=y0,
         alpha_raw=total,
         alpha_normalized=total / (2.0 * math.pi * period(cfg)),
         preimages=tuple(pre),
-        flag=flag,
+        flag=flags[0],
     )
 
 

@@ -232,14 +232,18 @@ def preimages_cover(cfg: MagneticConfig, y: complex) -> list:
     return [TorusPoint(_theta_from_point(cfg, y, t), t) for t in ts]
 
 
-def _flag_for(d: float, R: float, center_band: float, boundary_band: float) -> Flag:
-    if d < center_band * R:
-        return Flag.NEAR_CENTER
-    if abs(d - R) < boundary_band * R:
-        return Flag.NEAR_BOUNDARY
-    if d > R:
-        return Flag.OUTSIDE
-    return Flag.REGULAR
+_FLAG_ORDER = np.array(list(Flag), dtype=object)  # declared in the rule's order
+
+
+def _flags(near_center, near_boundary, outside):
+    """The flag rule over arrays of masks: NearCenter, else NearBoundary,
+    else Outside, else Regular; an object array of Flags, or one Flag."""
+    return _FLAG_ORDER[np.select([near_center, near_boundary, outside], [0, 1, 2], 3)]
+
+
+def _flag_for(d, R: float, center_band: float, boundary_band: float):
+    """Cover flags at distances d from the center, bands relative to R."""
+    return _flags(d < center_band * R, np.abs(d - R) < boundary_band * R, d > R)
 
 
 def density_cover(

@@ -29,13 +29,13 @@ from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, hyp_norm, to_
 from .mc import compare_to_closed_form, sample_pushforward
 from .spectrum import critical_gap, ladder_arrays, select_level
 from .surface import (
+    _descend_many,
     area_average,
     birkhoff_average,
     bolza_group,
     density_surface,
     in_domain_mask,
     octagon_area,
-    reduce_point,
     relation_residual,
     translates_meeting_disk,
     word_element,
@@ -315,14 +315,14 @@ def check_bolza_integrity(seed: int = 1011) -> dict:
     group = bolza_group()
     resid = relation_residual(group)
     area_err = abs(octagon_area(group) - 4.0 * math.pi)
-    worst = 0.0
+    starts, moved = [], []
     for _ in range(1000):
         r = rng.uniform(0.0, 0.98 * group.inradius)
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        w = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
-        g = word_element(group, rng.integers(0, 8, size=5))
-        red = reduce_point(group, g.apply(w))
-        worst = max(worst, hyp_dist(red.representative, w))
+        starts.append(from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang))))
+        moved.append(word_element(group, rng.integers(0, 8, size=5)).apply(starts[-1]))
+    folded, _ = _descend_many(group.generators, moved)
+    worst = float(np.max(hyp_dist_vec(folded, np.array(starts))))
     passed = resid < 1e-9 and area_err < 1e-6 and worst < 1e-8
     return _result("bolza-integrity", passed,
                    {"relation_residual": resid, "area_error": area_err,

@@ -143,13 +143,14 @@ class TestDensityCommand:
         # rim band and inside it; the grid is xs x xs, so (x, 0) has |u| = x
         xs = np.array([0.0, 0.3, rim * (1.0 - 1e-3), rim * (1.0 - 1e-11), rim * (1.0 - 1e-13),
                        rim, rim * (1.0 + 1e-13), rim * (1.0 + 1e-11), rim * (1.0 + 1e-3), 0.9])
-        rows = cli._cover_rows(STD, xs, 1e-3)
+        dist, _, n_pre, flags = cli._cover_rows(STD, xs, 1e-3)
         near_band = on_rim = 0
-        for x, y, d, _, _, n_pre, flag in rows:
+        for (iy, ix), d in np.ndenumerate(dist):
             if not math.isfinite(d) or d < 1e-9:
                 continue  # off the disk model, or the center's circle fiber
-            assert n_pre == len(preimages_cover(STD, complex(from_disk(complex(x, y)))))
-            near_band += flag == "NearBoundary"
+            y = complex(from_disk(complex(xs[ix], xs[iy])))
+            assert n_pre[iy, ix] == len(preimages_cover(STD, y))
+            near_band += flags[iy, ix] == "NearBoundary"
             on_rim += abs(d - R) <= 1e-12 * R
         assert near_band >= 8 and on_rim >= 4
 
@@ -177,6 +178,17 @@ class TestDensityCommand:
         sidecar = read_json(tmp_path / "density_summary.json")
         assert sidecar["translates"] == 9
         assert sidecar["enumeration_cap_exceeded"] is False
+
+    def test_odd_grids_write_the_center_row(self, tmp_path):
+        # an odd grid has a cell at the center, whose torus fiber is a full
+        # circle: both surfaces write it with no preimages and infinite alpha
+        for surface in ("cover", "bolza"):
+            out = tmp_path / surface
+            rc = cli.main(["density", "--surface", surface, "--grid", "61",
+                           "--out", str(out)])
+            assert rc == 0
+            _, rows = read_csv(out / "density_grid.csv")
+            assert rows[30 * 61 + 30] == ["0", "0", "0", "inf", "inf", "0", "NearCenter"]
 
     def test_bolza_single_translate_regime_matches_cover(self, tmp_path):
         cfg = MagneticConfig(1.0, 0.15)
@@ -436,6 +448,13 @@ class TestBenchmarkTracer:
 
     def test_traced_run_succeeds(self, tmp_path):
         assert self.trace(tmp_path, "spectrum", "--k", "10")["exit_code"] == 0
+
+    def test_traced_bolza_density_counts_translates(self, tmp_path):
+        # the tracer wraps reduce_point (reading its .word), density_surface
+        # and the lru_cache of translates_meeting_disk
+        result = self.trace(tmp_path, "density", "--surface", "bolza", "--grid", "8")
+        assert result["exit_code"] == 0
+        assert result["counters"]["surface.translates"] == 9
 
     def test_traced_flow_counts_rk4_steps(self, tmp_path):
         # the tracer reads cfg, t and dt from flow_numeric's signature and

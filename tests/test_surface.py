@@ -17,19 +17,21 @@ from magflow import (
     bolza_group,
     density_cover,
     density_surface,
+    density_surface_many,
     hyp_dist,
     octagon_area,
     period,
+    preimages_cover,
     radius,
     reduce_point,
     relation_residual,
+    rotation_about_i,
     translates_meeting_disk,
 )
 from magflow import surface
 from magflow.halfplane import frame_of, from_disk, hyp_dist_vec
 from magflow.surface import (
     ENUM_CAP,
-    _descend,
     _descend_many,
     in_domain_mask,
     require_chern,
@@ -38,6 +40,29 @@ from magflow.surface import (
 
 STD = MagneticConfig(1.0, 0.25)
 GROUP = bolza_group()
+
+
+def _descend(generators, z):
+    """The scalar fold the library used before _descend_many, kept as its
+    oracle: greedy steepest descent of d(., i) over generator moves, each
+    candidate measured with hyp_dist.  Returns the representative and the
+    applied index word."""
+    word = []
+    d0 = hyp_dist(z, 1j)
+    for _ in range(surface._MAX_STEPS):
+        best = -1
+        best_d = d0 - surface._DESCENT_EPS
+        for idx, g in enumerate(generators):
+            dd = hyp_dist(g.apply(z), 1j)
+            if dd < best_d:
+                best = idx
+                best_d = dd
+        if best < 0:
+            return z, word
+        z = generators[best].apply(z)
+        d0 = hyp_dist(z, 1j)
+        word.append(best)
+    raise ValueError("reduction failed")
 
 
 class TestGroupConstruction:
@@ -112,6 +137,16 @@ class TestReduce:
             red = reduce_point(GROUP, z)
             assert abs(red.representative - w0) < 1e-8
 
+    def test_returns_builtin_types(self):
+        z = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
+        red = reduce_point(GROUP, z)
+        assert type(red.representative) is complex
+        assert type(red.word) is tuple and len(red.word) > 0
+        assert all(type(k) is int for k in red.word)
+        rep, word = _descend(GROUP.generators, z)
+        assert red.word == tuple(word)
+        assert abs(red.representative - rep) < 1e-12
+
     def test_representative_in_domain(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -171,6 +206,8 @@ class TestDescendMany:
         for descend in (_descend, _descend_many):
             with pytest.raises(ValueError, match="reduction failed"):
                 descend(GROUP.generators, far)
+        with pytest.raises(ValueError, match="reduction failed"):
+            reduce_point(GROUP, far)
 
 
 class TestTranslates:
@@ -196,11 +233,102 @@ class TestTranslates:
         for g in small:
             assert any(h.close_to(g, 1e-9) for h in large)
 
+    def test_orbit_points_are_distinct_at_radius_four(self):
+        got = translates_meeting_disk(GROUP, 4.0)
+        assert len(got) == 137
+        keys = [(m.cosh_displacement(), m.a, m.b, m.c, m.d) for m in got]
+        assert keys == sorted(keys)
+        # the Dirichlet domain about i holds the disk of radius rho, so
+        # distinct elements move i to points at least 2 rho apart
+        pts = np.array([m.apply(1j) for m in got])
+        d = hyp_dist_vec(pts[:, None], pts[None, :])
+        np.fill_diagonal(d, np.inf)
+        assert d.min() >= 2.0 * GROUP.inradius - 1e-9
+
+    def test_orbit_point_set_knows_jittered_copies_only(self):
+        rho = GROUP.inradius
+
+        def lift(X):
+            # the element taking i to i y, whose hyperboloid X is sinh(log y)
+            h = 0.5 * math.asinh(X)
+            return Moebius(math.exp(h), 0.0, 0.0, math.exp(-h))
+
+        seen = surface._OrbitPoints(rho)
+        assert seen.insert(lift(0.5 * rho * (1.0 + 1e-12)))
+        # across the cell edge at X = rho / 2 from the stored point
+        assert not seen.insert(lift(0.5 * rho * (1.0 - 1e-12)))
+        seen = surface._OrbitPoints(rho)
+        assert seen.insert(Moebius.identity())
+        # 1.2 rho from i on a diagonal of the hyperboloid plane, in cell (1, +-1)
+        h = 0.6 * rho
+        g = rotation_about_i(math.pi / 4.0) @ Moebius(math.exp(h), 0.0, 0.0, math.exp(-h))
+        assert seen.insert(g)
+        assert not seen.insert(g @ Moebius.identity())
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="disk too large for exact enumeration"):
             translates_meeting_disk(GROUP, ENUM_CAP)
         with pytest.raises(ValueError):
             translates_meeting_disk(GROUP, -0.5)
+
+
+def _density_reference(cfg, y, band):
+    """Surface density at one point as the per-point code computed it: the
+    scalar fold, alpha_radial summed over the translates whose lift lies
+    within R_E + 1e-9 of the center, and the preimages preimages_cover lists
+    (none at the center, whose fiber is a full circle)."""
+    R = radius(cfg)
+    y0, _ = _descend(GROUP.generators, complex(y))
+    total, count, near_center, near_boundary = 0.0, 0, False, False
+    for g in translates_meeting_disk(GROUP, R):
+        w = g.apply(y0)
+        d = hyp_dist(1j, w)
+        if d >= R + 1e-9:
+            continue
+        near_center = near_center or d < band * R
+        near_boundary = near_boundary or abs(d - R) < band * R
+        total += alpha_radial(cfg, d)
+        count += 0 if d < 1e-9 else len(preimages_cover(cfg, w))
+    flag = (Flag.NEAR_CENTER if near_center else Flag.NEAR_BOUNDARY if near_boundary
+            else Flag.REGULAR if count else Flag.OUTSIDE)
+    return y0, total, count, flag
+
+
+class TestDensitySurfaceMany:
+    @pytest.mark.parametrize("E, band", [(0.25, 1e-3), (0.4, 0.05)])
+    def test_matches_per_point_reference(self, E, band):
+        cfg = MagneticConfig(1.0, E)
+        R = radius(cfg)
+        rng = np.random.default_rng(61)
+        re = math.tanh(0.5 * GROUP.circumradius)
+        domain = from_disk(re * np.sqrt(rng.uniform(size=300))
+                           * np.exp(2j * math.pi * rng.uniform(size=300)))
+        # on the rim of the projected disk and 1e-4 R either side, in the
+        # boundary band; nearer in, alpha ~ 1/sqrt(R - d) turns the last-bit
+        # gap between hyp_dist and hyp_dist_vec into more than 1e-9
+        rays = np.exp(2j * math.pi * rng.uniform(size=20))
+        rim = from_disk(np.tanh(0.5 * R * np.array([[1.0 - 1e-4], [1.0], [1.0 + 1e-4]]))
+                        * rays).ravel()
+        sides = _side_points(rng, 20, (-1e-9, 0.0, 1e-9))
+        y = np.concatenate([domain, rim, sides, [1j]])
+        folded, alpha, count, flags = density_surface_many(GROUP, cfg, y, band, band)
+        assert flags.dtype == object
+        for j, yj in enumerate(y):
+            y0, total, n, flag = _density_reference(cfg, yj, band)
+            assert abs(folded[j] - y0) < 1e-12
+            assert count[j] == n
+            assert flags[j] is flag
+            if math.isinf(total):
+                assert alpha[j] == total
+            else:
+                assert alpha[j] == pytest.approx(total, rel=1e-9, abs=0.0)
+        assert {Flag.NEAR_CENTER, Flag.NEAR_BOUNDARY, Flag.REGULAR} <= set(flags)
+
+    def test_center_is_near_center_with_no_preimages(self):
+        s = density_surface(GROUP, STD, 1j)
+        assert s.alpha_raw == math.inf
+        assert s.preimages == ()
+        assert s.flag is Flag.NEAR_CENTER
 
 
 class TestDensitySurface:
