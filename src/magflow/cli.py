@@ -17,7 +17,8 @@ Any flag may instead be given in an INI config file under a [magflow]
 section or a per-command section ([flow], [density], ...); explicit flags
 win.  Numbers are written with 17 significant digits and no run metadata,
 so a command rerun with the same configuration produces byte-identical
-files.  MAGFLOW_THREADS caps sampling workers.
+files.  Sampling runs one worker per usable CPU; MAGFLOW_THREADS, an
+integer of at least 1, caps that count.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
 """
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -280,18 +282,19 @@ def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
 
 
 def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
-    """density_grid.csv line by line, one grid row of builtin values at a
-    time, so the table is never held as lines or text; :.17g on a builtin
-    float gives the bytes of _fmt."""
+    """density_grid.csv one grid row at a time, each row one % format of a
+    row template, so the table is never held as lines or text; %.17g and %d
+    of builtin values give the bytes of _fmt and str."""
     d, alpha, n_pre, flags = columns
     norm = 2.0 * math.pi * period(cfg)
-    x_row = xs.tolist()
+    coords = ["%.17g" % v for v in xs.tolist()]
+    row = "%s,%s,%.17g,%.17g,%.17g,%d,%s\n" * len(coords)
     yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
-    for iy, y in enumerate(x_row):
-        for x, dd, a, an, k, f in zip(x_row, d[iy].tolist(), alpha[iy].tolist(),
-                                      (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
-                                      flags[iy].tolist()):
-            yield f"{x:.17g},{y:.17g},{dd:.17g},{a:.17g},{an:.17g},{k},{f.value}\n"
+    for iy, y in enumerate(coords):
+        yield row % tuple(chain.from_iterable(zip(
+            coords, repeat(y), d[iy].tolist(), alpha[iy].tolist(),
+            (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
+            [f.value for f in flags[iy].tolist()])))
 
 
 def cmd_density(args) -> int:

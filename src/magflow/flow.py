@@ -56,8 +56,12 @@ __all__ = [
     "variation_coeffs",
 ]
 
-# |B^2 - 2E| below this uses the series branch of exp(tF)
+# |B^2 - 2E| below this uses the series branch of exp(tF) ...
 _SERIES_CUT = 1e-8
+# ... for the elements with |q| = |B^2 - 2E| t^2 / 4 up to this; further out
+# the alternating series below E_c cancels by about cosh(sqrt|q|) ulps, up to
+# 74 here, and the trig form is accurate to a few ulps of gamma t / 2
+_SERIES_Q = 25.0
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
 # largest |det - 1| that flow_matrix accepts from the closed-form entries;
@@ -133,33 +137,52 @@ def generator(cfg: MagneticConfig) -> np.ndarray:
 
 def _exp_scalars(cfg: MagneticConfig, t):
     """(C, S) with exp(tF) = C I + S F, for a float t (through math) or
-    elementwise over an array t (through numpy).  Raises ValueError where a
-    supercritical exp(tF) would leave float range, or where the near-critical
-    series does not converge in its 60 terms or leaves float range."""
+    elementwise over an array t (through numpy).  Near E_c an element takes
+    the series while |q| <= _SERIES_Q and the trig or hyperbolic form past
+    it.  Raises ValueError where a supercritical exp(tF) would leave float
+    range, or where the series is not finite (an infinite t at E_c)."""
     w = cfg.discriminant
     if abs(w) < _SERIES_CUT:
         # series in q = (2E - B^2) t^2 / 4, valid across the critical energy
         q = -0.25 * w * t * t
-        ck = sk = C = S = 1.0  # q^k / (2k)!, q^k / (2k+1)! and their sums
-        for k in range(1, 60):
-            ck = ck * (q / ((2 * k - 1) * (2 * k)))
-            sk = sk * (q / ((2 * k) * (2 * k + 1)))
-            C = C + ck
-            S = S + sk
-            live = abs(ck) + abs(sk) >= 1e-18 * (abs(C) + abs(S))  # bool for a float t
-            if live is False or (live is not True and not live.any()):
-                break
-            ck, sk = ck * live, sk * live  # converged array elements take no more terms
-        else:
-            raise _range_error(cfg, t, "series does not converge")
-        S = S * t
-        if not (np.isfinite(C).all() and np.isfinite(S).all()):
-            raise _range_error(cfg, t, "series overflows")
-        return C, S
+        far = abs(q) > _SERIES_Q  # False where q is nan: w = 0 keeps the series
+        if not isinstance(t, np.ndarray):
+            if not far:
+                return _series(cfg, q, t)
+        elif not far.any():
+            return _series(cfg, q, t)
+        elif not far.all():
+            C, S = _series(cfg, np.where(far, 0.0, q), t)
+            Cf, Sf = _closed_form(cfg, t)
+            return np.where(far, Cf, C), np.where(far, Sf, S)
+    return _closed_form(cfg, t)
+
+
+def _series(cfg: MagneticConfig, q, t):
+    """(C, S) from the power series in q; |q| <= _SERIES_Q converges within
+    the 60 terms."""
+    ck = sk = C = S = 1.0  # q^k / (2k)!, q^k / (2k+1)! and their sums
+    for k in range(1, 60):
+        ck = ck * (q / ((2 * k - 1) * (2 * k)))
+        sk = sk * (q / ((2 * k) * (2 * k + 1)))
+        C = C + ck
+        S = S + sk
+        live = abs(ck) + abs(sk) >= 1e-18 * (abs(C) + abs(S))  # bool for a float t
+        if live is False or (live is not True and not live.any()):
+            break
+        ck, sk = ck * live, sk * live  # converged array elements take no more terms
+    S = S * t
+    if not (np.isfinite(C).all() and np.isfinite(S).all()):
+        raise _range_error(cfg, t, "series overflows")
+    return C, S
+
+
+def _closed_form(cfg: MagneticConfig, t):
+    """(C, S) from cos/sin (below E_c) or cosh/sinh (above) of gamma t / 2."""
     xp = np if isinstance(t, np.ndarray) else math
     g = cfg.gamma
     h = 0.5 * g * t
-    if w > 0.0:
+    if cfg.discriminant > 0.0:
         return xp.cos(h), xp.sin(h) * (2.0 / g)
     # entries grow like e^|h| (1 + lam) / g; the determinant and S^2 square them
     if (abs(h).max(initial=0.0) if xp is np else abs(h)) + math.log1p((1.0 + cfg.lam) / g) > 354.0:

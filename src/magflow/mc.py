@@ -10,8 +10,11 @@ profile).
 
 The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j draws from Philox keyed by
-(seed, j), theta block first, then t.  Histograms are therefore bit-identical
-for a given (seed, n) regardless of how many workers evaluate the chunks.
+(seed, j), theta block first, then t.  Each chunk maps its draws to radii and
+bins them in cache-sized blocks of 2^15 samples, elementwise, so no step
+holds a chunk-sized temporary.  Histograms are therefore bit-identical for a
+given (seed, n) regardless of how many workers evaluate the chunks; by
+default there is one worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
+# samples mapped and binned at a time; the block's temporaries stay in cache
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,24 @@ class PushforwardHistogram:
 
 
 def worker_count() -> int:
-    """Worker cap from MAGFLOW_THREADS (default 1)."""
+    """Sampling workers: the usable CPUs, capped by MAGFLOW_THREADS when set.
+
+    Raises ValueError when MAGFLOW_THREADS is not an integer of at least 1;
+    a value above the usable CPUs is clamped to them."""
     try:
-        return max(1, int(os.environ.get("MAGFLOW_THREADS", "1")))
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    raw = os.environ.get("MAGFLOW_THREADS")
+    if raw is None:
+        return cpus
+    try:
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}")
+    return min(cap, cpus)
 
 
 def _ring_areas(edges: np.ndarray) -> np.ndarray:
@@ -72,7 +90,9 @@ def _bin_counts(d: np.ndarray, R: float, rings: int) -> np.ndarray:
     return np.bincount(idx, minlength=rings)
 
 
-def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, radii_of_chunk, threads: int):
+def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, draw, radii, threads: int):
+    """Ring counts of n samples: chunk j calls draw(rng, m) with Philox keyed
+    by (seed, j) for its m samples, then radii(*arrays) on each block."""
     R = radius(cfg)
     edges = np.linspace(0.0, R, rings + 1)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -80,7 +100,11 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, radii_of_chun
 
     def one(job):
         j, m = job
-        return _bin_counts(radii_of_chunk(j, m), R, rings)
+        arrays = draw(np.random.Generator(np.random.Philox(key=[seed, j])), m)
+        counts = np.zeros(rings, dtype=np.int64)
+        for lo in range(0, m, _BLOCK):
+            counts += _bin_counts(radii(*(a[lo:lo + _BLOCK] for a in arrays)), R, rings)
+        return counts
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -104,15 +128,16 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
     _check_sampling_pre(cfg, n)
     T = period(cfg)
 
-    def radii_of_chunk(j: int, m: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+    def draw(rng, m: int):
         theta = rng.random(m) * (2.0 * math.pi)
-        t = rng.random(m) * T
+        return theta, rng.random(m) * T
+
+    def radii(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
         z = psi_many(cfg, theta, t)
         arg = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
         return np.arccosh(np.maximum(arg, 1.0))
 
-    return _histogram(cfg, n, seed, rings, radii_of_chunk, threads or worker_count())
+    return _histogram(cfg, n, seed, rings, draw, radii, threads or worker_count())
 
 
 def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
@@ -124,14 +149,15 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
     g = cfg.gamma
     E = cfg.E
 
-    def radii_of_chunk(j: int, m: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+    def draw(rng, m: int):
         # t uniform on the rising branch [0, T/2]; phi covers [0, R_E] once
-        t = rng.random(m) * (math.pi / g)
+        return (rng.random(m) * (math.pi / g),)
+
+    def radii(t: np.ndarray) -> np.ndarray:
         ch = 1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * t) ** 2
         return np.arccosh(ch)
 
-    return _histogram(cfg, n, seed, rings, radii_of_chunk, threads or worker_count())
+    return _histogram(cfg, n, seed, rings, draw, radii, threads or worker_count())
 
 
 def _check_sampling_pre(cfg: MagneticConfig, n: int) -> None:

@@ -317,7 +317,7 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y,
     for g in translates_meeting_disk(group, R):
         d = hyp_dist_vec(1j, g.apply(y0))
         hit = d < R + 1e-9
-        near_center |= hit & (d < center_band * R)
+        near_center |= hit & (d <= center_band * R)
         near_boundary |= hit & (np.abs(d - R) < boundary_band * R)
         alpha += np.where(hit, alpha_radial(cfg, d), 0.0)
         count += preimage_count(cfg, d)

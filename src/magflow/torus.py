@@ -242,8 +242,9 @@ def _flags(near_center, near_boundary, outside):
 
 
 def _flag_for(d, R: float, center_band: float, boundary_band: float):
-    """Cover flags at distances d from the center, bands relative to R."""
-    return _flags(d < center_band * R, np.abs(d - R) < boundary_band * R, d > R)
+    """Cover flags at distances d from the center, bands relative to R; the
+    center band is closed, so a zero band still flags the center itself."""
+    return _flags(d <= center_band * R, np.abs(d - R) < boundary_band * R, d > R)
 
 
 def density_cover(

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from magflow import (
-    MagneticConfig, alpha_radial, cli, density_cover, ladder, preimages_cover, radius,
+    MagneticConfig, alpha_radial, bolza_group, cli, density_cover, ladder, period,
+    preimages_cover, radius,
 )
 from magflow.halfplane import from_disk
 
@@ -190,6 +191,52 @@ class TestDensityCommand:
             _, rows = read_csv(out / "density_grid.csv")
             assert rows[30 * 61 + 30] == ["0", "0", "0", "inf", "inf", "0", "NearCenter"]
 
+    def center_row(self, tmp_path, *argv):
+        rc = cli.main(["density", *argv, "--bands", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "density_grid.csv")
+        return [r for r in rows if r[2] == "0"]
+
+    def test_zero_bands_flag_the_cover_center(self, tmp_path):
+        # the center band is closed: at zero width it still holds d = 0
+        assert self.center_row(tmp_path, "--grid", "33") == [
+            ["0", "0", "0", "inf", "inf", "0", "NearCenter"]]
+
+    def test_zero_bands_flag_the_bolza_center(self, tmp_path):
+        assert self.center_row(tmp_path, "--surface", "bolza", "--grid", "61") == [
+            ["0", "0", "0", "inf", "inf", "0", "NearCenter"]]
+
+    @staticmethod
+    def per_line_csv(cfg, xs, columns):
+        # density_grid.csv as one f-string per line, the writer's byte oracle
+        d, alpha, n_pre, flags = columns
+        norm = 2.0 * math.pi * period(cfg)
+        x_row = xs.tolist()
+        yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
+        for iy, y in enumerate(x_row):
+            for x, dd, a, an, k, f in zip(x_row, d[iy].tolist(), alpha[iy].tolist(),
+                                          (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
+                                          flags[iy].tolist()):
+                yield f"{x:.17g},{y:.17g},{dd:.17g},{a:.17g},{an:.17g},{k},{f.value}\n"
+
+    @pytest.mark.parametrize("surface, grid, band", [
+        ("cover", 300, 1e-3), ("cover", 33, 0.0), ("bolza", 61, 1e-3)])
+    def test_row_writer_matches_per_line_oracle(self, surface, grid, band):
+        if surface == "bolza":
+            group = bolza_group()
+            extent = math.tanh(0.5 * group.circumradius)
+            xs = np.linspace(-extent, extent, grid)
+            columns = cli._surface_rows(group, STD, xs, band)
+        else:
+            extent = math.tanh(0.5 * radius(STD))
+            xs = np.linspace(-extent, extent, grid)
+            columns = cli._cover_rows(STD, xs, band)
+        got = "".join(cli._density_csv(STD, xs, columns)).splitlines(keepends=True)
+        want = list(self.per_line_csv(STD, xs, columns))
+        assert len(got) == len(want) == grid * grid + 1
+        # the first differing line, not a diff of the whole table
+        assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
+
     def test_bolza_single_translate_regime_matches_cover(self, tmp_path):
         cfg = MagneticConfig(1.0, 0.15)
         cli.main(["density", "--surface", "bolza", "--B", "1", "--E", "0.15",
@@ -290,6 +337,15 @@ class TestSampleCommand:
         monkeypatch.setenv("MAGFLOW_THREADS", "4")
         cli.main(["sample", "--n", "2500000", "--seed", "5", "--out", str(b)])
         assert (a / "histogram.csv").read_bytes() == (b / "histogram.csv").read_bytes()
+
+    def test_bad_thread_env_fails(self, tmp_path, monkeypatch, capsys):
+        for raw in ("two", "0"):
+            monkeypatch.setenv("MAGFLOW_THREADS", raw)
+            rc = cli.main(["sample", "--n", "10000", "--out", str(tmp_path)])
+            assert rc == 2
+            assert f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}" in (
+                capsys.readouterr().err)
+        assert not (tmp_path / "histogram.csv").exists()
 
     def test_report_contents(self, tmp_path):
         cli.main(["sample", "--n", "200000", "--seed", "11", "--out", str(tmp_path)])
@@ -455,6 +511,14 @@ class TestBenchmarkTracer:
         result = self.trace(tmp_path, "density", "--surface", "bolza", "--grid", "8")
         assert result["exit_code"] == 0
         assert result["counters"]["surface.translates"] == 9
+
+    def test_traced_sample_counts_blocks(self, tmp_path):
+        # the tracer wraps psi_many where mc binds it: 40,000 samples are one
+        # Philox chunk, mapped in a block of 32,768 and one of 7,232
+        result = self.trace(tmp_path, "sample", "--n", "40000")
+        assert result["exit_code"] == 0
+        assert result["counters"]["mc.samples"] == 40000
+        assert result["counters"]["mc.chunks"] == 2
 
     def test_traced_flow_counts_rk4_steps(self, tmp_path):
         # the tracer reads cfg, t and dt from flow_numeric's signature and

@@ -410,21 +410,67 @@ class TestExpScalars:
         C, S = _exp_scalars(cfg, 0.2)
         assert math.isfinite(C) and math.isfinite(S)
 
-    def test_unconverged_series_names_the_config(self):
-        # just off E_c, long times need more than the series' 60 terms: the
-        # truncated sum is low above E_c and cancels badly below it
-        for E in (0.5 + 2e-9, 0.5 - 2e-9):
-            cfg = MagneticConfig(1.0, E)
-            for t in (3e6, np.array([1.0, -3e6])):
-                with pytest.raises(ValueError, match=rf"series does not converge at B=1.0, E={E!r}, t=3000000.0"):
-                    _exp_scalars(cfg, t)
-            C, S = _exp_scalars(cfg, 1e5)
-            assert math.isfinite(C) and math.isfinite(S)
+    @staticmethod
+    def series_reference(w, t):
+        # the near-critical series term by term, until the element converges
+        # or 60 terms: the bits every series element must reproduce
+        q = -0.25 * w * t * t
+        ck = sk = C = S = 1.0
+        for k in range(1, 60):
+            ck = ck * (q / ((2 * k - 1) * (2 * k)))
+            sk = sk * (q / ((2 * k) * (2 * k + 1)))
+            C = C + ck
+            S = S + sk
+            if abs(ck) + abs(sk) < 1e-18 * (abs(C) + abs(S)):
+                break
+        return C, S * t
 
-    def test_series_overflow_names_the_config(self):
-        # below E_c the alternating terms reach inf - inf = nan, which the
-        # convergence test reads as converged; above it they stay inf and live
-        with pytest.raises(ValueError, match=r"series overflows at B=1.0, E=0.499999998, t=1000000000.0"):
-            _exp_scalars(MagneticConfig(1.0, 0.5 - 2e-9), 1e9)
-        with pytest.raises(ValueError, match=r"series does not converge at B=1.0, E=0.500000002, t=1000000000.0"):
+    def test_near_critical_cancellation(self):
+        # q = -490: the series, summed until it converges, misses
+        # cos(gamma t / 2) by 3.8e-8 relative through cancellation
+        cfg = MagneticConfig(1.0, 0.5 - 2e-9)
+        t = 7e5
+        h = 0.5 * cfg.gamma * t
+        for C, S in (_exp_scalars(cfg, t), (float(v[0]) for v in _exp_scalars(cfg, np.array([t])))):
+            assert abs(C / math.cos(h) - 1.0) < 1e-12
+            assert abs(S / (2.0 * math.sin(h) / cfg.gamma) - 1.0) < 1e-12
+
+    def test_series_elements_keep_their_bits(self):
+        # elements with |q| up to the cut take the series exactly as before,
+        # in a float call and in an array that mixes them with longer times
+        for E in (0.5 - 2e-9, 0.5 + 2e-9, 0.5):
+            cfg = MagneticConfig(1.0, E)
+            w = cfg.discriminant
+            q_cut = np.linspace(0.0, 25.0, 41)
+            t = np.sqrt(4.0 * q_cut / abs(w)) if w else np.linspace(0.0, 1e9, 41)
+            t = np.concatenate([t, -t[::5], [7e5, 3e6]])
+            C, S = _exp_scalars(cfg, t)
+            for i, x in enumerate(t.tolist()):
+                if abs(0.25 * w * x * x) <= 25.0:
+                    want = self.series_reference(w, x)
+                    assert (C[i], S[i]) == want == _exp_scalars(cfg, x)
+
+    def test_long_near_critical_times_take_the_closed_form(self):
+        # just off E_c, times whose series would need more than 60 terms
+        # (|q| = 9000) read cos/sin below E_c and cosh/sinh above it
+        for E, c, s in ((0.5 - 2e-9, math.cos, math.sin), (0.5 + 2e-9, math.cosh, math.sinh)):
+            cfg = MagneticConfig(1.0, E)
+            g = cfg.gamma
+            C, S = _exp_scalars(cfg, 3e6)
+            assert abs(C / c(0.5 * g * 3e6) - 1.0) < 1e-12
+            assert abs(S / (2.0 * s(0.5 * g * 3e6) / g) - 1.0) < 1e-12
+            Ca, Sa = _exp_scalars(cfg, np.array([1.0, -3e6]))
+            assert (Ca[0], Sa[0]) == _exp_scalars(cfg, 1.0)
+            assert Ca[1] == pytest.approx(C, rel=1e-14)
+            assert Sa[1] == pytest.approx(-S, rel=1e-14)
+
+    def test_near_critical_overflow_names_the_config(self):
+        # above E_c a long time overflows like any supercritical exp(tF);
+        # below it the trig form stays bounded; an infinite time at E_c
+        # leaves the series non-finite
+        with pytest.raises(ValueError, match=r"exp\(tF\) overflows at B=1.0, E=0.500000002, t=1000000000.0"):
             _exp_scalars(MagneticConfig(1.0, 0.5 + 2e-9), 1e9)
+        C, S = _exp_scalars(MagneticConfig(1.0, 0.5 - 2e-9), 1e9)
+        assert abs(C) <= 1.0 and math.isfinite(S)
+        with pytest.raises(ValueError, match=r"series overflows at B=1.0, E=0.5, t=inf"):
+            _exp_scalars(MagneticConfig(1.0, 0.5), math.inf)

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: determinism, containment, closed-form agreement."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from magflow import (
     sample_pushforward,
     sample_radii_analytic,
 )
+from magflow.mc import worker_count
 from magflow.torus import psi_many
 
 STD = MagneticConfig(1.0, 0.25)
@@ -69,6 +71,89 @@ class TestSampling:
             sample_pushforward(MagneticConfig(1.0, 0.5), 100_000, 1)
         with pytest.raises(ValueError):
             sample_pushforward(MagneticConfig(1.0, 0.0), 100_000, 1)
+
+
+def one_shot_counts(cfg, n, seed, radii_of_chunk, rings=256):
+    # reference sampler: each Philox chunk of 10^6 mapped to radii in one
+    # pass over the whole chunk, then binned
+    R = radius(cfg)
+    counts = np.zeros(rings, dtype=np.int64)
+    for j in range((n + 999_999) // 1_000_000):
+        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+        d = radii_of_chunk(rng, min(1_000_000, n - j * 1_000_000))
+        counts += np.bincount(np.clip((d * (rings / R)).astype(np.int64), 0, rings - 1),
+                              minlength=rings)
+    return counts
+
+
+def pushforward_chunk(cfg):
+    T = period(cfg)
+
+    def radii(rng, m):
+        theta = rng.random(m) * (2.0 * math.pi)
+        t = rng.random(m) * T
+        z = psi_many(cfg, theta, t)
+        arg = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
+        return np.arccosh(np.maximum(arg, 1.0))
+    return radii
+
+
+def analytic_chunk(cfg):
+    g, E = cfg.gamma, cfg.E
+
+    def radii(rng, m):
+        t = rng.random(m) * (math.pi / g)
+        return np.arccosh(1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * t) ** 2)
+    return radii
+
+
+class TestBlockedSampling:
+    # 2,040,007 samples: two full chunks and a ragged one, each ending in a
+    # ragged block
+    N = 2_040_007
+
+    def test_pushforward_matches_one_shot_chunks(self):
+        want = one_shot_counts(STD, self.N, 31, pushforward_chunk(STD))
+        for threads in (1, 2):
+            hist = sample_pushforward(STD, self.N, 31, threads=threads)
+            assert np.array_equal(hist.counts, want)
+
+    def test_analytic_matches_one_shot_chunks(self):
+        cfg = MagneticConfig(1.3, 0.3)
+        want = one_shot_counts(cfg, self.N, 32, analytic_chunk(cfg))
+        for threads in (1, 2):
+            hist = sample_radii_analytic(cfg, self.N, 32, threads=threads)
+            assert np.array_equal(hist.counts, want)
+
+
+class TestWorkerCount:
+    # worker_count() only reads the environment; no pool is started here
+    def usable(self):
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
+
+    def test_defaults_to_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("MAGFLOW_THREADS", raising=False)
+        assert worker_count() == self.usable()
+
+    def test_env_caps_the_count(self, monkeypatch):
+        monkeypatch.setenv("MAGFLOW_THREADS", "1")
+        assert worker_count() == 1
+        monkeypatch.setenv("MAGFLOW_THREADS", str(self.usable()))
+        assert worker_count() == self.usable()
+
+    def test_large_values_clamp_to_usable_cpus(self, monkeypatch):
+        for raw in ("1000000", str(10 ** 30)):
+            monkeypatch.setenv("MAGFLOW_THREADS", raw)
+            assert worker_count() == self.usable()
+
+    def test_bad_values_name_the_value(self, monkeypatch):
+        for raw in ("abc", "0", "-2", "1.5", ""):
+            monkeypatch.setenv("MAGFLOW_THREADS", raw)
+            with pytest.raises(ValueError, match=f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}"):
+                worker_count()
 
 
 class TestClosedFormAgreement:
