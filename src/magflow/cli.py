@@ -39,7 +39,7 @@ from . import verify
 from .flow import MagneticConfig, Regime, flow_exact, flow_numeric, lyapunov_exponent, period
 from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec
 from .mc import compare_to_closed_form, sample_pushforward
-from .spectrum import critical_gap, ladder, select_level
+from .spectrum import critical_gap, ladder_arrays, select_level
 from .surface import (
     ENUM_CAP,
     area_average,
@@ -71,6 +71,9 @@ _MAX_RUNGS = 2_000_000
 _MAX_GRID = 1000
 _MAX_BIRKHOFF_STEPS = 100_000_000  # over the three orbits of equidist
 _MAX_SAMPLES = 400_000_000
+
+# rungs per % format in _ladder_csv
+_LADDER_SLICE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,13 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     return json.dumps(str(obj))
+
+
+def _rows(template: str, *columns) -> str:
+    """One % format of template, repeated once per row, over the columns
+    interleaved row by row; the first column sets the row count.  %.17g and
+    %d of builtin values give the bytes of _fmt and str."""
+    return (template * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _write(out_dir: str, name: str, text) -> str:
@@ -159,10 +169,9 @@ def _opt(args, key: str, default=None):
 # flow
 
 def _traj_csv(ts, pts) -> str:
-    lines = ["t,re_z,im_z,re_v,im_v"]
-    for t, p in zip(ts, pts):
-        lines.append(",".join(_fmt(x) for x in (t, p.z.real, p.z.imag, p.v.real, p.v.imag)))
-    return "\n".join(lines) + "\n"
+    return "t,re_z,im_z,re_v,im_v\n" + _rows(
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n", ts, [p.z.real for p in pts],
+        [p.z.imag for p in pts], [p.v.real for p in pts], [p.v.imag for p in pts])
 
 
 def cmd_flow(args) -> int:
@@ -282,19 +291,17 @@ def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
 
 
 def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
-    """density_grid.csv one grid row at a time, each row one % format of a
-    row template, so the table is never held as lines or text; %.17g and %d
-    of builtin values give the bytes of _fmt and str."""
+    """density_grid.csv one grid row at a time, so the table is never held
+    as lines or text."""
     d, alpha, n_pre, flags = columns
     norm = 2.0 * math.pi * period(cfg)
     coords = ["%.17g" % v for v in xs.tolist()]
-    row = "%s,%s,%.17g,%.17g,%.17g,%d,%s\n" * len(coords)
     yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
     for iy, y in enumerate(coords):
-        yield row % tuple(chain.from_iterable(zip(
-            coords, repeat(y), d[iy].tolist(), alpha[iy].tolist(),
-            (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
-            [f.value for f in flags[iy].tolist()])))
+        yield _rows("%s,%s,%.17g,%.17g,%.17g,%d,%s\n",
+                    coords, repeat(y), d[iy].tolist(), alpha[iy].tolist(),
+                    (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
+                    [f.value for f in flags[iy].tolist()])
 
 
 def cmd_density(args) -> int:
@@ -352,13 +359,14 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _ladder_csv(entries):
-    """spectrum.csv line by line, so the whole table is never held as lines
-    or text at once.  Ladder fields are builtin int and float, so :.17g gives
-    the bytes of _fmt."""
+def _ladder_csv(k: int, m: np.ndarray, lam: np.ndarray, scaled: np.ndarray):
+    """spectrum.csv in slices of _LADDER_SLICE rungs, so the whole table is
+    never held as lines, text or builtin scalars at once."""
     yield "k,m,lambda,scaled\n"
-    for k, m, lam, scaled in entries:
-        yield f"{k},{m},{lam:.17g},{scaled:.17g}\n"
+    row = f"{k},%d,%.17g,%.17g\n"
+    for i in range(0, len(m), _LADDER_SLICE):
+        j = i + _LADDER_SLICE
+        yield _rows(row, m[i:j].tolist(), lam[i:j].tolist(), scaled[i:j].tolist())
 
 
 def cmd_spectrum(args) -> int:
@@ -369,15 +377,15 @@ def cmd_spectrum(args) -> int:
 
     if k * B > _MAX_RUNGS:
         raise ValueError(f"k B = {k * B:.6g} rungs; the limit is {_MAX_RUNGS}")
-    entries = ladder(k, B)
-    if not entries:
+    m, lam, scaled = ladder_arrays(k, B)
+    if not len(m):
         raise ValueError("empty ladder: kB < 1")
 
     gaps = critical_gap(k, B)
-    top = max(entries, key=lambda e: e.lam)
+    top = int(np.argmax(lam))  # the first maximum, as max() over the rungs
     summary = {
-        "k": k, "B": B, "n_levels": len(entries),
-        "top_m": top.m, "top_lambda": top.lam, "top_scaled": top.scaled,
+        "k": k, "B": B, "n_levels": len(m),
+        "top_m": int(m[top]), "top_lambda": float(lam[top]), "top_scaled": float(scaled[top]),
         "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
         "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
     }
@@ -388,8 +396,8 @@ def cmd_spectrum(args) -> int:
             "offset": abs(sel.scaled - E),
         }
 
-    print(f"levels {len(entries)} top scaled {_fmt(top.scaled)}")
-    _write(out, "spectrum.csv", _ladder_csv(entries))
+    print(f"levels {len(m)} top scaled {_fmt(scaled[top])}")
+    _write(out, "spectrum.csv", _ladder_csv(k, m, lam, scaled))
     _write_json(out, "spectrum_summary.json", summary)
     return 0
 
@@ -408,14 +416,9 @@ def cmd_sample(args) -> int:
     hist = sample_pushforward(cfg, n, seed)
     report = compare_to_closed_form(hist, cfg)
 
-    lines = ["r_lo,r_hi,count,est_density,exact_ring_avg,rel_err"]
-    for i in range(report["rings"]):
-        lines.append(",".join((
-            _fmt(report["r_lo"][i]), _fmt(report["r_hi"][i]),
-            str(int(report["count"][i])),
-            _fmt(report["est_density"][i]), _fmt(report["exact_ring_avg"][i]),
-            _fmt(report["rel_err"][i]),
-        )))
+    table = "r_lo,r_hi,count,est_density,exact_ring_avg,rel_err\n" + _rows(
+        "%.17g,%.17g,%d,%.17g,%.17g,%.17g\n", *(report[key] for key in (
+            "r_lo", "r_hi", "count", "est_density", "exact_ring_avg", "rel_err")))
 
     summary = {key: report[key] for key in (
         "n", "seed", "rings", "chi2", "chi2_dof",
@@ -426,7 +429,7 @@ def cmd_sample(args) -> int:
     print(f"max rel err (body) {_fmt(report['max_rel_err_body'])}")
     print(f"center slope {_fmt(report['center_slope'])} "
           f"boundary slope {_fmt(report['boundary_slope'])}")
-    _write(out, "histogram.csv", "\n".join(lines) + "\n")
+    _write(out, "histogram.csv", table)
     _write_json(out, "sample_report.json", summary)
     return 0
 

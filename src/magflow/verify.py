@@ -27,7 +27,7 @@ from .flow import (
 )
 from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, hyp_norm, to_disk
 from .mc import compare_to_closed_form, sample_pushforward
-from .spectrum import critical_gap, ladder_arrays, select_level
+from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
     _descend_many,
     area_average,
@@ -285,24 +285,26 @@ def check_lyapunov_trichotomy(seed: int = 1009) -> dict:
 
 
 def check_spectrum_ladder() -> dict:
-    """select_level equals the brute-force argmin; the scaled ladder top
+    """select_levels equals the brute-force argmin; the scaled ladder top
     approaches E_c at rate O(1/k)."""
     ok = True
     for B in (0.5, 1.0, 1.5, 2.0):
+        ec = 0.5 * B * B
+        energies = np.linspace(0.0, 0.98 * ec, 50)
+        k_rows, want = [], []
         for k in range(1, 501):
             m, lam, scaled = ladder_arrays(k, B)
             if len(m) == 0:
                 continue
-            ec = 0.5 * B * B
-            for E in np.linspace(0.0, 0.98 * ec, 50):
-                idx = int(np.argmin(np.abs(scaled - E)))
-                if select_level(k, B, float(E)).m != idx:
-                    ok = False
-    sup = 0.0
-    for B in (1.0, 1.5):
-        for k in range(1, 10_001):
-            gaps = critical_gap(k, B)
-            sup = max(sup, k * max(gaps.gap_top, gaps.gap_beyond))
+            # brute-force oracle: the first argmin over the whole ladder
+            err = scaled - energies[:, None]
+            k_rows.append(k)
+            want.append(np.abs(err, out=err).argmin(axis=1))
+        got = select_levels(np.repeat(k_rows, len(energies)), B,
+                            np.tile(energies, len(k_rows)))[0]
+        ok = ok and np.array_equal(got, np.concatenate(want))
+    ks = np.arange(1, 10_001)
+    sup = max(float(np.max(ks * np.maximum(*critical_gaps(ks, B)))) for B in (1.0, 1.5))
     return _result("spectrum-ladder", ok and sup < 1.0,
                    {"argmin_matches": ok, "sup_k_gap": sup},
                    {"sup_k_gap": 1.0},

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from magflow import (
-    MagneticConfig, alpha_radial, bolza_group, cli, density_cover, ladder, period,
-    preimages_cover, radius,
+    MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
+    critical_gap, density_cover, flow_exact, ladder, period, preimages_cover, radius,
+    sample_pushforward, select_level,
 )
 from magflow.halfplane import from_disk
 
@@ -46,6 +49,18 @@ class TestFlowCommand:
         header, rows = read_csv(tmp_path / "flow_exact.csv")
         assert header == ["t", "re_z", "im_z", "re_v", "im_v"]
         assert len(rows) == 201
+
+    @pytest.mark.parametrize("E", [0.25, 2.0])
+    def test_table_matches_fmt_oracle(self, E):
+        # the row-template table against one _fmt join per line
+        cfg = MagneticConfig(1.0, E)
+        p0 = Tangent(1j, 1j * cfg.lam)
+        ts = [0.1 * i for i in range(101)]
+        pts = [flow_exact(cfg, p0, t) for t in ts]
+        want = "t,re_z,im_z,re_v,im_v\n" + "".join(
+            ",".join(cli._fmt(x) for x in (t, p.z.real, p.z.imag, p.v.real, p.v.imag)) + "\n"
+            for t, p in zip(ts, pts))
+        assert cli._traj_csv(ts, pts) == want
 
     def test_critical_has_no_period(self, tmp_path):
         rc = cli.main(["flow", "--B", "1", "--E", "0.5",
@@ -312,6 +327,68 @@ class TestSpectrumCommand:
         ]
         assert (tmp_path / "spectrum.csv").read_text() == "\n".join(want) + "\n"
 
+    @staticmethod
+    def per_line_outputs(k, B, E):
+        # spectrum.csv one f-string per SpectrumEntry and the summary from the
+        # entries' max(): the writer's byte oracle
+        entries = ladder(k, B)
+        csv = "k,m,lambda,scaled\n" + "".join(
+            f"{e.k},{e.m},{e.lam:.17g},{e.scaled:.17g}\n" for e in entries)
+        gaps = critical_gap(k, B)
+        top = max(entries, key=lambda e: e.lam)
+        summary = {
+            "k": k, "B": B, "n_levels": len(entries),
+            "top_m": top.m, "top_lambda": top.lam, "top_scaled": top.scaled,
+            "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
+            "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
+        }
+        if E is not None:
+            sel = select_level(k, B, E)
+            summary["selected"] = {
+                "E": E, "m": sel.m, "lambda": sel.lam, "scaled": sel.scaled,
+                "offset": abs(sel.scaled - E),
+            }
+        return csv, cli._dumps(summary) + "\n"
+
+    # 15,000 rungs with a ragged last slice, one rung past a slice, a single
+    # rung, and the resonant top where gap_top is 0
+    @pytest.mark.parametrize("k, B, E", [
+        (10000, 1.5, 0.3), (4097, 1.0, 0.25), (3, 0.5, None), (10, 1.0, None)])
+    def test_writer_matches_per_line_oracle(self, tmp_path, k, B, E):
+        argv = ["spectrum", "--k", str(k), "--B", repr(B), "--out", str(tmp_path)]
+        assert cli.main(argv + ([] if E is None else ["--E", repr(E)])) == 0
+        csv, summary = self.per_line_outputs(k, B, E)
+        assert (tmp_path / "spectrum.csv").read_text() == csv
+        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--B", "nan"], "field strength B must be positive and finite, got nan"),
+        (["--B", "1", "--E", "nan"], "energy E must be finite and nonnegative, got nan"),
+    ])
+    def test_non_finite_values_fail(self, tmp_path, capsys, flags, message):
+        rc = cli.main(["spectrum", "--k", "10", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    # one_of weighs its branches alike; the in-range branches make about a
+    # quarter of the runs write a ladder
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k=st.integers(-3, 10_000),
+           B=st.one_of(st.floats(0.1, 4.0), st.floats(-4.0, 4.0),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 1e300])),
+           E=st.one_of(st.none(), st.floats(0.0, 2.0), st.floats(-1.0, 10.0),
+                       st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, k, B, E):
+        # --flag=value: argparse reads a separate "-inf" as an option
+        argv = ["spectrum", f"--k={k}", f"--B={B!r}", "--out", str(tmp_path)]
+        rc = cli.main(argv + ([] if E is None else [f"--E={E!r}"]))
+        assert rc in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if rc == 0:
+            rows = (tmp_path / "spectrum.csv").read_text().count("\n") - 1
+            assert rows == math.floor(k * B + 1e-9)
+
     def test_rung_budget(self, tmp_path, capsys):
         start = time.perf_counter()
         rc = cli.main(["spectrum", "--k", "100000000", "--out", str(tmp_path)])
@@ -329,6 +406,17 @@ class TestSampleCommand:
             assert rc == 0
         assert (a / "histogram.csv").read_bytes() == (b / "histogram.csv").read_bytes()
         assert (a / "sample_report.json").read_bytes() == (b / "sample_report.json").read_bytes()
+
+    def test_histogram_matches_fmt_oracle(self, tmp_path):
+        # the row-template table against one _fmt join per ring
+        cli.main(["sample", "--n", "50000", "--seed", "7", "--out", str(tmp_path)])
+        report = compare_to_closed_form(sample_pushforward(STD, 50000, 7), STD)
+        want = ["r_lo,r_hi,count,est_density,exact_ring_avg,rel_err"] + [
+            ",".join((cli._fmt(report["r_lo"][i]), cli._fmt(report["r_hi"][i]),
+                      str(int(report["count"][i])), cli._fmt(report["est_density"][i]),
+                      cli._fmt(report["exact_ring_avg"][i]), cli._fmt(report["rel_err"][i])))
+            for i in range(report["rings"])]
+        assert (tmp_path / "histogram.csv").read_text() == "\n".join(want) + "\n"
 
     def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
         a, b = tmp_path / "t1", tmp_path / "t4"

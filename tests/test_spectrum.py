@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from magflow import CriticalGap, SpectrumEntry, critical_gap, ladder, select_level
-from magflow.spectrum import ladder_arrays, rung
+from magflow.spectrum import critical_gaps, ladder_arrays, rung, select_levels
 
 
 class TestLadder:
@@ -66,6 +66,14 @@ class TestLadder:
         with pytest.raises(ValueError):
             ladder(10, -1.0)
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, B):
+        message = f"field strength B must be positive and finite, got {B}"
+        for call in (lambda: ladder_arrays(10, B), lambda: select_level(10, B, 0.1),
+                     lambda: critical_gap(10, B)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestSelectLevel:
     def test_zero_energy_selects_ground(self):
@@ -79,6 +87,8 @@ class TestSelectLevel:
         assert got.scaled == pytest.approx(0.2515, abs=1e-12)
 
     def test_agrees_with_full_scan(self):
+        # every energy through the array form, one per k through the scalar
+        # wrapper; lambda carries the bits of the scalar rung()
         energies = np.linspace(0.0, 1.0, 50, endpoint=False)
         for B in (0.5, 1.0, 1.5, 2.0):
             ec = 0.5 * B * B
@@ -86,9 +96,28 @@ class TestSelectLevel:
                 _, _, scaled = ladder_arrays(k, B)
                 if len(scaled) == 0:
                     continue
-                for E in energies * ec:
-                    want = int(np.argmin(np.abs(scaled - E)))
-                    assert select_level(k, B, float(E)).m == want
+                want = np.argmin(np.abs(scaled - (energies * ec)[:, None]), axis=1)
+                m, lam, got_scaled = select_levels(k, B, energies * ec)
+                assert np.array_equal(m, want)
+                assert lam.tolist() == [rung(k, B, int(mi)) for mi in want]
+                assert np.array_equal(got_scaled, lam / (k * k))
+                i = k % len(energies)
+                assert select_level(k, B, float(energies[i] * ec)).m == want[i]
+
+    def test_array_k_matches_one_call_per_k(self):
+        ks = np.arange(1, 301)
+        energies = np.linspace(0.0, 0.49, 7)
+        m, lam, scaled = select_levels(np.repeat(ks, 7), 1.0, np.tile(energies, len(ks)))
+        for i, k in enumerate(ks.tolist()):
+            got = select_levels(k, 1.0, energies)
+            assert np.array_equal(got[0], m[7 * i:7 * i + 7])
+            assert np.array_equal(got[1], lam[7 * i:7 * i + 7])
+            assert np.array_equal(got[2], scaled[7 * i:7 * i + 7])
+
+    def test_ties_break_to_smaller_m(self):
+        # k = 2, B = 1: scaled rungs 0.25 and 0.5, and 0.375 lies exactly between
+        assert select_level(2, 1.0, 0.375).m == 0
+        assert select_levels(2, 1.0, [0.375, 0.375])[0].tolist() == [0, 0]
 
     def test_pell_resonances_are_exact(self):
         # k^2/4 lies exactly on the ladder at these k, so the offset vanishes
@@ -116,6 +145,12 @@ class TestSelectLevel:
             select_level(10, 1.0, 0.5)
         with pytest.raises(ValueError):
             select_level(10, 1.0, -0.01)
+        for E in (math.nan, math.inf, -math.inf):
+            message = f"energy E must be finite and nonnegative, got {E}"
+            with pytest.raises(ValueError, match=message):
+                select_level(10, 1.0, E)
+        with pytest.raises(ValueError, match="got nan"):
+            select_levels(10, 1.0, [0.1, math.nan, 0.2])
 
     def test_rejects_empty_ladder(self):
         with pytest.raises(ValueError, match="empty ladder: kB < 1"):
@@ -142,6 +177,21 @@ class TestCriticalGap:
             worst = max(worst, k * min(g.gap_top, g.gap_beyond))
         assert worst <= 1.0
 
+    def test_array_form_matches_scalar_formula(self):
+        # the scalar rung() on builtin ints, as critical_gap computed it before
+        # the array form, is the bitwise reference
+        ks = np.arange(3, 2001)  # kB >= 1 at every B below
+        for B in (0.5, 1.0, 1.5, 2.0, 0.37):
+            top, beyond = critical_gaps(ks, B)
+            ec = 0.5 * B * B
+            for k, t, b in zip(ks.tolist(), top.tolist(), beyond.tolist()):
+                n = math.floor(k * B + 1e-9)
+                assert t == abs(rung(k, B, n - 1) / float(k * k) - ec)
+                assert b == abs(rung(k, B, n) / float(k * k) - ec)
+                assert critical_gap(k, B) == CriticalGap(k, t, b)
+
     def test_rejects_empty_ladder(self):
         with pytest.raises(ValueError, match="empty ladder: kB < 1"):
             critical_gap(1, 0.5)
+        with pytest.raises(ValueError, match="empty ladder: kB < 1"):
+            critical_gaps([3, 1], 0.5)
