@@ -18,7 +18,8 @@ section or a per-command section ([flow], [density], ...); explicit flags
 win.  Numbers are written with 17 significant digits and no run metadata,
 so a command rerun with the same configuration produces byte-identical
 files.  Sampling runs one worker per usable CPU; MAGFLOW_THREADS, an
-integer of at least 1, caps that count.
+integer of at least 1, caps that count.  BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
 """
@@ -26,40 +27,27 @@ Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
+# One BLAS thread unless the caller set a count: OpenBLAS's idle workers spin
+# on the other cores at import and after every call, and a CLI run's BLAS
+# calls are tiny.  This must run before numpy loads, and it lives here, not in
+# the package, so that library users keep their own BLAS threading.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import verify
-from .flow import MagneticConfig, Regime, flow_exact, flow_numeric, lyapunov_exponent, period
-from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec
-from .mc import compare_to_closed_form, sample_pushforward
-from .spectrum import critical_gap, ladder_arrays, select_level
-from .surface import (
-    ENUM_CAP,
-    area_average,
-    birkhoff_average,
-    bolza_group,
-    density_surface_many,
-    octagon_area,
-    relation_residual,
-    require_chern,
-    translates_meeting_disk,
-)
-from .torus import (
-    Flag,
-    _flag_for,
-    alpha_radial,
-    density_mass,
-    preimage_count,
-    radius,
-    singular_constants,
-)
+import numpy as np  # noqa: E402
+
+if TYPE_CHECKING:
+    from .flow import MagneticConfig
+
+# Each command imports the layers it runs inside its handler, so a run loads
+# only those.
 
 __all__ = ["main"]
 
@@ -144,6 +132,8 @@ _CONVERT = {
 
 
 def _load_config(path: str, command: str) -> dict:
+    import configparser
+
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: B and E are capitalized
     if not parser.read(path):
@@ -175,6 +165,9 @@ def _traj_csv(ts, pts) -> str:
 
 
 def cmd_flow(args) -> int:
+    from .flow import MagneticConfig, Regime, flow_exact, flow_numeric, lyapunov_exponent, period
+    from .halfplane import Tangent, hyp_dist
+
     cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
     rows = _opt(args, "grid", 1001)
     dt = _opt(args, "dt", 1e-3)
@@ -240,6 +233,8 @@ def cmd_flow(args) -> int:
 # density
 
 def _singular_fits(cfg: MagneticConfig) -> dict:
+    from .torus import alpha_radial, radius, singular_constants
+
     R = radius(cfg)
     c_center, c_bd = singular_constants(cfg)
     ds = np.logspace(-5, -2, 20)
@@ -259,6 +254,8 @@ def _singular_fits(cfg: MagneticConfig) -> dict:
 def _disk_grid(xs: np.ndarray):
     """The grid xs x xs of the disk model (row iy holds y = xs[iy]): the
     points inside it and their half-plane images, i at the others."""
+    from .halfplane import from_disk
+
     u = xs[None, :] + 1j * xs[:, None]
     valid = np.abs(u) < 0.999999
     return valid, from_disk(np.where(valid, u, 0.0))
@@ -268,6 +265,9 @@ def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
     """Cover grid columns (d_to_center, alpha_raw, n_preimages, flag) as
     grid-shaped arrays, through the torus kernels that density_cover reads
     at one point."""
+    from .halfplane import hyp_dist_vec
+    from .torus import _flag_for, alpha_radial, preimage_count, radius
+
     R = radius(cfg)
     valid, z = _disk_grid(xs)
     d = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
@@ -278,6 +278,10 @@ def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
 def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
     """Surface grid columns, as _cover_rows, from one density_surface_many
     call over the points inside the disk; d_to_center is the folded point's."""
+    from .halfplane import hyp_dist_vec
+    from .surface import density_surface_many
+    from .torus import Flag
+
     valid, z = _disk_grid(xs)
     d = np.full(z.shape, np.inf)
     alpha = np.zeros(z.shape)
@@ -293,6 +297,8 @@ def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
 def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
     """density_grid.csv one grid row at a time, so the table is never held
     as lines or text."""
+    from .flow import period
+
     d, alpha, n_pre, flags = columns
     norm = 2.0 * math.pi * period(cfg)
     coords = ["%.17g" % v for v in xs.tolist()]
@@ -305,6 +311,9 @@ def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
 
 
 def cmd_density(args) -> int:
+    from .flow import MagneticConfig, period
+    from .torus import density_mass, radius
+
     cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
     surface = _opt(args, "surface", "cover")
     n = _opt(args, "grid", 200)
@@ -325,6 +334,8 @@ def cmd_density(args) -> int:
     }
 
     if surface == "bolza":
+        from .surface import ENUM_CAP, bolza_group, require_chern, translates_meeting_disk
+
         group = bolza_group()
         require_chern(cfg)
         sidecar["enumeration_cap"] = ENUM_CAP
@@ -370,6 +381,8 @@ def _ladder_csv(k: int, m: np.ndarray, lam: np.ndarray, scaled: np.ndarray):
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import critical_gap, ladder_arrays, select_level
+
     k = _opt(args, "k", 10)
     B = _opt(args, "B", 1.0)
     E = _opt(args, "E")
@@ -406,6 +419,9 @@ def cmd_spectrum(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
+    from .flow import MagneticConfig
+    from .mc import compare_to_closed_form, sample_pushforward
+
     cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
     n = _opt(args, "n", 1_000_000)
     seed = _opt(args, "seed", 1234)
@@ -438,6 +454,8 @@ def cmd_sample(args) -> int:
 # equidist
 
 def _group_export(group) -> dict:
+    from .surface import octagon_area, relation_residual
+
     return {
         "genus": group.genus,
         "generators": [
@@ -454,6 +472,10 @@ def _group_export(group) -> dict:
 
 
 def cmd_equidist(args) -> int:
+    from .flow import MagneticConfig
+    from .halfplane import Tangent, from_disk
+    from .surface import _bump, area_average, birkhoff_average, bolza_group, require_chern
+
     B = _opt(args, "B", 1.0)
     E = _opt(args, "E", 0.5 * B * B)
     T = _opt(args, "T", 500.0)
@@ -473,7 +495,7 @@ def cmd_equidist(args) -> int:
     group = bolza_group()
     require_chern(cfg)
 
-    target = area_average(group, verify._bump, res)
+    target = area_average(group, _bump, res)
     rng = np.random.default_rng(seed)
     averages = []
     starts = []
@@ -485,7 +507,7 @@ def cmd_equidist(args) -> int:
         p = Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a)))
         starts.append({"re_z": p.z.real, "im_z": p.z.imag,
                        "re_v": p.v.real, "im_v": p.v.imag})
-        averages.append(birkhoff_average(group, cfg, verify._bump, T, p, n_steps))
+        averages.append(birkhoff_average(group, cfg, _bump, T, p, n_steps))
 
     rel = [a / target - 1.0 for a in averages]
     report = {
@@ -505,24 +527,28 @@ def cmd_equidist(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-# check_mc_oracle runs as "mc-oracle"
-_CHECKS = tuple(
-    (fn.__name__.removeprefix("check_").replace("_", "-"), fn)
-    for fn in verify.CHECKS + (verify.check_flow_oracle,)
-)
+def _checks() -> tuple:
+    """(name, check) in run order; check_mc_oracle runs as "mc-oracle"."""
+    from . import verify
+
+    return tuple(
+        (fn.__name__.removeprefix("check_").replace("_", "-"), fn)
+        for fn in verify.CHECKS + (verify.check_flow_oracle,)
+    )
 
 
 def cmd_verify(args) -> int:
     out = _opt(args, "out", ".")
     j_sign = -1.0 if args.flip_j else 1.0
-    known = [name for name, _ in _CHECKS]
+    checks = _checks()
+    known = [name for name, _ in checks]
     if args.only:
         for name in args.only:
             if name not in known:
                 raise ValueError(f"unknown check: {name}")
-        selected = [(n, f) for n, f in _CHECKS if n in set(args.only)]
+        selected = [(n, f) for n, f in checks if n in set(args.only)]
     else:
-        selected = list(_CHECKS)
+        selected = list(checks)
 
     results = []
     for name, fn in selected:
@@ -541,6 +567,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# argparse reads a token that starts with "-" as a value only if it matches
+# this; its own pattern takes -1 and -.5 but not -1e-3, -inf or -nan.  No
+# magflow option looks like a number, so every such token is a value.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magflow",
@@ -551,6 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str):
         sp = sub.add_parser(name, help=help_text)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         sp.add_argument("--config", help="INI file with flag defaults; flags win")
         sp.add_argument("--out", help="output directory (default: current)")
         return sp

@@ -34,6 +34,7 @@ verification oracle for the closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -84,9 +85,13 @@ class MagneticConfig:
 
     def __post_init__(self):
         if not (self.B > 0.0 and math.isfinite(self.B)):
-            raise ValueError("field strength B must be positive")
+            raise ValueError(f"field strength B must be positive and finite, got {self.B}")
         if not (self.E >= 0.0 and math.isfinite(self.E)):
-            raise ValueError("energy E must be nonnegative")
+            raise ValueError(f"energy E must be finite and nonnegative, got {self.E}")
+        # every closed form squares B and doubles E
+        BB = self.B * self.B
+        if not (BB >= sys.float_info.min and math.isfinite(BB + 2.0 * self.E)):
+            raise ValueError(f"B^2 underflows or B^2 + 2E overflows at B={self.B!r}, E={self.E!r}")
 
     @property
     def lam(self) -> float:

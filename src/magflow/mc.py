@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import MagneticConfig, period
-from .torus import psi_many, radius, t_of_distance
+from .torus import _require_torus, psi_many, radius, t_of_distance
 
 __all__ = [
     "PushforwardHistogram",
@@ -125,7 +125,7 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
     Deterministic for fixed (cfg, n, seed); see the module docstring for the
     stream layout.
     """
-    _check_sampling_pre(cfg, n)
+    _check_sampling_pre(cfg, n, seed)
     T = period(cfg)
 
     def draw(rng, m: int):
@@ -145,7 +145,7 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
     """Self-consistency path: sample the distance law directly by inverting
     the time parametrization (t uniform, r = phi(t)), bypassing the Moebius
     arithmetic entirely."""
-    _check_sampling_pre(cfg, n)
+    _check_sampling_pre(cfg, n, seed)
     g = cfg.gamma
     E = cfg.E
 
@@ -160,13 +160,13 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
     return _histogram(cfg, n, seed, rings, draw, radii, threads or worker_count())
 
 
-def _check_sampling_pre(cfg: MagneticConfig, n: int) -> None:
+def _check_sampling_pre(cfg: MagneticConfig, n: int, seed: int) -> None:
     if n < 10_000:
         raise ValueError("need at least 10^4 samples")
-    # raises for E = 0 and at/above critical energy
-    radius(cfg)
-    if cfg.E <= 0.0:
-        raise ValueError("torus undefined at this energy")
+    # Philox keys are 64-bit words
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer from 0 to 2^64 - 1, got {seed}")
+    _require_torus(cfg)
 
 
 def exact_ring_averages(cfg: MagneticConfig, edges: np.ndarray) -> np.ndarray:

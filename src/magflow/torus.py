@@ -91,6 +91,9 @@ class DensitySample:
 def _require_torus(cfg: MagneticConfig) -> None:
     if cfg.E <= 0.0 or cfg.regime is not Regime.SUBCRITICAL:
         raise ValueError("torus undefined at this energy")
+    if radius(cfg) == 0.0:
+        raise ValueError(f"torus radius rounds to 0 at B={cfg.B!r}, E={cfg.E!r}: "
+                         "E is below double precision against B^2")
 
 
 def psi(cfg: MagneticConfig, theta: float, t: float) -> complex:

@@ -25,10 +25,11 @@ from .flow import (
     lyapunov_exponent,
     period,
 )
-from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, hyp_norm, to_disk
+from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, hyp_norm
 from .mc import compare_to_closed_form, sample_pushforward
 from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
+    _bump,
     _descend_many,
     area_average,
     birkhoff_average,
@@ -331,16 +332,6 @@ def check_bolza_integrity(seed: int = 1011) -> dict:
                     "roundtrip": worst},
                    {"relation_residual": 1e-9, "area_error": 1e-6, "roundtrip": 1e-8},
                    "octagon group; 1000 random 5-letter word round trips")
-
-
-def _bump(z):
-    # smooth bump about the domain center; support radius 0.60 in disk
-    # coordinates stays inside the octagon (in-disk inradius 0.6436), so the
-    # area average needs no folding and the orbit average fluctuates little
-    u = to_disk(np.asarray(z))
-    s2 = (np.abs(u) / 0.60) ** 2
-    safe = np.where(s2 < 1.0, s2, 0.0)
-    return np.where(s2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
 
 
 def check_equidistribution(seed: int = 1012) -> dict:

@@ -6,7 +6,7 @@ the measured value and the tolerance it missed.
 """
 
 from magflow import verify
-from magflow.cli import _CHECKS
+from magflow.cli import _checks
 
 
 def run(check, **kw):
@@ -83,7 +83,7 @@ class TestFlowOracle:
 
 
 def test_cli_runs_every_criterion():
-    names = [name for name, _ in _CHECKS]
+    names = [name for name, _ in _checks()]
     assert names == [
         "periodicity",
         "footpoint-radius",

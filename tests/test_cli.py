@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import magflow
 from magflow import (
     MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
     critical_gap, density_cover, flow_exact, ladder, period, preimages_cover, radius,
@@ -31,6 +32,34 @@ def read_json(path):
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def wild(lo, hi):
+    """Float flag values: in range, anywhere nearby, or special."""
+    return st.one_of(st.floats(lo, hi), st.floats(-10.0, 10.0),
+                     st.sampled_from([math.nan, math.inf, -math.inf, -1e-3, 0.0, 5e-324,
+                                      1e-160, 1e-17, 1e160, 1e300]))
+
+
+# field strengths that meet the surface's Chern constraint, or any other
+SURFACE_B = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), wild(0.1, 4.0))
+
+# hypothesis settings of the exit-cleanly tests; tmp_path is shared by a
+# test's examples, and each example overwrites its outputs
+CLEAN_EXIT = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def exit_code(capsys, command, out, **flags):
+    """cli.main with each flag given as a separate "--name value" pair, as a
+    user types it (skipping None); asserts no traceback reached stderr."""
+    argv = [command, "--out", str(out)]
+    for name, value in flags.items():
+        if value is not None:
+            argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
+    rc = cli.main(argv)
+    assert "Traceback" not in capsys.readouterr().err
+    return rc
 
 
 class TestFlowCommand:
@@ -102,6 +131,15 @@ class TestFlowCommand:
             assert rc == 2
             assert "grid must have at least 2 rows" in capsys.readouterr().err
         assert not (tmp_path / "flow_summary.json").exists()
+
+    # dt of at least 0.1 keeps a run under 10^5 RK4 steps unless B^2 - 2E is
+    # below about 1e-6, which independent random floats almost never hit
+    @CLEAN_EXIT
+    @given(B=wild(0.1, 4.0), E=wild(0.0, 4.0), grid=st.integers(-3, 50),
+           dt=st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.nan,
+                                                              math.inf, -math.inf])))
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, grid, dt):
+        assert exit_code(capsys, "flow", tmp_path, B=B, E=E, grid=grid, dt=dt) in (0, 2)
 
     def test_step_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -284,6 +322,14 @@ class TestDensityCommand:
         assert sidecar["enumeration_cap_exceeded"] is True
         assert "enumeration cap" in capsys.readouterr().err
 
+    @CLEAN_EXIT
+    @given(surface=st.sampled_from(["cover", "bolza"]), B=SURFACE_B, E=wild(0.0, 1.0),
+           grid=st.integers(-1, 30), bands=wild(0.0, 0.1))
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, surface, B, E, grid, bands):
+        rc = exit_code(capsys, "density", tmp_path, surface=surface, B=B, E=E, grid=grid,
+                       bands=bands)
+        assert rc in (0, 2)
+
     def test_unknown_surface_from_config(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[magflow]\nsurface = weird\n")
@@ -380,11 +426,8 @@ class TestSpectrumCommand:
            E=st.one_of(st.none(), st.floats(0.0, 2.0), st.floats(-1.0, 10.0),
                        st.sampled_from([math.nan, math.inf, -math.inf])))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, k, B, E):
-        # --flag=value: argparse reads a separate "-inf" as an option
-        argv = ["spectrum", f"--k={k}", f"--B={B!r}", "--out", str(tmp_path)]
-        rc = cli.main(argv + ([] if E is None else [f"--E={E!r}"]))
+        rc = exit_code(capsys, "spectrum", tmp_path, k=k, B=B, E=E)
         assert rc in (0, 2)
-        assert "Traceback" not in capsys.readouterr().err
         if rc == 0:
             rows = (tmp_path / "spectrum.csv").read_text().count("\n") - 1
             assert rows == math.floor(k * B + 1e-9)
@@ -454,6 +497,12 @@ class TestSampleCommand:
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "histogram.csv").exists()
 
+    @CLEAN_EXIT
+    @given(B=wild(0.1, 4.0), E=wild(0.0, 1.0), n=st.integers(-5, 30_000),
+           seed=st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130)))
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, n, seed):
+        assert exit_code(capsys, "sample", tmp_path, B=B, E=E, n=n, seed=seed) in (0, 2)
+
     def test_small_n_fails(self, tmp_path, capsys):
         rc = cli.main(["sample", "--n", "5000", "--out", str(tmp_path)])
         assert rc == 2
@@ -511,6 +560,16 @@ class TestEquidistCommand:
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "equidist.json").exists()
 
+    # E is mostly left to default to the critical energy, so runs get past
+    # the energy check
+    @CLEAN_EXIT
+    @given(B=SURFACE_B, E=st.one_of(st.none(), st.none(), wild(0.0, 2.0)),
+           T=wild(0.1, 20.0), n=st.integers(-3, 2000), grid=st.integers(-3, 60),
+           seed=st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130)))
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, T, n, grid, seed):
+        rc = exit_code(capsys, "equidist", tmp_path, B=B, E=E, T=T, n=n, grid=grid, seed=seed)
+        assert rc in (0, 2)
+
     def test_off_critical_energy_fails(self, tmp_path, capsys):
         rc = cli.main(["equidist", "--E", "0.3", "--out", str(tmp_path)])
         assert rc == 2
@@ -567,6 +626,21 @@ class TestConfigHandling:
         assert rc == 2
         assert "config file not found" in capsys.readouterr().err
 
+    # exponent-form, infinite and nan values that start with "-" are values,
+    # not options, so the command's own check names them
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--k", "10", "--E", "-1e-3"],
+         "energy E must be finite and nonnegative, got -0.001"),
+        (["flow", "--B", "-inf"], "field strength B must be positive and finite, got -inf"),
+        (["density", "--bands", "-nan"], "bands must be a finite nonnegative width, got nan"),
+        (["equidist", "--T", "-1E+300", "--grid", "40"],
+         "averaging time must be positive and finite, got -1e+300"),
+    ])
+    def test_negative_float_literals_reach_the_value_checks(self, tmp_path, capsys, argv,
+                                                            message):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "deep" / "nested" / "dir"
         rc = cli.main(["spectrum", "--k", "3", "--B", "1", "--out", str(nested)])
@@ -614,3 +688,91 @@ class TestBenchmarkTracer:
         result = self.trace(tmp_path, "flow", "--grid", "3", "--dt", "1e-2")
         assert result["exit_code"] == 0
         assert result["counters"]["flow.rk4_steps"] == 1778
+
+
+# the package's public names before it resolved them lazily
+PUBLIC_NAMES = {
+    "CriticalGap", "DensitySample", "DomainReduction", "Flag", "FuchsianGroup",
+    "MagneticConfig", "Moebius", "NumericFlowResult", "PushforwardHistogram", "Regime",
+    "SpectrumEntry", "Tangent", "TorusPoint", "VariationCoeffs", "alpha_radial",
+    "area_average", "birkhoff_average", "bolza_group", "compare_to_closed_form",
+    "critical_gap", "density_cover", "density_mass", "density_surface",
+    "density_surface_many", "exact_ring_averages", "flow", "flow_exact", "flow_matrix",
+    "flow_numeric", "frame_of", "from_disk", "generator", "halfplane", "hyp_dist",
+    "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
+    "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover", "psi",
+    "radius", "reduce_point", "relation_residual", "rotate_fiber", "rotation_about_i",
+    "sample_pushforward", "sample_radii_analytic", "select_level", "singular_constants",
+    "spectrum", "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
+    "variation_coeffs",
+}
+
+# runs the CLI as `python -m magflow.cli ARGV...` does, then prints as JSON
+# the magflow modules loaded and the OPENBLAS_NUM_THREADS that numpy loaded with
+CLI_PROBE = """
+import json, os, runpy, sys
+seen = {}
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.setdefault("blas", os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, NumpySpy())
+sys.argv = ["magflow", *sys.argv[1:]]
+try:
+    runpy.run_module("magflow.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    seen["exit_code"] = exc.code
+seen["modules"] = sorted(m for m in sys.modules if m.startswith("magflow"))
+print(json.dumps(seen))
+"""
+
+
+class TestProcessStartup:
+    @staticmethod
+    def python(code, *argv, **env):
+        """Output of `python -c code argv...` with src on the path and no
+        OPENBLAS_NUM_THREADS unless given."""
+        root = Path(__file__).resolve().parents[1]
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=dict(base, PYTHONPATH=str(root / "src"), **env),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, layer", [
+        (["spectrum", "--k", "10"], "magflow.spectrum"),
+        (["flow", "--grid", "3", "--dt", "1e-2"], "magflow.flow")])
+    def test_commands_load_only_their_layers(self, tmp_path, argv, layer):
+        seen = self.python(CLI_PROBE, *argv, "--out", str(tmp_path))
+        assert seen["exit_code"] == 0
+        assert layer in seen["modules"]
+        assert "magflow.surface" not in seen["modules"]
+        assert "magflow.verify" not in seen["modules"]
+
+    @pytest.mark.parametrize("env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+    def test_cli_pins_blas_threads_unless_set(self, tmp_path, env, threads):
+        seen = self.python(CLI_PROBE, "spectrum", "--k", "3", "--out", str(tmp_path), **env)
+        assert seen["exit_code"] == 0
+        assert seen["blas"] == threads
+
+    def test_package_import_is_lazy(self):
+        loaded, environ_kept = self.python(
+            "import json, os, sys\n"
+            "before = dict(os.environ)\n"
+            "import magflow\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith(('magflow', 'numpy'))),"
+            " dict(os.environ) == before]))")
+        assert loaded == ["magflow"]
+        assert environ_kept
+
+    def test_public_names_resolve(self):
+        assert set(magflow.__all__) == PUBLIC_NAMES
+        for name in magflow.__all__:
+            value = getattr(magflow, name)
+            if name in magflow._EXPORTS:
+                assert value is sys.modules[f"magflow.{name}"]
+            else:
+                assert value is getattr(getattr(magflow, magflow._MODULE_OF[name]), name)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            magflow.no_such_name  # noqa: B018

@@ -1,6 +1,7 @@
 """Magnetic flow: generator, exact/numeric flows, period, Lyapunov, variations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ class TestConfig:
             MagneticConfig(0.0, 0.25)
         with pytest.raises(ValueError):
             MagneticConfig(1.0, -0.1)
+
+    @pytest.mark.parametrize("B, E", [(1e160, 0.25), (1.4e154, 0.0), (1e-160, 0.0),
+                                      (1.0, 9e307)])
+    def test_squared_field_or_doubled_energy_out_of_range(self, B, E):
+        message = f"B^2 underflows or B^2 + 2E overflows at B={B!r}, E={E!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MagneticConfig(B, E)
+        # the largest and smallest field strengths still taken
+        MagneticConfig(1.3e154, 0.25), MagneticConfig(1.5e-154, 0.0)
 
 
 class TestGenerator:

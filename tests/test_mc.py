@@ -71,6 +71,15 @@ class TestSampling:
             sample_pushforward(MagneticConfig(1.0, 0.5), 100_000, 1)
         with pytest.raises(ValueError):
             sample_pushforward(MagneticConfig(1.0, 0.0), 100_000, 1)
+        # the disk radius rounds to 0, which the rings would divide by
+        with pytest.raises(ValueError, match="torus radius rounds to 0 at B=1.0, E=1e-17"):
+            sample_pushforward(MagneticConfig(1.0, 1e-17), 100_000, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_philox_key(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer from 0 to 2\\^64 - 1, "
+                                             f"got {seed}"):
+            sample_pushforward(STD, 10_000, seed)
 
 
 def one_shot_counts(cfg, n, seed, radii_of_chunk, rings=256):

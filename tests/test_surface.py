@@ -105,8 +105,9 @@ class TestGroupConstruction:
     def test_chern_constraint(self):
         for B in (0.5, 1.0, 1.5, 2.0):
             require_chern(MagneticConfig(B, 0.1))
-        with pytest.raises(ValueError, match="Chern constraint violated"):
-            require_chern(MagneticConfig(0.7, 0.1))
+        for B in (0.7, 1e-12):  # 2B is no integer, or rounds to 0
+            with pytest.raises(ValueError, match="Chern constraint violated"):
+                require_chern(MagneticConfig(B, 0.1))
 
 
 class TestReduce:
@@ -443,6 +444,22 @@ class TestBirkhoffAverage:
     def test_area_average_of_constant(self):
         got = area_average(GROUP, lambda z: np.ones(np.shape(z)), resolution=400)
         assert got == pytest.approx(1.0, rel=5e-3)
+
+    @pytest.mark.parametrize("resolution", [3, 120, 401, 800])
+    def test_area_average_matches_full_grid_mask_oracle(self, resolution):
+        # the membership test over the whole square grid, the area
+        # average's reference; restricted to the disk it must give the bits
+        re = math.tanh(0.5 * GROUP.circumradius)
+        xs = np.linspace(-re, re, resolution)
+        u = xs[None, :] + 1j * xs[:, None]
+        inside_disk = np.abs(u) < re
+        z = np.where(inside_disk, from_disk(np.where(inside_disk, u, 0.0)), 1j)
+        mask = inside_disk & in_domain_mask(GROUP, z)
+        weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
+        for observable in (surface._bump, lambda z: np.ones(np.shape(z))):
+            vals = np.asarray(observable(z), dtype=float)
+            want = float(np.sum(np.where(mask, vals * weight, 0.0)) * (xs[1] - xs[0]) ** 2)
+            assert area_average(GROUP, observable, resolution) == want / octagon_area(GROUP)
 
     def test_area_average_rejects_coarse_grid(self):
         for resolution in (0, 1):
