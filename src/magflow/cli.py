@@ -13,12 +13,14 @@ Subcommands:
   verify    the acceptance battery (or a subset); --flip-j flips the
             integrator orientation and must make the flow oracle fail
 
-Any flag may instead be given in an INI config file under a [magflow]
-section or a per-command section ([flow], [density], ...); explicit flags
-win.  Numbers are written with 17 significant digits and no run metadata,
-so a command rerun with the same configuration produces byte-identical
-files.  Sampling runs one worker per usable CPU; MAGFLOW_THREADS, an
-integer of at least 1, caps that count.  BLAS runs on one thread unless
+Any flag but --config, --only and --flip-j may instead be given in an INI
+config file, keyed by its name, under a [magflow] section or a per-command
+section ([flow], [density], ...); the command's section beats [magflow] and
+explicit flags beat both.  `magflow COMMAND --help` lists each default.
+Numbers are written with 17 significant digits and no run metadata, so a
+command rerun with the same configuration produces byte-identical files.
+Sampling runs one worker per usable CPU; MAGFLOW_THREADS, an integer of at
+least 1, caps that count.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
@@ -124,13 +126,6 @@ def _write_json(out_dir: str, name: str, obj) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONVERT = {
-    "B": float, "E": float, "bands": float, "dt": float, "T": float,
-    "k": int, "grid": int, "n": int, "seed": int,
-    "surface": str, "out": str,
-}
-
-
 def _load_config(path: str, command: str) -> dict:
     import configparser
 
@@ -145,14 +140,24 @@ def _load_config(path: str, command: str) -> dict:
     return merged
 
 
-def _opt(args, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is None and key in args._config_values:
-        try:
-            val = _CONVERT.get(key, str)(args._config_values[key])
-        except ValueError:
-            raise ValueError(f"bad config value for {key}: {args._config_values[key]!r}")
-    return default if val is None else val
+def _convert(key: str, kind, text: str):
+    """A config-file value as the command line would parse it."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"unknown {key}: {text}")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"bad config value for {key}: {text!r}") from None
+
+
+def _fill(args) -> None:
+    """Set each flag of _COMMANDS that the command line left unset."""
+    config = _load_config(args.config, args.command) if args.config else {}
+    for key, (kind, default, _) in _COMMANDS[args.command][2].items():
+        if getattr(args, key) is None:
+            setattr(args, key, _convert(key, kind, config[key]) if key in config else default)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +173,8 @@ def cmd_flow(args) -> int:
     from .flow import MagneticConfig, Regime, flow_exact, flow_numeric, lyapunov_exponent, period
     from .halfplane import Tangent, hyp_dist
 
-    cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
-    rows = _opt(args, "grid", 1001)
-    dt = _opt(args, "dt", 1e-3)
-    out = _opt(args, "out", ".")
+    cfg = MagneticConfig(args.B, args.E)
+    rows, dt, out = args.grid, args.dt, args.out
     if rows < 2:
         raise ValueError("grid must have at least 2 rows")
     if not dt > 0.0:
@@ -237,16 +240,20 @@ def _singular_fits(cfg: MagneticConfig) -> dict:
 
     R = radius(cfg)
     c_center, c_bd = singular_constants(cfg)
-    ds = np.logspace(-5, -2, 20)
+    # every sample distance shrinks with a disk smaller than 0.02, so each
+    # lies in (0, R_E); the scale is exactly 1 from R_E = 0.02 on
+    s = min(1.0, R / 0.02)
+    ds = np.logspace(-5, -2, 20) * s
     center_slope = float(np.polyfit(np.log(ds), np.log(alpha_radial(cfg, ds)), 1)[0])
-    taus = np.logspace(-6, -3, 20)
+    taus = np.logspace(-6, -3, 20) * s
     boundary_slope = float(np.polyfit(np.log(taus), np.log(alpha_radial(cfg, R - taus)), 1)[0])
+    eps = 1e-6 * s
     return {
         "center_slope": center_slope,
-        "center_constant": float(alpha_radial(cfg, 1e-6) * 1e-6),
+        "center_constant": float(alpha_radial(cfg, eps) * eps),
         "center_constant_expected": c_center,
         "boundary_slope": boundary_slope,
-        "boundary_constant": float(alpha_radial(cfg, R - 1e-6) * math.sqrt(1e-6)),
+        "boundary_constant": float(alpha_radial(cfg, R - eps) * math.sqrt(eps)),
         "boundary_constant_expected": c_bd,
     }
 
@@ -314,13 +321,8 @@ def cmd_density(args) -> int:
     from .flow import MagneticConfig, period
     from .torus import density_mass, radius
 
-    cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
-    surface = _opt(args, "surface", "cover")
-    n = _opt(args, "grid", 200)
-    band = _opt(args, "bands", 1e-3)
-    out = _opt(args, "out", ".")
-    if surface not in ("cover", "bolza"):
-        raise ValueError(f"unknown surface: {surface}")
+    cfg = MagneticConfig(args.B, args.E)
+    surface, n, band, out = args.surface, args.grid, args.bands, args.out
     if not 2 <= n <= _MAX_GRID:
         raise ValueError(f"grid must have 2 to {_MAX_GRID} points per side, got {n}")
     if not (math.isfinite(band) and band >= 0.0):
@@ -383,10 +385,7 @@ def _ladder_csv(k: int, m: np.ndarray, lam: np.ndarray, scaled: np.ndarray):
 def cmd_spectrum(args) -> int:
     from .spectrum import critical_gap, ladder_arrays, select_level
 
-    k = _opt(args, "k", 10)
-    B = _opt(args, "B", 1.0)
-    E = _opt(args, "E")
-    out = _opt(args, "out", ".")
+    k, B, E, out = args.k, args.B, args.E, args.out
 
     if k * B > _MAX_RUNGS:
         raise ValueError(f"k B = {k * B:.6g} rungs; the limit is {_MAX_RUNGS}")
@@ -422,10 +421,8 @@ def cmd_sample(args) -> int:
     from .flow import MagneticConfig
     from .mc import compare_to_closed_form, sample_pushforward
 
-    cfg = MagneticConfig(_opt(args, "B", 1.0), _opt(args, "E", 0.25))
-    n = _opt(args, "n", 1_000_000)
-    seed = _opt(args, "seed", 1234)
-    out = _opt(args, "out", ".")
+    cfg = MagneticConfig(args.B, args.E)
+    n, seed, out = args.n, args.seed, args.out
     if n > _MAX_SAMPLES:
         raise ValueError(f"{n} samples requested; the limit is {_MAX_SAMPLES}")
 
@@ -473,16 +470,11 @@ def _group_export(group) -> dict:
 
 def cmd_equidist(args) -> int:
     from .flow import MagneticConfig
-    from .halfplane import Tangent, from_disk
-    from .surface import _bump, area_average, birkhoff_average, bolza_group, require_chern
+    from .surface import (_bump, _equidist_starts, area_average, birkhoff_average, bolza_group,
+                          require_chern)
 
-    B = _opt(args, "B", 1.0)
-    E = _opt(args, "E", 0.5 * B * B)
-    T = _opt(args, "T", 500.0)
-    n_steps = _opt(args, "n", 100_000)
-    res = _opt(args, "grid", 400)
-    seed = _opt(args, "seed", 2026)
-    out = _opt(args, "out", ".")
+    B, T, n_steps, res, seed, out = args.B, args.T, args.n, args.grid, args.seed, args.out
+    E = 0.5 * B * B if args.E is None else args.E
 
     cfg = MagneticConfig(B, E)
     if abs(cfg.E - cfg.Ec) > 1e-9:
@@ -496,23 +488,15 @@ def cmd_equidist(args) -> int:
     require_chern(cfg)
 
     target = area_average(group, _bump, res)
-    rng = np.random.default_rng(seed)
-    averages = []
-    starts = []
-    for _ in range(3):
-        r = rng.uniform(0.0, 0.5)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        z = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
-        psi_a = rng.uniform(0.0, 2.0 * math.pi)
-        p = Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a)))
-        starts.append({"re_z": p.z.real, "im_z": p.z.imag,
-                       "re_v": p.v.real, "im_v": p.v.imag})
-        averages.append(birkhoff_average(group, cfg, _bump, T, p, n_steps))
+    starts = _equidist_starts(cfg, seed)
+    averages = [birkhoff_average(group, cfg, _bump, T, p, n_steps) for p in starts]
 
     rel = [a / target - 1.0 for a in averages]
     report = {
         "B": B, "E": cfg.E, "T": T, "n_steps": n_steps, "resolution": res,
-        "seed": seed, "space_average": target, "initial_conditions": starts,
+        "seed": seed, "space_average": target,
+        "initial_conditions": [{"re_z": p.z.real, "im_z": p.z.imag,
+                                "re_v": p.v.real, "im_v": p.v.imag} for p in starts],
         "orbit_averages": averages, "rel_err": rel,
         "max_abs_rel_err": max(abs(x) for x in rel),
     }
@@ -538,7 +522,6 @@ def _checks() -> tuple:
 
 
 def cmd_verify(args) -> int:
-    out = _opt(args, "out", ".")
     j_sign = -1.0 if args.flip_j else 1.0
     checks = _checks()
     known = [name for name, _ in checks]
@@ -557,7 +540,7 @@ def cmd_verify(args) -> int:
         print(("PASS" if result["passed"] else "FAIL") + f" {name}")
 
     ok = all(r["passed"] for r in results)
-    _write_json(out, "verify_report.json",
+    _write_json(args.out, "verify_report.json",
                 {"j_sign": j_sign, "passed": ok, "checks": results})
     print("all checks passed" if ok else
           f"{sum(not r['passed'] for r in results)} check(s) failed")
@@ -573,6 +556,47 @@ def cmd_verify(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
+_FIELD = (float, 1.0, "field strength")
+_ENERGY = (float, 0.25, "kinetic energy")
+_OUT = (str, ".", "output directory")
+
+# Each subcommand once: its handler, its help and its flags as
+# name: (type or choices, default, help).  A flag left off the command line
+# takes its value from the config file's [command] section, else [magflow],
+# else the default here; a None default is worked out by the handler.
+_COMMANDS = {
+    "flow": (cmd_flow, "trajectories and flow summary", {
+        "out": _OUT, "B": _FIELD, "E": _ENERGY,
+        "grid": (int, 1001, "trajectory sample rows"),
+        "dt": (float, 1e-3, "integrator step size"),
+    }),
+    "density": (cmd_density, "pushforward density grid", {
+        "out": _OUT, "B": _FIELD, "E": _ENERGY,
+        "surface": (("cover", "bolza"), "cover", "universal cover or Bolza surface"),
+        "grid": (int, 200, "grid points per side"),
+        "bands": (float, 1e-3, "relative singular band width"),
+    }),
+    "spectrum": (cmd_spectrum, "Landau ladder table", {
+        "out": _OUT, "k": (int, 10, "quantum parameter"), "B": _FIELD,
+        "E": (float, None, "select the level scaling closest to E"),
+    }),
+    "sample": (cmd_sample, "Monte Carlo pushforward histogram", {
+        "out": _OUT, "B": _FIELD, "E": _ENERGY,
+        "n": (int, 1_000_000, "sample count"),
+        "seed": (int, 1234, "Philox key, 0 to 2^64 - 1"),
+    }),
+    "equidist": (cmd_equidist, "critical-energy Birkhoff averages", {
+        "out": _OUT, "B": _FIELD,
+        "E": (float, None, "must equal the critical energy B^2/2, which is the default"),
+        "T": (float, 500.0, "averaging horizon"),
+        "n": (int, 100_000, "time steps per orbit"),
+        "grid": (int, 400, "area-average resolution"),
+        "seed": (int, 2026, "seed of the three initial conditions"),
+    }),
+    "verify": (cmd_verify, "acceptance battery", {"out": _OUT}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magflow",
@@ -580,70 +604,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "trajectories, densities, spectra, and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str):
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp._negative_number_matcher = _NEGATIVE_NUMBER
-        sp.add_argument("--config", help="INI file with flag defaults; flags win")
-        sp.add_argument("--out", help="output directory (default: current)")
-        return sp
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--config", help="INI file with flag values; flags win")
+        for key, (kind, default, text) in flags.items():
+            if default is not None:
+                text += f" (default: {default})"
+            if isinstance(kind, tuple):
+                sp.add_argument(f"--{key}", choices=kind, help=text)
+            else:
+                sp.add_argument(f"--{key}", type=kind, help=text)
 
-    sp = add("flow", "trajectories and flow summary")
-    sp.add_argument("--B", type=float, help="field strength")
-    sp.add_argument("--E", type=float, help="kinetic energy")
-    sp.add_argument("--grid", type=int, help="trajectory sample rows")
-    sp.add_argument("--dt", type=float, help="integrator step size")
-
-    sp = add("density", "pushforward density grid")
-    sp.add_argument("--B", type=float)
-    sp.add_argument("--E", type=float)
-    sp.add_argument("--surface", choices=("cover", "bolza"))
-    sp.add_argument("--grid", type=int, help="grid points per side")
-    sp.add_argument("--bands", type=float, help="relative singular band width")
-
-    sp = add("spectrum", "Landau ladder table")
-    sp.add_argument("--k", type=int, help="quantum parameter")
-    sp.add_argument("--B", type=float)
-    sp.add_argument("--E", type=float, help="select the level scaling closest to E")
-
-    sp = add("sample", "Monte Carlo pushforward histogram")
-    sp.add_argument("--B", type=float)
-    sp.add_argument("--E", type=float)
-    sp.add_argument("--n", type=int, help="sample count")
-    sp.add_argument("--seed", type=int)
-
-    sp = add("equidist", "critical-energy Birkhoff averages")
-    sp.add_argument("--B", type=float)
-    sp.add_argument("--E", type=float, help="must equal the critical energy")
-    sp.add_argument("--T", type=float, help="averaging horizon")
-    sp.add_argument("--n", type=int, help="time steps per orbit")
-    sp.add_argument("--grid", type=int, help="area-average resolution")
-    sp.add_argument("--seed", type=int)
-
-    sp = add("verify", "acceptance battery")
-    sp.add_argument("--only", action="append", metavar="CHECK",
-                    help="run only the named check (repeatable)")
-    sp.add_argument("--flip-j", dest="flip_j", action="store_true",
-                    help="flip the integrator orientation (must fail the flow oracle)")
-
+    verify = sub.choices["verify"]
+    verify.add_argument("--only", action="append", metavar="CHECK",
+                        help="run only the named check (repeatable)")
+    verify.add_argument("--flip-j", dest="flip_j", action="store_true",
+                        help="flip the integrator orientation (must fail the flow oracle)")
     return parser
-
-
-_HANDLERS = {
-    "flow": cmd_flow,
-    "density": cmd_density,
-    "spectrum": cmd_spectrum,
-    "sample": cmd_sample,
-    "equidist": cmd_equidist,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args._config_values = _load_config(args.config, args.command) if args.config else {}
-        return _HANDLERS[args.command](args)
+        _fill(args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

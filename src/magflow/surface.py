@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, _exp_entries, period
+from .flow import MagneticConfig, _check_shell, _exp_entries, period
 from .halfplane import (
     Moebius,
     Tangent,
@@ -47,7 +47,6 @@ from .halfplane import (
     from_disk,
     hyp_dist,
     hyp_dist_vec,
-    hyp_norm,
     rotation_about_i,
     to_disk,
 )
@@ -368,8 +367,7 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
-    if abs(hyp_norm(p0) - cfg.lam) > 1e-8:
-        raise ValueError("off energy shell")
+    _check_shell(cfg, p0)
     dt = T / n_steps
     block = max(1, int(min(_BLOCK_STEPS, n_steps, _BLOCK_BT / cfg.B * (n_steps / T))))
     # cosh d(i, exp(tF) i) over a block; a frame point that far from the
@@ -433,3 +431,19 @@ def _bump(z):
     s2 = (np.abs(u) / 0.60) ** 2
     safe = np.where(s2 < 1.0, s2, 0.0)
     return np.where(s2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
+
+
+def _equidist_starts(cfg: MagneticConfig, seed: int) -> list:
+    """The three shell tangents the equidistribution runs start from.  Each
+    draws, from default_rng(seed) in this order, its footpoint's distance
+    from i (uniform below 0.5), that footpoint's angle about i and the
+    tangent's direction."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(3):
+        r = rng.uniform(0.0, 0.5)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        z = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
+        psi_a = rng.uniform(0.0, 2.0 * math.pi)
+        starts.append(Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a))))
+    return starts

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import MagneticConfig, Regime, _exp_scalars, period, variation_coeffs
+from .flow import MagneticConfig, Regime, _exp_entries, _exp_scalars, period, variation_coeffs
 from .halfplane import hyp_dist, to_disk
 
 __all__ = [
@@ -105,12 +105,7 @@ def psi_many(cfg: MagneticConfig, theta, t):
     """psi over broadcastable arrays of angles and times."""
     _require_torus(cfg)
     theta = np.asarray(theta, dtype=float)
-    C, S = _exp_scalars(cfg, np.asarray(t, dtype=float))
-    lam, B = cfg.lam, cfg.B
-    m11 = C + 0.5 * S * lam
-    m12 = -0.5 * S * B
-    m21 = 0.5 * S * B
-    m22 = C - 0.5 * S * lam
+    m11, m12, m21, m22 = _exp_entries(cfg, np.asarray(t, dtype=float))
     rc = np.cos(0.5 * theta)
     rs = np.sin(0.5 * theta)
     p11 = rc * m11 + rs * m21

@@ -31,6 +31,7 @@ from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
     _bump,
     _descend_many,
+    _equidist_starts,
     area_average,
     birkhoff_average,
     bolza_group,
@@ -336,17 +337,11 @@ def check_bolza_integrity(seed: int = 1011) -> dict:
 
 def check_equidistribution(seed: int = 1012) -> dict:
     """Critical-energy Birkhoff averages reach the area average."""
-    rng = np.random.default_rng(seed)
     group = bolza_group()
     cfg = MagneticConfig(1.0, 0.5)
     target = area_average(group, _bump, 800)
     worst = 0.0
-    for _ in range(3):
-        r = rng.uniform(0.0, 0.5)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        z = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
-        psi_a = rng.uniform(0.0, 2.0 * math.pi)
-        p = Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a)))
+    for p in _equidist_starts(cfg, seed):
         avg = birkhoff_average(group, cfg, _bump, 2000.0, p)
         worst = max(worst, abs(avg / target - 1.0))
     return _result("equidistribution", worst < 0.05,

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +217,18 @@ class TestDensityCommand:
             assert rc == 2
             assert "bands must be a finite nonnegative width" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_singular_fits_of_a_small_disk(self, tmp_path, capsys):
+        # R_E is 2.8e-3, below the top of the fixed window d <= 1e-2 of larger disks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["density", "--B", "1", "--E", "1e-6", "--grid", "8",
+                           "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        summary = read_json(tmp_path / "density_summary.json")
+        assert summary["center_slope"] == pytest.approx(-1.0, abs=0.02)
+        assert summary["boundary_slope"] == pytest.approx(-0.5, abs=0.02)
 
     def test_grid_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -641,11 +655,63 @@ class TestConfigHandling:
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_command_section_beats_magflow_and_flags_beat_both(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[magflow]\nB = 0.5\nk = 4\n\n[spectrum]\nB = 2.0\n")
+        for flags, B in (([], 2.0), (["--B", "1.5"], 1.5)):
+            out = tmp_path / str(B)
+            assert cli.main(["spectrum", "--config", str(ini), *flags, "--out", str(out)]) == 0
+            summary = read_json(out / "spectrum_summary.json")
+            assert (summary["B"], summary["k"]) == (B, 4)
+
+    def test_keys_a_command_does_not_take_are_ignored(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[magflow]\nseed = not-a-number\n")
+        rc = cli.main(["flow", "--config", str(ini), "--grid", "3", "--dt", "1e-2",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+
+    def test_bad_config_number_names_its_key(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[density]\ngrid = many\n")
+        rc = cli.main(["density", "--config", str(ini), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "bad config value for grid: 'many'" in capsys.readouterr().err
+        assert not (tmp_path / "density_summary.json").exists()
+
+    def test_config_sets_the_output_directory(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[spectrum]\nout = {tmp_path / 'from_config'}\n")
+        assert cli.main(["spectrum", "--config", str(ini), "--k", "3"]) == 0
+        assert (tmp_path / "from_config" / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_every_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key, (_, default, help_text) in cli._COMMANDS[command][2].items():
+            assert f"--{key} " in text
+            if default is not None:
+                assert f"{help_text} (default: {default})" in text
+
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "deep" / "nested" / "dir"
         rc = cli.main(["spectrum", "--k", "3", "--B", "1", "--out", str(nested)])
         assert rc == 0
         assert (nested / "spectrum.csv").exists()
+
+
+def test_readme_cli_examples_parse():
+    # every `magflow ...` line of the README's CLI block, parsed but not run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("magflow ")]
+    assert len(lines) >= 7
+    parser = cli._build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).command == argv[1]
 
 
 class TestBenchmarkTracer:
