@@ -62,9 +62,6 @@ _MAX_GRID = 1000
 _MAX_BIRKHOFF_STEPS = 100_000_000  # over the three orbits of equidist
 _MAX_SAMPLES = 400_000_000
 
-# rungs per % format in _ladder_csv
-_LADDER_SLICE = 4096
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -131,12 +128,15 @@ def _load_config(path: str, command: str) -> dict:
 
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: B and E are capitalized
-    if not parser.read(path):
-        raise ValueError(f"config file not found: {path}")
     merged = {}
-    for section in ("magflow", command):
-        if parser.has_section(section):
-            merged.update(parser.items(section))
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file not found: {path}")
+        for section in ("magflow", command):
+            if parser.has_section(section):
+                merged.update(parser.items(section))
+    except configparser.Error as exc:  # a malformed line, a duplicate key or a bad % reference
+        raise ValueError(f"bad config file {path}: {exc}") from None
     return merged
 
 
@@ -305,16 +305,18 @@ def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
     """density_grid.csv one grid row at a time, so the table is never held
     as lines or text."""
     from .flow import period
+    from .torus import Flag
 
     d, alpha, n_pre, flags = columns
     norm = 2.0 * math.pi * period(cfg)
+    text = {f: f.value for f in Flag}.__getitem__  # a dict lookup beats Flag.value per cell
     coords = ["%.17g" % v for v in xs.tolist()]
     yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
     for iy, y in enumerate(coords):
         yield _rows("%s,%s,%.17g,%.17g,%.17g,%d,%s\n",
                     coords, repeat(y), d[iy].tolist(), alpha[iy].tolist(),
                     (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
-                    [f.value for f in flags[iy].tolist()])
+                    map(text, flags[iy].tolist()))
 
 
 def cmd_density(args) -> int:
@@ -372,32 +374,34 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _ladder_csv(k: int, m: np.ndarray, lam: np.ndarray, scaled: np.ndarray):
-    """spectrum.csv in slices of _LADDER_SLICE rungs, so the whole table is
-    never held as lines, text or builtin scalars at once."""
+def _ladder_csv(k: int, slices):
+    """spectrum.csv one ladder slice at a time, so the whole table is never
+    held as arrays, lines, text or builtin scalars at once."""
     yield "k,m,lambda,scaled\n"
     row = f"{k},%d,%.17g,%.17g\n"
-    for i in range(0, len(m), _LADDER_SLICE):
-        j = i + _LADDER_SLICE
-        yield _rows(row, m[i:j].tolist(), lam[i:j].tolist(), scaled[i:j].tolist())
+    for m, lam, scaled in slices:
+        yield _rows(row, m.tolist(), lam.tolist(), scaled.tolist())
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import critical_gap, ladder_arrays, select_level
+    from .spectrum import critical_gap, ladder_arrays, ladder_size, ladder_slices, select_level
 
     k, B, E, out = args.k, args.B, args.E, args.out
 
-    if k * B > _MAX_RUNGS:
-        raise ValueError(f"k B = {k * B:.6g} rungs; the limit is {_MAX_RUNGS}")
-    m, lam, scaled = ladder_arrays(k, B)
-    if not len(m):
+    # an int k past the float range multiplies as an infinite one
+    rungs = k * B if abs(k) <= sys.float_info.max else (1 if k > 0 else -1) * math.inf * B
+    if rungs > _MAX_RUNGS:
+        raise ValueError(f"k B = {rungs:.6g} rungs; the limit is {_MAX_RUNGS}")
+    n = ladder_size(k, B)
+    if not n:
         raise ValueError("empty ladder: kB < 1")
 
     gaps = critical_gap(k, B)
-    top = int(np.argmax(lam))  # the first maximum, as max() over the rungs
+    # lambda(m + 1) - lambda(m) = kB - m - 1 >= 1 on the ladder: the top is the last rung
+    (top_m,), (top_lambda,), (top_scaled,) = ladder_arrays(k, B, n - 1)
     summary = {
-        "k": k, "B": B, "n_levels": len(m),
-        "top_m": int(m[top]), "top_lambda": float(lam[top]), "top_scaled": float(scaled[top]),
+        "k": k, "B": B, "n_levels": n,
+        "top_m": int(top_m), "top_lambda": float(top_lambda), "top_scaled": float(top_scaled),
         "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
         "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
     }
@@ -408,8 +412,8 @@ def cmd_spectrum(args) -> int:
             "offset": abs(sel.scaled - E),
         }
 
-    print(f"levels {len(m)} top scaled {_fmt(scaled[top])}")
-    _write(out, "spectrum.csv", _ladder_csv(k, m, lam, scaled))
+    print(f"levels {n} top scaled {_fmt(top_scaled)}")
+    _write(out, "spectrum.csv", _ladder_csv(k, ladder_slices(k, B)))
     _write_json(out, "spectrum_summary.json", summary)
     return 0
 

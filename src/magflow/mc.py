@@ -9,10 +9,12 @@ radial mass M(r) = 4 pi t1(r) (t1 = first passage time of the distance
 profile).
 
 The random stream is numpy's Philox counter-based generator.  Sampling is
-chunked with a fixed chunk size of 10^6; chunk j draws from Philox keyed by
-(seed, j), theta block first, then t.  Each chunk maps its draws to radii and
-bins them in cache-sized blocks of 2^15 samples, elementwise, so no step
-holds a chunk-sized temporary.  Histograms are therefore bit-identical for a
+chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
+Philox keyed by (seed, j), theta block first, then t: the t stream is a
+second generator of the same key advanced by m draws.  Each chunk draws,
+maps and bins its samples in cache-sized blocks of 2^14, one block slice of
+each stream at a time, so no step holds a chunk-sized array and sampling
+memory does not grow with n.  Histograms are therefore bit-identical for a
 given (seed, n) regardless of how many workers evaluate the chunks; by
 default there is one worker per usable CPU.
 """
@@ -40,7 +42,7 @@ __all__ = [
 
 _CHUNK = 1_000_000
 # samples mapped and binned at a time; the block's temporaries stay in cache
-_BLOCK = 1 << 15
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,11 @@ def _bin_counts(d: np.ndarray, R: float, rings: int) -> np.ndarray:
     return np.bincount(idx, minlength=rings)
 
 
-def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, draw, radii, threads: int):
-    """Ring counts of n samples: chunk j calls draw(rng, m) with Philox keyed
-    by (seed, j) for its m samples, then radii(*arrays) on each block."""
+def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int, radii,
+               threads: int):
+    """Ring counts of n samples: chunk j of m samples splits Philox keyed by
+    (seed, j) into streams runs of m uniforms, and each block calls
+    radii(*uniform_blocks) on one slice of every run."""
     R = radius(cfg)
     edges = np.linspace(0.0, R, rings + 1)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -100,10 +104,17 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, draw, radii, 
 
     def one(job):
         j, m = job
-        arrays = draw(np.random.Generator(np.random.Philox(key=[seed, j])), m)
+        rngs = []
+        for s in range(streams):
+            # stream s starts s m draws in; Philox makes 4 draws a counter step
+            bits = np.random.Philox(key=[seed, j])
+            bits.advance(s * m // 4)
+            bits.random_raw(s * m % 4)
+            rngs.append(np.random.Generator(bits))
         counts = np.zeros(rings, dtype=np.int64)
         for lo in range(0, m, _BLOCK):
-            counts += _bin_counts(radii(*(a[lo:lo + _BLOCK] for a in arrays)), R, rings)
+            size = min(_BLOCK, m - lo)
+            counts += _bin_counts(radii(*(rng.random(size) for rng in rngs)), R, rings)
         return counts
 
     if threads > 1 and n_chunks > 1:
@@ -128,16 +139,12 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
     _check_sampling_pre(cfg, n, seed)
     T = period(cfg)
 
-    def draw(rng, m: int):
-        theta = rng.random(m) * (2.0 * math.pi)
-        return theta, rng.random(m) * T
-
-    def radii(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-        z = psi_many(cfg, theta, t)
+    def radii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        z = psi_many(cfg, u * (2.0 * math.pi), v * T)
         arg = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
         return np.arccosh(np.maximum(arg, 1.0))
 
-    return _histogram(cfg, n, seed, rings, draw, radii, threads or worker_count())
+    return _histogram(cfg, n, seed, rings, 2, radii, threads or worker_count())
 
 
 def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
@@ -149,15 +156,13 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
     g = cfg.gamma
     E = cfg.E
 
-    def draw(rng, m: int):
+    def radii(u: np.ndarray) -> np.ndarray:
         # t uniform on the rising branch [0, T/2]; phi covers [0, R_E] once
-        return (rng.random(m) * (math.pi / g),)
-
-    def radii(t: np.ndarray) -> np.ndarray:
+        t = u * (math.pi / g)
         ch = 1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * t) ** 2
         return np.arccosh(ch)
 
-    return _histogram(cfg, n, seed, rings, draw, radii, threads or worker_count())
+    return _histogram(cfg, n, seed, rings, 1, radii, threads or worker_count())
 
 
 def _check_sampling_pre(cfg: MagneticConfig, n: int, seed: int) -> None:

@@ -8,6 +8,9 @@ of the spectrum of the k-th twisted Laplacian is an explicit finite ladder
 with N_k = floor(k B) rungs.  The scaled values lambda/k^2 accumulate on
 [0, E_c]: the rung nearest k^2 E is the natural quantization of energy E,
 and the top of the ladder approaches E_c = B^2/2 at rate O(1/k).
+
+Long ladders are built in slices of _SLICE rungs (ladder_slices), so no step
+holds the whole ladder and memory does not grow with k.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ __all__ = [
     "CriticalGap",
     "ladder",
     "ladder_arrays",
+    "ladder_size",
+    "ladder_slices",
     "rung",
     "select_level",
     "select_levels",
@@ -31,8 +36,8 @@ __all__ = [
 ]
 
 
-# rungs per tolist() slice in ladder()
-_CHUNK = 4096
+# rungs per slice of ladder_slices
+_SLICE = 4096
 
 
 class SpectrumEntry(NamedTuple):
@@ -66,27 +71,39 @@ def _require_field(B: float) -> None:
         raise ValueError(f"field strength B must be positive and finite, got {B}")
 
 
-def ladder_arrays(k: int, B: float):
-    """(m, lambda, scaled) as arrays for the full ladder."""
+def ladder_size(k: int, B: float) -> int:
+    """N_k = floor(kB), the number of rungs at tensor power k."""
     if k < 1:
         raise ValueError("tensor power k must be at least 1")
     _require_field(B)
-    m = np.arange(_n_k(k, B), dtype=float)
+    return int(_n_k(k, B))
+
+
+def ladder_arrays(k: int, B: float, start: int = 0, stop: int | None = None):
+    """(m, lambda, scaled) as arrays for the rungs start <= m < stop of the
+    ladder, by default all of it."""
+    n = ladder_size(k, B)
+    m = np.arange(start, n if stop is None else min(stop, n), dtype=float)
     lam = rung(k, B, m)
     return m.astype(int), lam, lam / (k * k)
+
+
+def ladder_slices(k: int, B: float):
+    """ladder_arrays over consecutive slices of _SLICE rungs, so no step
+    holds the whole ladder."""
+    for start in range(0, ladder_size(k, B), _SLICE):
+        yield ladder_arrays(k, B, start, start + _SLICE)
 
 
 def ladder(k: int, B: float) -> list:
     """All ladder entries for tensor power k, with builtin int and float fields.
 
-    Entries are built from tolist() slices of _CHUNK rungs: a whole-array
-    tolist() leaves its transient lists' memory in the heap, where it raises
-    the peak RSS of long ladders by several MB."""
-    m, lam, scaled = ladder_arrays(k, B)
+    Entries are built from tolist() of ladder_slices: a whole-array tolist()
+    leaves its transient lists' memory in the heap, where it raises the peak
+    RSS of long ladders by several MB."""
     out = []
-    for i in range(0, len(m), _CHUNK):
-        j = i + _CHUNK
-        rows = zip(repeat(k), m[i:j].tolist(), lam[i:j].tolist(), scaled[i:j].tolist())
+    for m, lam, scaled in ladder_slices(k, B):
+        rows = zip(repeat(k), m.tolist(), lam.tolist(), scaled.tolist())
         out.extend(map(SpectrumEntry._make, rows))
     return out
 

@@ -6,7 +6,9 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from magflow import (
     sample_pushforward, select_level,
 )
 from magflow.halfplane import from_disk
+from magflow.spectrum import ladder_arrays
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -47,9 +50,33 @@ def wild(lo, hi):
 SURFACE_B = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), wild(0.1, 4.0))
 
 # hypothesis settings of the exit-cleanly tests; tmp_path is shared by a
-# test's examples, and each example overwrites its outputs
+# test's examples, so each example writes into a fresh_dir of it
 CLEAN_EXIT = settings(max_examples=40, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def fresh_dir(base):
+    """A new directory under base.  Truncating a file that was just written
+    can wait for the filesystem to flush it (about 60 ms a file on ext4), so
+    repeated runs write into new directories."""
+    return Path(tempfile.mkdtemp(dir=base))
+
+
+def config_value(numbers):
+    """Config-file value text: a number of the strategy as Python writes it,
+    an integer past the float range, an odd literal, or a line of non-digit
+    text (so no huge run can be drawn)."""
+    return st.one_of(
+        numbers.map(repr), numbers.map(repr), numbers.map(repr),
+        st.sampled_from(["", "nan", "-inf", "1e400", "1" + "0" * 400, "-1" + "0" * 400,
+                         "1_000", "0x10", "5%", "%(B)s", "%%", "[x]", "= 3", " 2 "]),
+        st.text(st.characters(exclude_categories=("Cc", "Cs", "Nd", "Zl", "Zp")),
+                max_size=12))
+
+
+# lines after the generated section: none, or a fault of the file itself
+MALFORMED = st.sampled_from(["", "", "", "key without value\n", "[unclosed\n",
+                             "[magflow]\nB = 1\nB = 2\n", "\tindented = 1\n"])
 
 
 def exit_code(capsys, command, out, **flags):
@@ -141,7 +168,8 @@ class TestFlowCommand:
            dt=st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.nan,
                                                               math.inf, -math.inf])))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, grid, dt):
-        assert exit_code(capsys, "flow", tmp_path, B=B, E=E, grid=grid, dt=dt) in (0, 2)
+        rc = exit_code(capsys, "flow", fresh_dir(tmp_path), B=B, E=E, grid=grid, dt=dt)
+        assert rc in (0, 2)
 
     def test_step_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -340,8 +368,8 @@ class TestDensityCommand:
     @given(surface=st.sampled_from(["cover", "bolza"]), B=SURFACE_B, E=wild(0.0, 1.0),
            grid=st.integers(-1, 30), bands=wild(0.0, 0.1))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, surface, B, E, grid, bands):
-        rc = exit_code(capsys, "density", tmp_path, surface=surface, B=B, E=E, grid=grid,
-                       bands=bands)
+        rc = exit_code(capsys, "density", fresh_dir(tmp_path), surface=surface, B=B, E=E,
+                       grid=grid, bands=bands)
         assert rc in (0, 2)
 
     def test_unknown_surface_from_config(self, tmp_path, capsys):
@@ -421,6 +449,49 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").read_text() == csv
         assert (tmp_path / "spectrum_summary.json").read_text() == summary
 
+    @staticmethod
+    def whole_array_outputs(k, B):
+        # spectrum.csv and the summary from the whole ladder as arrays, the
+        # top rung by argmax: the slice writer's byte oracle
+        m, lam, scaled = ladder_arrays(k, B)
+        csv = "k,m,lambda,scaled\n" + "".join(
+            f"{k},{mi},{li:.17g},{si:.17g}\n"
+            for mi, li, si in zip(m.tolist(), lam.tolist(), scaled.tolist()))
+        top = int(np.argmax(lam))
+        gaps = critical_gap(k, B)
+        summary = {
+            "k": k, "B": B, "n_levels": len(m),
+            "top_m": int(m[top]), "top_lambda": float(lam[top]),
+            "top_scaled": float(scaled[top]),
+            "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
+            "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
+        }
+        return csv, cli._dumps(summary) + "\n", f"levels {len(m)} top scaled {scaled[top]:.17g}"
+
+    # ladder lengths of 10,007, 12,288 + 1 and 4,095 rungs: none a multiple
+    # of the slice; and kB just under an integer
+    @pytest.mark.parametrize("k, B", [(10007, 1.0), (8193, 1.5), (4095, 1.0),
+                                      (10, 0.9999999999)])
+    def test_writer_matches_whole_array_oracle(self, tmp_path, capsys, k, B):
+        assert cli.main(["spectrum", "--k", str(k), "--B", repr(B),
+                         "--out", str(tmp_path)]) == 0
+        csv, summary, line = self.whole_array_outputs(k, B)
+        assert capsys.readouterr().out.splitlines()[0] == line
+        assert (tmp_path / "spectrum.csv").read_text() == csv
+        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+
+    def test_traced_peak_does_not_grow_with_k(self, tmp_path, capsys):
+        # the whole ladder as arrays would be 1.6 MB per column at k = 200,000
+        peaks = []
+        for k in ("20000", "200000"):
+            tracemalloc.start()
+            try:
+                assert cli.main(["spectrum", "--k", k, "--out", str(tmp_path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3e6
+
     @pytest.mark.parametrize("flags, message", [
         (["--B", "nan"], "field strength B must be positive and finite, got nan"),
         (["--B", "1", "--E", "nan"], "energy E must be finite and nonnegative, got nan"),
@@ -440,10 +511,11 @@ class TestSpectrumCommand:
            E=st.one_of(st.none(), st.floats(0.0, 2.0), st.floats(-1.0, 10.0),
                        st.sampled_from([math.nan, math.inf, -math.inf])))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, k, B, E):
-        rc = exit_code(capsys, "spectrum", tmp_path, k=k, B=B, E=E)
+        out = fresh_dir(tmp_path)
+        rc = exit_code(capsys, "spectrum", out, k=k, B=B, E=E)
         assert rc in (0, 2)
         if rc == 0:
-            rows = (tmp_path / "spectrum.csv").read_text().count("\n") - 1
+            rows = (out / "spectrum.csv").read_text().count("\n") - 1
             assert rows == math.floor(k * B + 1e-9)
 
     def test_rung_budget(self, tmp_path, capsys):
@@ -515,7 +587,8 @@ class TestSampleCommand:
     @given(B=wild(0.1, 4.0), E=wild(0.0, 1.0), n=st.integers(-5, 30_000),
            seed=st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130)))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, n, seed):
-        assert exit_code(capsys, "sample", tmp_path, B=B, E=E, n=n, seed=seed) in (0, 2)
+        rc = exit_code(capsys, "sample", fresh_dir(tmp_path), B=B, E=E, n=n, seed=seed)
+        assert rc in (0, 2)
 
     def test_small_n_fails(self, tmp_path, capsys):
         rc = cli.main(["sample", "--n", "5000", "--out", str(tmp_path)])
@@ -581,7 +654,8 @@ class TestEquidistCommand:
            T=wild(0.1, 20.0), n=st.integers(-3, 2000), grid=st.integers(-3, 60),
            seed=st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130)))
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, T, n, grid, seed):
-        rc = exit_code(capsys, "equidist", tmp_path, B=B, E=E, T=T, n=n, grid=grid, seed=seed)
+        rc = exit_code(capsys, "equidist", fresh_dir(tmp_path), B=B, E=E, T=T, n=n, grid=grid,
+                       seed=seed)
         assert rc in (0, 2)
 
     def test_off_critical_energy_fails(self, tmp_path, capsys):
@@ -679,6 +753,63 @@ class TestConfigHandling:
         assert "bad config value for grid: 'many'" in capsys.readouterr().err
         assert not (tmp_path / "density_summary.json").exists()
 
+    @staticmethod
+    def config_exit_code(tmp_path, capsys, command, section, values, extra):
+        """cli.main of command with its flags from an INI file under section,
+        each value written as given (skipping None), plus the extra lines;
+        asserts a clean exit, and an "error:" line on exit 2."""
+        lines = [f"[{section}]"] + [f"{key} = {value}" for key, value in values.items()
+                                    if value is not None]
+        out = fresh_dir(tmp_path)
+        ini = out / "run.ini"
+        ini.write_text("\n".join(lines) + "\n" + extra, encoding="utf-8")
+        rc = cli.main([command, "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error: ")
+        return rc
+
+    @CLEAN_EXIT
+    @given(section=st.sampled_from(["magflow", "spectrum"]),
+           k=config_value(st.integers(-3, 10_000)), B=config_value(wild(0.1, 4.0)),
+           E=st.one_of(st.none(), config_value(wild(0.0, 2.0))), extra=MALFORMED)
+    def test_any_spectrum_config_exits_cleanly(self, tmp_path, capsys, section, k, B, E, extra):
+        self.config_exit_code(tmp_path, capsys, "spectrum", section,
+                              {"k": k, "B": B, "E": E}, extra)
+
+    @CLEAN_EXIT
+    @given(section=st.sampled_from(["magflow", "sample"]),
+           B=config_value(wild(0.1, 4.0)), E=config_value(wild(0.0, 1.0)),
+           n=config_value(st.integers(-5, 30_000)),
+           seed=config_value(st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130))),
+           extra=MALFORMED)
+    def test_any_sample_config_exits_cleanly(self, tmp_path, capsys, section, B, E, n, seed,
+                                             extra):
+        self.config_exit_code(tmp_path, capsys, "sample", section,
+                              {"B": B, "E": E, "n": n, "seed": seed}, extra)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[spectrum]\nk = 5%\n", "bad config file"),
+        ("[spectrum]\nk = %(x)s\n", "bad config file"),
+        ("k = 5\n", "File contains no section headers"),
+        ("[spectrum]\nk\n", "Source contains parsing errors"),
+        ("[spectrum]\nk = 5\nk = 6\n", "option 'k' in section 'spectrum' already exists"),
+        ("[spectrum]\nk = 1" + "0" * 400 + "\n", "rungs; the limit is 2000000"),
+        ("[spectrum]\nk = -1" + "0" * 400 + "\n", "tensor power k must be at least 1"),
+    ], ids=["lone-percent", "unknown-reference", "no-section", "no-value", "duplicate-key",
+            "k-past-float-range", "negative-k-past-float-range"])
+    def test_malformed_config_names_the_fault(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        rc = cli.main(["spectrum", "--config", str(ini), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_config_sets_the_output_directory(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[spectrum]\nout = {tmp_path / 'from_config'}\n")
@@ -742,11 +873,11 @@ class TestBenchmarkTracer:
 
     def test_traced_sample_counts_blocks(self, tmp_path):
         # the tracer wraps psi_many where mc binds it: 40,000 samples are one
-        # Philox chunk, mapped in a block of 32,768 and one of 7,232
+        # Philox chunk, mapped in blocks of 16,384, 16,384 and 7,232
         result = self.trace(tmp_path, "sample", "--n", "40000")
         assert result["exit_code"] == 0
         assert result["counters"]["mc.samples"] == 40000
-        assert result["counters"]["mc.chunks"] == 2
+        assert result["counters"]["mc.chunks"] == 3
 
     def test_traced_flow_counts_rk4_steps(self, tmp_path):
         # the tracer reads cfg, t and dt from flow_numeric's signature and

@@ -74,23 +74,22 @@ class TestMoebius:
         # near-identity factors, where drift would accumulate if the
         # renormalization policy failed, and short chains of moderate
         # factors, whose entries reach ~10^3 and stress the ad - bc
-        # cancellation
+        # cancellation.  Each regime draws its uniforms as one array, in the
+        # order of one scalar draw per (b, c, a) of each factor; only the
+        # products are scalar.
         rng = np.random.default_rng(2)
         worst = 0.0
-        for _ in range(3200):
+        for chain in rng.uniform(-0.02, 0.02, size=(3200, 250, 3)).tolist():
             g = Moebius.identity()
-            for _ in range(250):
-                b = rng.uniform(-0.02, 0.02)
-                c = rng.uniform(-0.02, 0.02)
-                a = 1.0 + rng.uniform(-0.02, 0.02)
+            for b, c, u in chain:
+                a = 1.0 + u
                 g = g @ Moebius(a, b, c, (1.0 + b * c) / a)
             worst = max(worst, abs(g.det - 1.0))
-        for _ in range(10000):
+        draws = rng.uniform([-1.0, -1.0, -0.5], [1.0, 1.0, 0.5], size=(10000, 20, 3))
+        for chain in draws.tolist():
             g = Moebius.identity()
-            for _ in range(20):
-                b = rng.uniform(-1.0, 1.0)
-                c = rng.uniform(-1.0, 1.0)
-                a = math.exp(rng.uniform(-0.5, 0.5))
+            for b, c, u in chain:
+                a = math.exp(u)
                 g = g @ Moebius(a, b, c, (1.0 + b * c) / a)
             worst = max(worst, abs(g.det - 1.0))
         assert worst < 1e-9

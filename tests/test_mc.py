@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from magflow import (
     sample_pushforward,
     sample_radii_analytic,
 )
+from magflow import mc
 from magflow.mc import worker_count
 from magflow.torus import psi_many
 
@@ -120,19 +122,50 @@ class TestBlockedSampling:
     # 2,040,007 samples: two full chunks and a ragged one, each ending in a
     # ragged block
     N = 2_040_007
+    ANALYTIC = MagneticConfig(1.3, 0.3)
+
+    @staticmethod
+    def assert_matches_one_shot(sampler, cfg, n, seed, radii_of_chunk):
+        want = one_shot_counts(cfg, n, seed, radii_of_chunk)
+        for threads in (1, 2):
+            assert np.array_equal(sampler(cfg, n, seed, threads=threads).counts, want)
 
     def test_pushforward_matches_one_shot_chunks(self):
-        want = one_shot_counts(STD, self.N, 31, pushforward_chunk(STD))
-        for threads in (1, 2):
-            hist = sample_pushforward(STD, self.N, 31, threads=threads)
-            assert np.array_equal(hist.counts, want)
+        self.assert_matches_one_shot(sample_pushforward, STD, self.N, 31, pushforward_chunk(STD))
 
     def test_analytic_matches_one_shot_chunks(self):
-        cfg = MagneticConfig(1.3, 0.3)
-        want = one_shot_counts(cfg, self.N, 32, analytic_chunk(cfg))
-        for threads in (1, 2):
-            hist = sample_radii_analytic(cfg, self.N, 32, threads=threads)
-            assert np.array_equal(hist.counts, want)
+        cfg = self.ANALYTIC
+        self.assert_matches_one_shot(sample_radii_analytic, cfg, self.N, 32, analytic_chunk(cfg))
+
+    # The t stream starts m draws into its chunk's Philox stream, 4 draws a
+    # counter step, so single ragged chunks of m = 0, 1, 2 and 3 mod 4 each
+    # take a different skip; 1,010,001 ends in a ragged chunk shorter than
+    # one block.
+    @pytest.mark.parametrize("n", [40_000, 40_001, 40_002, 40_003, 1_010_001])
+    def test_ragged_chunks_match_one_shot_chunks(self, n):
+        cfg = self.ANALYTIC
+        self.assert_matches_one_shot(sample_pushforward, STD, n, 31, pushforward_chunk(STD))
+        self.assert_matches_one_shot(sample_radii_analytic, cfg, n, 32, analytic_chunk(cfg))
+
+    def test_block_is_shorter_than_the_short_chunk(self):
+        # the 10,001-sample chunk above is shorter than one block
+        assert 10_001 < mc._BLOCK < mc._CHUNK
+
+
+class TestSamplingMemory:
+    # numpy reports its buffers to tracemalloc; a chunk-sized draw would be
+    # 8 MB per stream at any n past one chunk
+    @pytest.mark.parametrize("n", [2_000_000, 4_000_000])
+    def test_traced_peak_does_not_grow_with_n(self, n):
+        sample_pushforward(STD, 10_000, 5, threads=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            hist = sample_pushforward(STD, n, 5, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(hist.counts.sum()) == n
+        assert peak < 8e6
 
 
 class TestWorkerCount:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from magflow import CriticalGap, SpectrumEntry, critical_gap, ladder, select_level
-from magflow.spectrum import critical_gaps, ladder_arrays, rung, select_levels
+from magflow import spectrum
+from magflow.spectrum import (critical_gaps, ladder_arrays, ladder_size, ladder_slices, rung,
+                              select_levels)
 
 
 class TestLadder:
@@ -57,6 +59,41 @@ class TestLadder:
         for e in got:
             assert type(e) is SpectrumEntry
             assert (type(e.k), type(e.m), type(e.lam), type(e.scaled)) == (int, int, float, float)
+
+    # one rung short of, at and one past a slice boundary, a ragged last
+    # slice, and a single rung
+    @pytest.mark.parametrize("k, B", [
+        (4095, 1.0), (4096, 1.0), (4097, 1.0), (10007, 1.0), (8192, 1.5), (3, 0.5)])
+    def test_slices_concatenate_to_the_whole_ladder(self, k, B):
+        parts = list(ladder_slices(k, B))
+        assert len(parts) == -(-ladder_size(k, B) // spectrum._SLICE)
+        assert all(len(m) == spectrum._SLICE for m, _, _ in parts[:-1])
+        for got, want in zip(zip(*parts), ladder_arrays(k, B)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+        assert len(ladder_arrays(k, B)[0]) == ladder_size(k, B)
+
+    def test_range_is_clipped_to_the_ladder(self):
+        m, lam, scaled = ladder_arrays(10, 1.0, 8, 20)
+        assert m.tolist() == [8, 9]
+        assert lam.tolist() == [rung(10, 1.0, 8.0), rung(10, 1.0, 9.0)]
+        assert len(ladder_arrays(10, 1.0, 10)[0]) == 0
+
+    # kB at, just under and just over integers, where the nudge in floor(kB)
+    # decides the top index
+    @pytest.mark.parametrize("k, B", [
+        (10, 1.0), (7, 1.5), (3, 0.5), (1, 1.0), (400, 0.5), (123, 2.0), (10007, 1.0),
+        (3, 1.0 / 3.0), (10, 0.9999999999), (10, 1.0000000001), (1000, 1.7), (200000, 1.0)])
+    def test_top_rung_is_the_last(self, k, B):
+        # lambda(m + 1) - lambda(m) = kB - m - 1 >= 1 on the ladder
+        m, lam, _ = ladder_arrays(k, B)
+        assert int(np.argmax(lam)) == len(m) - 1
+        assert np.all(np.diff(lam) > 0.0)
+
+    def test_slices_check_arguments_before_the_first_slice(self):
+        for k, B in ((0, 1.0), (10, 0.0), (10, math.nan)):
+            with pytest.raises(ValueError):
+                next(ladder_slices(k, B))
+        assert list(ladder_slices(1, 0.5)) == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
