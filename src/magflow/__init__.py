@@ -42,11 +42,8 @@ _EXPORTS = {
         "sample_radii_analytic",
     ),
     "spectrum": (
-        "CriticalGap",
         "SpectrumEntry",
-        "critical_gap",
         "ladder",
-        "select_level",
     ),
     "surface": (
         "DomainReduction",
@@ -62,11 +59,10 @@ _EXPORTS = {
         "translates_meeting_disk",
     ),
     "torus": (
-        "DensitySample",
         "Flag",
         "TorusPoint",
         "alpha_radial",
-        "density_cover",
+        "density_cover_many",
         "density_mass",
         "jacobian",
         "phi_profile",

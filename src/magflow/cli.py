@@ -70,20 +70,22 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits and sorted keys."""
+def _dumps(obj, indent: int = 0, key: str = "value") -> str:
+    """JSON text with floats at 17 significant digits and sorted keys.  A
+    non-finite float, which JSON cannot hold, raises ValueError naming its key."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         body = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_dumps(obj[k], indent + 1)}' for k in sorted(obj)
+            f'{pad}  {json.dumps(str(k))}: {_dumps(obj[k], indent + 1, str(k))}'
+            for k in sorted(obj)
         )
         return "{\n" + body + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
+        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1, key)}" for v in obj)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -92,6 +94,8 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{key} is {_fmt(obj)}, which JSON cannot hold")
         return _fmt(obj)
     return json.dumps(str(obj))
 
@@ -183,8 +187,9 @@ def cmd_flow(args) -> int:
 
     subcritical = cfg.regime is Regime.SUBCRITICAL
     t_total = 2.0 * period(cfg) if subcritical else 10.0
-    # the integrator takes ceil(step / dt) steps per row, at least one
-    steps = max(rows - 1, t_total / dt)
+    # the integrator takes ceil(step / dt) steps per row, at least one; an
+    # int grid past the float range counts as an infinite one
+    steps = max(rows - 1 if rows <= sys.float_info.max else math.inf, t_total / dt)
     if not steps <= _MAX_RK4_STEPS:
         raise ValueError(f"about {steps:.3g} RK4 steps needed at dt={dt!r}, grid={rows}; "
                          f"the limit is {_MAX_RK4_STEPS}")
@@ -270,16 +275,14 @@ def _disk_grid(xs: np.ndarray):
 
 def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
     """Cover grid columns (d_to_center, alpha_raw, n_preimages, flag) as
-    grid-shaped arrays, through the torus kernels that density_cover reads
-    at one point."""
+    grid-shaped arrays, from one density_cover_many call; d is inf off the
+    disk model."""
     from .halfplane import hyp_dist_vec
-    from .torus import _flag_for, alpha_radial, preimage_count, radius
+    from .torus import density_cover_many
 
-    R = radius(cfg)
     valid, z = _disk_grid(xs)
     d = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
-    alpha = np.where(valid, alpha_radial(cfg, np.minimum(d, R + 1.0)), 0.0)
-    return d, alpha, preimage_count(cfg, d), _flag_for(d, R, band, band)
+    return (d, *density_cover_many(cfg, d, band, band))
 
 
 def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
@@ -363,11 +366,12 @@ def cmd_density(args) -> int:
     sidecar["mass_expected"] = expected
     sidecar["mass_rel_err"] = abs(mass / expected - 1.0)
     sidecar["mass_normalized"] = mass / expected
+    summary = _dumps(sidecar) + "\n"  # a non-finite fit fails here, before any file is written
 
     print(f"R_E {_fmt(R)}")
     print(f"mass {_fmt(mass)} expected {_fmt(expected)}")
     _write(out, "density_grid.csv", _density_csv(cfg, xs, columns))
-    _write_json(out, "density_summary.json", sidecar)
+    _write(out, "density_summary.json", summary)
     return 0
 
 
@@ -384,7 +388,7 @@ def _ladder_csv(k: int, slices):
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import critical_gap, ladder_arrays, ladder_size, ladder_slices, select_level
+    from .spectrum import critical_gaps, ladder_arrays, ladder_size, ladder_slices, select_levels
 
     k, B, E, out = args.k, args.B, args.E, args.out
 
@@ -396,20 +400,19 @@ def cmd_spectrum(args) -> int:
     if not n:
         raise ValueError("empty ladder: kB < 1")
 
-    gaps = critical_gap(k, B)
+    gap_top, gap_beyond = (g.item() for g in critical_gaps(k, B))
     # lambda(m + 1) - lambda(m) = kB - m - 1 >= 1 on the ladder: the top is the last rung
     (top_m,), (top_lambda,), (top_scaled,) = ladder_arrays(k, B, n - 1)
     summary = {
         "k": k, "B": B, "n_levels": n,
         "top_m": int(top_m), "top_lambda": float(top_lambda), "top_scaled": float(top_scaled),
-        "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
-        "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
+        "gap_top": gap_top, "gap_beyond": gap_beyond,
+        "k_gap_top": k * gap_top, "k_gap_beyond": k * gap_beyond,
     }
     if E is not None:
-        sel = select_level(k, B, E)
+        m, lam, scaled = (a.item() for a in select_levels(k, B, [E]))
         summary["selected"] = {
-            "E": E, "m": sel.m, "lambda": sel.lam, "scaled": sel.scaled,
-            "offset": abs(sel.scaled - E),
+            "E": E, "m": m, "lambda": lam, "scaled": scaled, "offset": abs(scaled - E),
         }
 
     print(f"levels {n} top scaled {_fmt(top_scaled)}")
@@ -442,12 +445,13 @@ def cmd_sample(args) -> int:
         "center_slope", "boundary_slope", "max_rel_err_body",
     )}
     summary.update({"B": cfg.B, "E": cfg.E})
+    summary = _dumps(summary) + "\n"  # a non-finite fit fails here, before any file is written
 
     print(f"max rel err (body) {_fmt(report['max_rel_err_body'])}")
     print(f"center slope {_fmt(report['center_slope'])} "
           f"boundary slope {_fmt(report['boundary_slope'])}")
     _write(out, "histogram.csv", table)
-    _write_json(out, "sample_report.json", summary)
+    _write(out, "sample_report.json", summary)
     return 0
 
 

@@ -9,8 +9,10 @@ with N_k = floor(k B) rungs.  The scaled values lambda/k^2 accumulate on
 [0, E_c]: the rung nearest k^2 E is the natural quantization of energy E,
 and the top of the ladder approaches E_c = B^2/2 at rate O(1/k).
 
-Long ladders are built in slices of _SLICE rungs (ladder_slices), so no step
-holds the whole ladder and memory does not grow with k.
+Level selection and the gap to E_c are array kernels over energies and
+tensor powers (select_levels, critical_gaps).  Long ladders are built in
+slices of _SLICE rungs (ladder_slices), so no step holds the whole ladder
+and memory does not grow with k.
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ import numpy as np
 
 __all__ = [
     "SpectrumEntry",
-    "CriticalGap",
     "ladder",
     "ladder_arrays",
     "ladder_size",
     "ladder_slices",
     "rung",
-    "select_level",
     "select_levels",
-    "critical_gap",
     "critical_gaps",
 ]
 
@@ -45,14 +44,6 @@ class SpectrumEntry(NamedTuple):
     m: int
     lam: float
     scaled: float
-
-
-class CriticalGap(NamedTuple):
-    """|lambda/k^2 - E_c| at the two competing top indices m = N_k - 1 and N_k."""
-
-    k: int
-    gap_top: float
-    gap_beyond: float
 
 
 def _n_k(k, B: float):
@@ -145,14 +136,10 @@ def select_levels(k, B: float, E):
     return m_best, lam_best, lam_best / k2
 
 
-def select_level(k: int, B: float, E: float) -> SpectrumEntry:
-    """The rung whose scaled eigenvalue is closest to E, as select_levels."""
-    m, lam, scaled = select_levels(k, B, [E])
-    return SpectrumEntry(k, int(m[0]), float(lam[0]), float(scaled[0]))
-
-
 def critical_gaps(k, B: float):
-    """(gap_top, gap_beyond) of critical_gap as arrays over the array k."""
+    """Distance of the scaled ladder top to E_c at tensor power k (an int or
+    an array), at both candidate top indices: (gap_top, gap_beyond) at the
+    in-range m = N_k - 1 and the formal m = N_k."""
     _require_field(B)
     k = np.asarray(k, dtype=float)
     n = _n_k(k, B)
@@ -161,10 +148,3 @@ def critical_gaps(k, B: float):
     ec = 0.5 * B * B
     k2 = k * k
     return np.abs(rung(k, B, n - 1.0) / k2 - ec), np.abs(rung(k, B, n) / k2 - ec)
-
-
-def critical_gap(k: int, B: float) -> CriticalGap:
-    """Distance of the scaled ladder top to E_c, reported at both candidate
-    top indices (the in-range m = N_k - 1 and the formal m = N_k)."""
-    top, beyond = critical_gaps(k, B)
-    return CriticalGap(k, float(top), float(beyond))

@@ -15,7 +15,7 @@ so g_{k+4} = g_k^{-1} and all traces equal 2(1 + sqrt 2).  They satisfy the
 single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = 1, encoded by
 the index word (0, 3, 6, 1, 4, 7, 2, 5).
 
-Operations, each an array kernel with one-point wrappers: fold points into
+Operations, each an array kernel: fold points into
 the fundamental domain (greedy distance descent; a point is a local minimum
 of d(., i) over the generator orbit exactly when it lies in the Dirichlet
 domain), enumerate the group elements whose translated domain can meet a
@@ -24,7 +24,8 @@ points g.i), fold the planar pushforward density onto the surface by
 summing over those translates, and time-average observables along critical
 energy trajectories, which equidistribute toward the area measure; the
 averages take their samples in blocks of closed-form frames, each block
-folded as one array.
+folded as one array.  reduce_point and density_surface are the fold and the
+density at one point.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, _check_shell, _exp_entries, period
+from .flow import MagneticConfig, _check_shell, _exp_entries
 from .halfplane import (
     Moebius,
     Tangent,
@@ -50,7 +51,7 @@ from .halfplane import (
     rotation_about_i,
     to_disk,
 )
-from .torus import DensitySample, _flags, alpha_radial, preimage_count, preimages_cover, radius
+from .torus import _flags, alpha_radial, preimage_count, radius
 
 __all__ = [
     "ENUM_CAP",
@@ -326,24 +327,11 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y,
 
 
 def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
-                    center_band: float = 1e-3, boundary_band: float = 1e-3) -> DensitySample:
-    """density_surface_many at one point, with the torus coordinates of each
-    lift that has preimages."""
-    y0, alpha, _, flags = density_surface_many(group, cfg, y, center_band, boundary_band)
-    y0 = complex(y0[0])
-    total = float(alpha[0])
-    pre = []
-    for g in translates_meeting_disk(group, radius(cfg)):
-        w = g.apply(y0)
-        if preimage_count(cfg, hyp_dist(1j, w)):
-            pre.extend(preimages_cover(cfg, w))
-    return DensitySample(
-        point=y0,
-        alpha_raw=total,
-        alpha_normalized=total / (2.0 * math.pi * period(cfg)),
-        preimages=tuple(pre),
-        flag=flags[0],
-    )
+                    center_band: float = 1e-3, boundary_band: float = 1e-3) -> tuple:
+    """density_surface_many at one point: (folded point, alpha_raw,
+    n_preimages, flag)."""
+    y0, alpha, count, flags = density_surface_many(group, cfg, y, center_band, boundary_band)
+    return complex(y0[0]), float(alpha[0]), int(count[0]), flags[0]
 
 
 def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,

@@ -29,12 +29,15 @@ Regular interior points have exactly two preimages (ingoing and outgoing
 branch of the distance profile phi(t) = d(i, Psi(0, t)), at the closed-form
 times t_1 = t_of_distance(d) and T_E - t_1); boundary points one; exterior
 points none.
+
+The density, the preimage count and the flag are array kernels of the
+distance to the center, evaluated together by density_cover_many;
+preimages_cover lists the torus coordinates of one point's preimages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -46,7 +49,6 @@ from .halfplane import hyp_dist, to_disk
 __all__ = [
     "TorusPoint",
     "Flag",
-    "DensitySample",
     "psi",
     "psi_many",
     "radius",
@@ -57,7 +59,7 @@ __all__ = [
     "jacobian",
     "preimage_count",
     "preimages_cover",
-    "density_cover",
+    "density_cover_many",
     "density_mass",
 ]
 
@@ -77,15 +79,6 @@ class Flag(str, Enum):
     NEAR_BOUNDARY = "NearBoundary"
     OUTSIDE = "Outside"
     REGULAR = "Regular"
-
-
-@dataclass(frozen=True)
-class DensitySample:
-    point: complex
-    alpha_raw: float
-    alpha_normalized: float
-    preimages: tuple
-    flag: Flag
 
 
 def _require_torus(cfg: MagneticConfig) -> None:
@@ -239,34 +232,24 @@ def _flags(near_center, near_boundary, outside):
     return _FLAG_ORDER[np.select([near_center, near_boundary, outside], [0, 1, 2], 3)]
 
 
-def _flag_for(d, R: float, center_band: float, boundary_band: float):
-    """Cover flags at distances d from the center, bands relative to R; the
-    center band is closed, so a zero band still flags the center itself."""
-    return _flags(d <= center_band * R, np.abs(d - R) < boundary_band * R, d > R)
+def density_cover_many(cfg: MagneticConfig, d, center_band: float = 1e-3,
+                       boundary_band: float = 1e-3):
+    """Pushforward density on the universal cover at distances d from the
+    center: (alpha_raw, n_preimages, flags), arrays shaped like d.
 
-
-def density_cover(
-    cfg: MagneticConfig,
-    y: complex,
-    center_band: float = 1e-3,
-    boundary_band: float = 1e-3,
-) -> DensitySample:
-    """Pushforward density at y on the universal cover.
-
-    alpha_raw is the closed-form branch sum alpha_radial(d(i, y)) of
-    1/|det dPsi| over the preimages; alpha_normalized divides by the total
-    mass 2 pi T_E.  Band widths are relative to R_E and only affect the flag.
+    alpha_raw is the closed-form branch sum alpha_radial(d) of 1/|det dPsi|
+    over the preimage_count(d) preimages; dividing by the total mass
+    2 pi T_E normalizes it.  Bands are relative to R_E and only affect the
+    flags: NearCenter within the center band (closed, so a zero band still
+    flags the center itself), else NearBoundary within the boundary band,
+    else Outside past R_E, else Regular.
     """
-    pre = preimages_cover(cfg, y)
-    d = hyp_dist(1j, y)
-    total = alpha_radial(cfg, d)
-    return DensitySample(
-        point=y,
-        alpha_raw=total,
-        alpha_normalized=total / (2.0 * math.pi * period(cfg)),
-        preimages=tuple(pre),
-        flag=_flag_for(d, radius(cfg), center_band, boundary_band),
-    )
+    R = radius(cfg)
+    d = np.asarray(d, dtype=float)
+    # alpha is 0 past R_E; clipping there keeps cosh(d) finite
+    alpha = alpha_radial(cfg, np.minimum(d, R + 1.0))
+    n = preimage_count(cfg, d)
+    return alpha, n, _flags(d <= center_band * R, np.abs(d - R) < boundary_band * R, d > R)
 
 
 def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:

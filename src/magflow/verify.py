@@ -35,7 +35,7 @@ from .surface import (
     area_average,
     birkhoff_average,
     bolza_group,
-    density_surface,
+    density_surface_many,
     in_domain_mask,
     octagon_area,
     relation_residual,
@@ -43,7 +43,7 @@ from .surface import (
     word_element,
 )
 from .torus import (
-    density_cover,
+    density_cover_many,
     density_mass,
     preimages_cover,
     psi,
@@ -174,21 +174,18 @@ def check_singularity_asymptotics() -> dict:
     R = radius(cfg)
     c_center, c_bd = singular_constants(cfg)
 
-    d0 = 1e-6
-    a0 = density_cover(cfg, 1j * math.exp(d0)).alpha_raw
-    center_err = abs(a0 * d0 / c_center - 1.0)
-
-    tau = 1e-6
-    a1 = density_cover(cfg, 1j * math.exp(R - tau)).alpha_raw
-    bd_err = abs(a1 * math.sqrt(tau) / c_bd - 1.0)
-
+    # 42 probes on the imaginary axis, at distances d0, R - tau, ds and R - taus
+    # from the center, in one kernel call
+    d0 = tau = 1e-6
     ds = np.logspace(-5, -2, 20)
-    al = np.array([density_cover(cfg, 1j * math.exp(d)).alpha_raw for d in ds])
-    center_slope = float(np.polyfit(np.log(ds), np.log(al), 1)[0])
-
     taus = np.logspace(-6, -3, 20)
-    al2 = np.array([density_cover(cfg, 1j * math.exp(R - s)).alpha_raw for s in taus])
-    boundary_slope = float(np.polyfit(np.log(taus), np.log(al2), 1)[0])
+    probes = 1j * np.exp(np.concatenate([[d0, R - tau], ds, R - taus]))
+    alpha, _, _ = density_cover_many(cfg, hyp_dist_vec(1j, probes))
+
+    center_err = abs(alpha[0] * d0 / c_center - 1.0)
+    bd_err = abs(alpha[1] * math.sqrt(tau) / c_bd - 1.0)
+    center_slope = float(np.polyfit(np.log(ds), np.log(alpha[2:22]), 1)[0])
+    boundary_slope = float(np.polyfit(np.log(taus), np.log(alpha[22:]), 1)[0])
 
     passed = (
         center_err < 0.01
@@ -255,11 +252,9 @@ def check_preimage_counts(seed: int = 1008) -> dict:
     bound = 2 * len(translates)
     ok = ok and max_count <= bound
 
-    # the vectorized count must agree with the honest per-point machinery
-    sub = rng.choice(len(z), size=25, replace=False)
-    for j in sub:
-        samp = density_surface(group, cfg, complex(z[j]))
-        ok = ok and len(samp.preimages) == int(counts[j])
+    # the lift count above must agree with the density kernel's at every grid point
+    _, _, n_pre, _ = density_surface_many(group, cfg, z)
+    ok = ok and np.array_equal(n_pre, counts)
     return _result("preimage-counts", ok,
                    {"surface_max": max_count, "surface_bound": bound}, None,
                    "cover: 800 interior / 100 boundary / 100 outside probes; "

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 import magflow
 from magflow import (
     MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
-    critical_gap, density_cover, flow_exact, ladder, period, preimages_cover, radius,
-    sample_pushforward, select_level,
+    flow_exact, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
 )
 from magflow.halfplane import from_disk
-from magflow.spectrum import ladder_arrays
+from magflow.spectrum import critical_gaps, ladder_arrays, select_levels
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -79,16 +78,39 @@ MALFORMED = st.sampled_from(["", "", "", "key without value\n", "[unclosed\n",
                              "[magflow]\nB = 1\nB = 2\n", "\tindented = 1\n"])
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_strict_json(out):
+    """json.load every JSON file under out, refusing NaN and Infinity."""
+    for path in Path(out).rglob("*.json"):
+        with open(path) as fh:
+            json.load(fh, parse_constant=refuse_constant)
+
+
 def exit_code(capsys, command, out, **flags):
     """cli.main with each flag given as a separate "--name value" pair, as a
-    user types it (skipping None); asserts no traceback reached stderr."""
+    user types it (skipping None); asserts no traceback reached stderr and,
+    on exit 0, that every JSON file written loads as strict JSON."""
     argv = [command, "--out", str(out)]
     for name, value in flags.items():
         if value is not None:
             argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
     rc = cli.main(argv)
     assert "Traceback" not in capsys.readouterr().err
+    if rc == 0:
+        load_strict_json(out)
     return rc
+
+
+def test_dumps_refuses_non_finite_floats():
+    assert cli._dumps({"a": [1.5, 2]}) == '{\n  "a": [\n    1.5,\n    2\n  ]\n}'
+    for obj, message in (({"x": {"y": math.inf}}, "y is inf"),
+                         ({"x": [0.0, np.float64(math.nan)]}, "x is nan"),
+                         (-math.inf, "value is -inf")):
+        with pytest.raises(ValueError, match=f"^{message}, which JSON cannot hold$"):
+            cli._dumps(obj)
 
 
 class TestFlowCommand:
@@ -173,7 +195,12 @@ class TestFlowCommand:
 
     def test_step_budget(self, tmp_path, capsys):
         start = time.perf_counter()
-        for flags in (["--dt", "1e-9"], ["--grid", "100000000"]):
+        # a grid past the float range, on the command line and from a config file
+        huge = "1" + "0" * 400
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[flow]\ngrid = {huge}\n")
+        for flags in (["--dt", "1e-9"], ["--grid", "100000000"], ["--grid", huge],
+                      ["--config", str(ini)]):
             rc = cli.main(["flow", *flags, "--out", str(tmp_path)])
             assert rc == 2
             assert "RK4 steps needed" in capsys.readouterr().err
@@ -214,9 +241,9 @@ class TestDensityCommand:
             x, y, d, araw = (float(v) for v in row[:4])
             if row[6] != "Regular" or d > 0.95 * R:
                 continue
-            s = density_cover(STD, complex(from_disk(complex(x, y))))
-            assert araw == pytest.approx(s.alpha_raw, rel=1e-8)
-            assert int(row[5]) == len(s.preimages)
+            point = complex(from_disk(complex(x, y)))
+            assert araw == pytest.approx(alpha_radial(STD, hyp_dist(1j, point)), rel=1e-8)
+            assert int(row[5]) == len(preimages_cover(STD, point))
             checked += 1
         assert checked > 20
 
@@ -257,6 +284,19 @@ class TestDensityCommand:
         summary = read_json(tmp_path / "density_summary.json")
         assert summary["center_slope"] == pytest.approx(-1.0, abs=0.02)
         assert summary["boundary_slope"] == pytest.approx(-0.5, abs=0.02)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["density", "--E", "1e-8", "--grid", "8"], "center_constant is inf"),
+        (["density", "--E", "1e-16", "--grid", "8"], "boundary_slope is nan"),
+        (["sample", "--E", "1e-12", "--n", "10000"], "center_slope is nan"),
+    ])
+    def test_non_finite_summary_fails_before_writing(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's warnings of the degenerate fits
+            rc = cli.main([*argv, "--B", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {message}, which JSON cannot hold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -422,19 +462,19 @@ class TestSpectrumCommand:
         entries = ladder(k, B)
         csv = "k,m,lambda,scaled\n" + "".join(
             f"{e.k},{e.m},{e.lam:.17g},{e.scaled:.17g}\n" for e in entries)
-        gaps = critical_gap(k, B)
+        gap_top, gap_beyond = (float(g) for g in critical_gaps(k, B))
         top = max(entries, key=lambda e: e.lam)
         summary = {
             "k": k, "B": B, "n_levels": len(entries),
             "top_m": top.m, "top_lambda": top.lam, "top_scaled": top.scaled,
-            "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
-            "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
+            "gap_top": gap_top, "gap_beyond": gap_beyond,
+            "k_gap_top": k * gap_top, "k_gap_beyond": k * gap_beyond,
         }
         if E is not None:
-            sel = select_level(k, B, E)
+            m, lam, scaled = select_levels(k, B, [E])
             summary["selected"] = {
-                "E": E, "m": sel.m, "lambda": sel.lam, "scaled": sel.scaled,
-                "offset": abs(sel.scaled - E),
+                "E": E, "m": int(m[0]), "lambda": float(lam[0]), "scaled": float(scaled[0]),
+                "offset": abs(float(scaled[0]) - E),
             }
         return csv, cli._dumps(summary) + "\n"
 
@@ -458,13 +498,13 @@ class TestSpectrumCommand:
             f"{k},{mi},{li:.17g},{si:.17g}\n"
             for mi, li, si in zip(m.tolist(), lam.tolist(), scaled.tolist()))
         top = int(np.argmax(lam))
-        gaps = critical_gap(k, B)
+        gap_top, gap_beyond = (float(g) for g in critical_gaps(k, B))
         summary = {
             "k": k, "B": B, "n_levels": len(m),
             "top_m": int(m[top]), "top_lambda": float(lam[top]),
             "top_scaled": float(scaled[top]),
-            "gap_top": gaps.gap_top, "gap_beyond": gaps.gap_beyond,
-            "k_gap_top": k * gaps.gap_top, "k_gap_beyond": k * gaps.gap_beyond,
+            "gap_top": gap_top, "gap_beyond": gap_beyond,
+            "k_gap_top": k * gap_top, "k_gap_beyond": k * gap_beyond,
         }
         return csv, cli._dumps(summary) + "\n", f"levels {len(m)} top scaled {scaled[top]:.17g}"
 
@@ -757,7 +797,8 @@ class TestConfigHandling:
     def config_exit_code(tmp_path, capsys, command, section, values, extra):
         """cli.main of command with its flags from an INI file under section,
         each value written as given (skipping None), plus the extra lines;
-        asserts a clean exit, and an "error:" line on exit 2."""
+        asserts a clean exit, an "error:" line on exit 2 and strict JSON on
+        exit 0."""
         lines = [f"[{section}]"] + [f"{key} = {value}" for key, value in values.items()
                                     if value is not None]
         out = fresh_dir(tmp_path)
@@ -769,6 +810,8 @@ class TestConfigHandling:
         assert rc in (0, 2)
         if rc == 2:
             assert err.startswith("error: ")
+        else:
+            load_strict_json(out)
         return rc
 
     @CLEAN_EXIT
@@ -789,6 +832,42 @@ class TestConfigHandling:
                                              extra):
         self.config_exit_code(tmp_path, capsys, "sample", section,
                               {"B": B, "E": E, "n": n, "seed": seed}, extra)
+
+    # dt and T of at least 0.1 keep runs short, as in the flag tests
+    @CLEAN_EXIT
+    @given(section=st.sampled_from(["magflow", "flow"]),
+           B=config_value(wild(0.1, 4.0)), E=config_value(wild(0.0, 4.0)),
+           grid=config_value(st.integers(-3, 50)), dt=config_value(st.floats(0.1, 1.0)),
+           extra=MALFORMED)
+    def test_any_flow_config_exits_cleanly(self, tmp_path, capsys, section, B, E, grid, dt,
+                                           extra):
+        self.config_exit_code(tmp_path, capsys, "flow", section,
+                              {"B": B, "E": E, "grid": grid, "dt": dt}, extra)
+
+    @CLEAN_EXIT
+    @given(section=st.sampled_from(["magflow", "density"]),
+           surface=st.one_of(st.sampled_from(["cover", "bolza"]), config_value(st.nothing())),
+           B=config_value(SURFACE_B), E=config_value(wild(0.0, 1.0)),
+           grid=config_value(st.integers(-1, 30)), bands=config_value(wild(0.0, 0.1)),
+           extra=MALFORMED)
+    def test_any_density_config_exits_cleanly(self, tmp_path, capsys, section, surface, B, E,
+                                              grid, bands, extra):
+        self.config_exit_code(tmp_path, capsys, "density", section,
+                              {"surface": surface, "B": B, "E": E, "grid": grid,
+                               "bands": bands}, extra)
+
+    @CLEAN_EXIT
+    @given(section=st.sampled_from(["magflow", "equidist"]), B=config_value(SURFACE_B),
+           E=st.one_of(st.none(), st.none(), config_value(wild(0.0, 2.0))),
+           T=config_value(wild(0.1, 20.0)), n=config_value(st.integers(-3, 2000)),
+           grid=config_value(st.integers(-3, 60)),
+           seed=config_value(st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130))),
+           extra=MALFORMED)
+    def test_any_equidist_config_exits_cleanly(self, tmp_path, capsys, section, B, E, T, n,
+                                               grid, seed, extra):
+        self.config_exit_code(tmp_path, capsys, "equidist", section,
+                              {"B": B, "E": E, "T": T, "n": n, "grid": grid, "seed": seed},
+                              extra)
 
     @pytest.mark.parametrize("text, message", [
         ("[spectrum]\nk = 5%\n", "bad config file"),
@@ -887,20 +966,19 @@ class TestBenchmarkTracer:
         assert result["counters"]["flow.rk4_steps"] == 1778
 
 
-# the package's public names before it resolved them lazily
+# the package's public names
 PUBLIC_NAMES = {
-    "CriticalGap", "DensitySample", "DomainReduction", "Flag", "FuchsianGroup",
-    "MagneticConfig", "Moebius", "NumericFlowResult", "PushforwardHistogram", "Regime",
-    "SpectrumEntry", "Tangent", "TorusPoint", "VariationCoeffs", "alpha_radial",
-    "area_average", "birkhoff_average", "bolza_group", "compare_to_closed_form",
-    "critical_gap", "density_cover", "density_mass", "density_surface",
-    "density_surface_many", "exact_ring_averages", "flow", "flow_exact", "flow_matrix",
-    "flow_numeric", "frame_of", "from_disk", "generator", "halfplane", "hyp_dist",
-    "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
+    "DomainReduction", "Flag", "FuchsianGroup", "MagneticConfig", "Moebius",
+    "NumericFlowResult", "PushforwardHistogram", "Regime", "SpectrumEntry", "Tangent",
+    "TorusPoint", "VariationCoeffs", "alpha_radial", "area_average", "birkhoff_average",
+    "bolza_group", "compare_to_closed_form", "density_cover_many", "density_mass",
+    "density_surface", "density_surface_many", "exact_ring_averages", "flow", "flow_exact",
+    "flow_matrix", "flow_numeric", "frame_of", "from_disk", "generator", "halfplane",
+    "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover", "psi",
     "radius", "reduce_point", "relation_residual", "rotate_fiber", "rotation_about_i",
-    "sample_pushforward", "sample_radii_analytic", "select_level", "singular_constants",
-    "spectrum", "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
+    "sample_pushforward", "sample_radii_analytic", "singular_constants", "spectrum",
+    "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
     "variation_coeffs",
 }
 

@@ -5,10 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from magflow import CriticalGap, SpectrumEntry, critical_gap, ladder, select_level
+from magflow import SpectrumEntry, ladder
 from magflow import spectrum
 from magflow.spectrum import (critical_gaps, ladder_arrays, ladder_size, ladder_slices, rung,
                               select_levels)
+
+
+def select_level(k, B, E):
+    """select_levels at one energy: (m, lambda, scaled) as builtin scalars."""
+    return tuple(a.item() for a in select_levels(k, B, [E]))
+
+
+def critical_gap(k, B):
+    """critical_gaps at one tensor power: (gap_top, gap_beyond) as floats."""
+    return tuple(g.item() for g in critical_gaps(k, B))
 
 
 class TestLadder:
@@ -115,17 +125,17 @@ class TestLadder:
 class TestSelectLevel:
     def test_zero_energy_selects_ground(self):
         for k in (1, 10, 500):
-            assert select_level(k, 1.0, 0.0).m == 0
+            assert select_level(k, 1.0, 0.0)[0] == 0
 
     def test_reference_selection(self):
-        got = select_level(100, 1.0, 0.25)
-        assert got.m == 29
-        assert got.lam == 2515.0
-        assert got.scaled == pytest.approx(0.2515, abs=1e-12)
+        m, lam, scaled = select_level(100, 1.0, 0.25)
+        assert m == 29
+        assert lam == 2515.0
+        assert scaled == pytest.approx(0.2515, abs=1e-12)
 
     def test_agrees_with_full_scan(self):
-        # every energy through the array form, one per k through the scalar
-        # wrapper; lambda carries the bits of the scalar rung()
+        # every energy in one call, and one per k in a call of its own;
+        # lambda carries the bits of the scalar rung()
         energies = np.linspace(0.0, 1.0, 50, endpoint=False)
         for B in (0.5, 1.0, 1.5, 2.0):
             ec = 0.5 * B * B
@@ -139,7 +149,7 @@ class TestSelectLevel:
                 assert lam.tolist() == [rung(k, B, int(mi)) for mi in want]
                 assert np.array_equal(got_scaled, lam / (k * k))
                 i = k % len(energies)
-                assert select_level(k, B, float(energies[i] * ec)).m == want[i]
+                assert select_level(k, B, float(energies[i] * ec))[0] == want[i]
 
     def test_array_k_matches_one_call_per_k(self):
         ks = np.arange(1, 301)
@@ -153,20 +163,20 @@ class TestSelectLevel:
 
     def test_ties_break_to_smaller_m(self):
         # k = 2, B = 1: scaled rungs 0.25 and 0.5, and 0.375 lies exactly between
-        assert select_level(2, 1.0, 0.375).m == 0
+        assert select_level(2, 1.0, 0.375)[0] == 0
         assert select_levels(2, 1.0, [0.375, 0.375])[0].tolist() == [0, 0]
 
     def test_pell_resonances_are_exact(self):
         # k^2/4 lies exactly on the ladder at these k, so the offset vanishes
         for k in (2, 12, 70, 408, 2378):
-            got = select_level(k, 1.0, 0.25)
-            assert abs(got.scaled - 0.25) < 1e-15
+            _, _, scaled = select_level(k, 1.0, 0.25)
+            assert abs(scaled - 0.25) < 1e-15
 
     def test_convergence_rate(self):
         # |scaled - E| decays like 1/k; resonant k make the raw sequence
         # non-monotone, so fit the octave-binned maxima
         ks = np.unique(np.logspace(2.0, 4.0, 300).astype(int))
-        errs = np.array([abs(select_level(int(k), 1.0, 0.25).scaled - 0.25) for k in ks])
+        errs = np.array([abs(select_level(int(k), 1.0, 0.25)[2] - 0.25) for k in ks])
         edges = 100.0 * 2.0 ** np.arange(8)
         xs, ys = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -196,27 +206,25 @@ class TestSelectLevel:
 
 class TestCriticalGap:
     def test_resonant_case_closes(self):
-        got = critical_gap(10, 1.0)
-        assert got == CriticalGap(10, 0.0, 0.0)
+        assert critical_gap(10, 1.0) == (0.0, 0.0)
 
     def test_off_resonant_case(self):
-        got = critical_gap(7, 1.5)
+        gap_top, gap_beyond = critical_gap(7, 1.5)
         _, lam, _ = ladder_arrays(7, 1.5)
         assert len(lam) == 10
-        assert got.gap_top == pytest.approx(abs(rung(7, 1.5, 9) / 49.0 - 1.125), rel=1e-14)
-        assert got.gap_top > 0.0
-        assert got.gap_beyond > 0.0
+        assert gap_top == pytest.approx(abs(rung(7, 1.5, 9) / 49.0 - 1.125), rel=1e-14)
+        assert gap_top > 0.0
+        assert gap_beyond > 0.0
 
     def test_k_gap_stays_bounded(self):
         worst = 0.0
         for k in range(1, 10001):
-            g = critical_gap(k, 1.0)
-            worst = max(worst, k * min(g.gap_top, g.gap_beyond))
+            worst = max(worst, k * min(critical_gap(k, 1.0)))
         assert worst <= 1.0
 
     def test_array_form_matches_scalar_formula(self):
-        # the scalar rung() on builtin ints, as critical_gap computed it before
-        # the array form, is the bitwise reference
+        # the scalar rung() on builtin ints, as the gap was computed before
+        # the array form, is the bitwise reference; an int k gives the same bits
         ks = np.arange(3, 2001)  # kB >= 1 at every B below
         for B in (0.5, 1.0, 1.5, 2.0, 0.37):
             top, beyond = critical_gaps(ks, B)
@@ -225,7 +233,7 @@ class TestCriticalGap:
                 n = math.floor(k * B + 1e-9)
                 assert t == abs(rung(k, B, n - 1) / float(k * k) - ec)
                 assert b == abs(rung(k, B, n) / float(k * k) - ec)
-                assert critical_gap(k, B) == CriticalGap(k, t, b)
+                assert critical_gap(k, B) == (t, b)
 
     def test_rejects_empty_ladder(self):
         with pytest.raises(ValueError, match="empty ladder: kB < 1"):

@@ -15,7 +15,7 @@ from magflow import (
     area_average,
     birkhoff_average,
     bolza_group,
-    density_cover,
+    density_cover_many,
     density_surface,
     density_surface_many,
     hyp_dist,
@@ -326,10 +326,11 @@ class TestDensitySurfaceMany:
         assert {Flag.NEAR_CENTER, Flag.NEAR_BOUNDARY, Flag.REGULAR} <= set(flags)
 
     def test_center_is_near_center_with_no_preimages(self):
-        s = density_surface(GROUP, STD, 1j)
-        assert s.alpha_raw == math.inf
-        assert s.preimages == ()
-        assert s.flag is Flag.NEAR_CENTER
+        y0, alpha, n_pre, flag = density_surface(GROUP, STD, 1j)
+        assert y0 == 1j
+        assert alpha == math.inf
+        assert n_pre == 0
+        assert flag is Flag.NEAR_CENTER
 
 
 class TestDensitySurface:
@@ -338,9 +339,10 @@ class TestDensitySurface:
         # translate of the projected disk
         cfg = MagneticConfig(1.0, 0.15)
         y = from_disk(0.75 * np.exp(1j * math.pi / 8.0))
-        s = density_surface(GROUP, cfg, complex(y))
-        assert s.alpha_raw == 0.0
-        assert s.flag is Flag.OUTSIDE
+        _, alpha, n_pre, flag = density_surface(GROUP, cfg, complex(y))
+        assert alpha == 0.0
+        assert n_pre == 0
+        assert flag is Flag.OUTSIDE
 
     def test_single_translate_matches_cover(self):
         # R_E below the inradius: only the identity translate contributes at
@@ -352,18 +354,18 @@ class TestDensitySurface:
         for _ in range(25):
             d = rng.uniform(0.05, 0.95) * R
             y = from_disk(math.tanh(0.5 * d) * np.exp(2j * math.pi * rng.uniform()))
-            s = density_surface(GROUP, cfg, complex(y))
-            c = density_cover(cfg, complex(y))
-            assert s.alpha_raw == pytest.approx(c.alpha_raw, rel=1e-9)
-            assert len(s.preimages) == len(c.preimages)
+            _, alpha, n_pre, _ = density_surface(GROUP, cfg, complex(y))
+            (cover_alpha,), (cover_n,), _ = density_cover_many(cfg, [hyp_dist(1j, complex(y))])
+            assert alpha == pytest.approx(cover_alpha, rel=1e-9)
+            assert n_pre == cover_n == len(preimages_cover(cfg, complex(y)))
 
     def test_preimage_count_bounded(self):
         translates = translates_meeting_disk(GROUP, radius(STD))
         rng = np.random.default_rng(52)
         for _ in range(100):
             y = from_disk(rng.uniform(0.0, 0.8) * np.exp(2j * math.pi * rng.uniform()))
-            s = density_surface(GROUP, STD, complex(y))
-            assert len(s.preimages) <= 2 * len(translates)
+            _, _, n_pre, _ = density_surface(GROUP, STD, complex(y))
+            assert n_pre <= 2 * len(translates)
 
     def test_chern_enforced(self):
         with pytest.raises(ValueError, match="Chern constraint violated"):

@@ -10,7 +10,7 @@ from magflow import (
     MagneticConfig,
     TorusPoint,
     alpha_radial,
-    density_cover,
+    density_cover_many,
     density_mass,
     flow_matrix,
     hyp_dist,
@@ -26,6 +26,7 @@ from magflow import (
     t_of_distance,
     variation_coeffs,
 )
+from magflow import cli
 from magflow.halfplane import from_disk
 from magflow.torus import psi_many
 
@@ -246,12 +247,12 @@ class TestDensityCover:
             d = rng.uniform(1e-6, 1.2) * R_STD
             u = math.tanh(0.5 * d) * np.exp(2j * math.pi * rng.uniform())
             ys.append(complex(from_disk(u)))
-        for y in ys:
-            assert density_cover(STD, y).alpha_raw == alpha_radial(STD, hyp_dist(1j, y))
+        d = [hyp_dist(1j, y) for y in ys]
+        alpha, n_pre, _ = density_cover_many(STD, d)
+        assert alpha.tolist() == [alpha_radial(STD, dj) for dj in d]
         # the boundary circle is singular: one preimage, infinite density
-        for y in ys[:20]:
-            s = density_cover(STD, y)
-            assert len(s.preimages) == 1 and s.alpha_raw == math.inf
+        assert n_pre[:20].tolist() == [1] * 20 and np.all(alpha[:20] == math.inf)
+        assert all(len(preimages_cover(STD, y)) == 1 for y in ys[:20])
         band = 1e-12 * R_STD
         assert np.all(alpha_radial(STD, R_STD + band * np.array([-0.3, 0.0, 0.3])) == np.inf)
 
@@ -266,21 +267,30 @@ class TestDensityCover:
         assert float(alpha_radial(cfg, R - 1e-6)) * 1e-3 == pytest.approx(c_bd, rel=1e-2)
 
     def test_outside_support(self):
-        s = density_cover(STD, 1j * math.exp(R_STD + 0.2))
-        assert s.alpha_raw == 0.0
-        assert s.preimages == ()
-        assert s.flag is Flag.OUTSIDE
+        y = 1j * math.exp(R_STD + 0.2)
+        alpha, n_pre, flags = density_cover_many(STD, [hyp_dist(1j, y)])
+        assert alpha[0] == 0.0
+        assert n_pre[0] == 0 and preimages_cover(STD, y) == []
+        assert flags[0] is Flag.OUTSIDE
 
     def test_normalization_relation(self):
-        s = density_cover(STD, 1j * math.exp(0.8))
-        assert s.alpha_normalized * (2.0 * math.pi * T_STD) == pytest.approx(
-            s.alpha_raw, rel=1e-14)
+        # the density CSV's alpha_normalized column is alpha_raw over the
+        # total mass 2 pi T_E
+        xs = np.linspace(-0.7, 0.7, 9)
+        lines = list(cli._density_csv(STD, xs, cli._cover_rows(STD, xs, 1e-3)))[1:]
+        rows = [r.split(",") for r in "".join(lines).splitlines()]
+        finite = [r for r in rows if math.isfinite(float(r[3])) and float(r[3]) > 0.0]
+        assert len(finite) > 20
+        for r in finite:
+            assert float(r[4]) * (2.0 * math.pi * T_STD) == pytest.approx(float(r[3]), rel=1e-14)
 
     def test_sum_over_preimages(self):
         y = psi(STD, 2.0, 0.31 * T_STD)
-        s = density_cover(STD, y)
-        want = sum(1.0 / jacobian(STD, q.theta, q.t) for q in s.preimages)
-        assert s.alpha_raw == pytest.approx(want, rel=1e-12)
+        (alpha,), (n_pre,), _ = density_cover_many(STD, [hyp_dist(1j, y)])
+        pre = preimages_cover(STD, y)
+        assert n_pre == len(pre) == 2
+        want = sum(1.0 / jacobian(STD, q.theta, q.t) for q in pre)
+        assert alpha == pytest.approx(want, rel=1e-12)
 
     def test_center_asymptotic_constant(self):
         # alpha_raw * d -> sqrt(2/E) = sqrt(8) at B=1, E=0.25
@@ -312,22 +322,20 @@ class TestDensityCover:
     def test_rotational_symmetry(self):
         rng = np.random.default_rng(31)
         for d in (0.2, 0.9, 1.5):
-            vals = []
-            for th in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-                y = psi(STD, th, float(t_of_distance(STD, d)))
-                vals.append(density_cover(STD, y).alpha_raw)
-            vals = np.array(vals)
+            t = float(t_of_distance(STD, d))
+            ys = [psi(STD, th, t) for th in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
+            vals, _, _ = density_cover_many(STD, [hyp_dist(1j, y) for y in ys])
             assert (vals.max() - vals.min()) / vals.mean() < 1e-8
-        # and the closed-form radial evaluation agrees with the preimage sum
+        # and the closed-form radial evaluation agrees with the kernel at the point
         for _ in range(50):
             d = rng.uniform(0.05, 0.95) * R_STD
-            s = density_cover(STD, 1j * math.exp(d))
-            assert float(alpha_radial(STD, d)) == pytest.approx(s.alpha_raw, rel=1e-9)
+            (alpha,), _, _ = density_cover_many(STD, [hyp_dist(1j, 1j * math.exp(d))])
+            assert float(alpha_radial(STD, d)) == pytest.approx(alpha, rel=1e-9)
 
     def test_flags(self):
-        assert density_cover(STD, 1j * math.exp(1e-4 * R_STD)).flag is Flag.NEAR_CENTER
-        assert density_cover(STD, 1j * math.exp(R_STD * (1.0 - 1e-4))).flag is Flag.NEAR_BOUNDARY
-        assert density_cover(STD, 1j * math.exp(0.5 * R_STD)).flag is Flag.REGULAR
+        ys = 1j * np.exp([1e-4 * R_STD, R_STD * (1.0 - 1e-4), 0.5 * R_STD])
+        _, _, flags = density_cover_many(STD, [hyp_dist(1j, y) for y in ys])
+        assert flags.tolist() == [Flag.NEAR_CENTER, Flag.NEAR_BOUNDARY, Flag.REGULAR]
 
 
 class TestDensityMass:
