@@ -68,9 +68,11 @@ _EXPORTS = {
         "phi_profile",
         "preimage_count",
         "preimages_cover",
+        "preimages_many",
         "psi",
         "radius",
         "singular_constants",
+        "singular_fits",
         "t_of_distance",
     ),
 }

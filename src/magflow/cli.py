@@ -181,8 +181,8 @@ def cmd_flow(args) -> int:
     rows, dt, out = args.grid, args.dt, args.out
     if rows < 2:
         raise ValueError("grid must have at least 2 rows")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     p0 = Tangent(1j, 1j * cfg.lam) if cfg.lam > 0.0 else Tangent(1j, 0j)
 
     subcritical = cfg.regime is Regime.SUBCRITICAL
@@ -226,6 +226,7 @@ def cmd_flow(args) -> int:
         back = flow_exact(cfg, p0, T)
         summary["period"] = T
         summary["return_residual"] = hyp_dist(back.z, p0.z) + abs(back.v - p0.v)
+    text = _dumps(summary) + "\n"  # a non-finite value fails here, before any file is written
 
     print(f"regime {cfg.regime.value}")
     if subcritical:
@@ -233,35 +234,12 @@ def cmd_flow(args) -> int:
     print(f"max divergence {_fmt(div)}")
     _write(out, "flow_exact.csv", _traj_csv(ts, exact))
     _write(out, "flow_numeric.csv", _traj_csv(ts, numeric))
-    _write_json(out, "flow_summary.json", summary)
+    _write(out, "flow_summary.json", text)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # density
-
-def _singular_fits(cfg: MagneticConfig) -> dict:
-    from .torus import alpha_radial, radius, singular_constants
-
-    R = radius(cfg)
-    c_center, c_bd = singular_constants(cfg)
-    # every sample distance shrinks with a disk smaller than 0.02, so each
-    # lies in (0, R_E); the scale is exactly 1 from R_E = 0.02 on
-    s = min(1.0, R / 0.02)
-    ds = np.logspace(-5, -2, 20) * s
-    center_slope = float(np.polyfit(np.log(ds), np.log(alpha_radial(cfg, ds)), 1)[0])
-    taus = np.logspace(-6, -3, 20) * s
-    boundary_slope = float(np.polyfit(np.log(taus), np.log(alpha_radial(cfg, R - taus)), 1)[0])
-    eps = 1e-6 * s
-    return {
-        "center_slope": center_slope,
-        "center_constant": float(alpha_radial(cfg, eps) * eps),
-        "center_constant_expected": c_center,
-        "boundary_slope": boundary_slope,
-        "boundary_constant": float(alpha_radial(cfg, R - eps) * math.sqrt(eps)),
-        "boundary_constant_expected": c_bd,
-    }
-
 
 def _disk_grid(xs: np.ndarray):
     """The grid xs x xs of the disk model (row iy holds y = xs[iy]): the
@@ -282,7 +260,7 @@ def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
 
     valid, z = _disk_grid(xs)
     d = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
-    return (d, *density_cover_many(cfg, d, band, band))
+    return (d, *density_cover_many(cfg, d, band))
 
 
 def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
@@ -299,7 +277,7 @@ def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
     flags = np.empty(z.shape, dtype=object)
     flags[:] = Flag.OUTSIDE  # np.full would store the plain string
     y0, alpha[valid], n_pre[valid], flags[valid] = density_surface_many(
-        group, cfg, z[valid], band, band)
+        group, cfg, z[valid], band)
     d[valid] = hyp_dist_vec(y0, 1j)
     return d, alpha, n_pre, flags
 
@@ -324,7 +302,7 @@ def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
 
 def cmd_density(args) -> int:
     from .flow import MagneticConfig, period
-    from .torus import density_mass, radius
+    from .torus import density_mass, radius, singular_fits
 
     cfg = MagneticConfig(args.B, args.E)
     surface, n, band, out = args.surface, args.grid, args.bands, args.out
@@ -361,7 +339,7 @@ def cmd_density(args) -> int:
         columns = _cover_rows(cfg, xs, band)
 
     mass = density_mass(cfg)
-    sidecar.update(_singular_fits(cfg))
+    sidecar.update(singular_fits(cfg))
     sidecar["mass_raw"] = mass
     sidecar["mass_expected"] = expected
     sidecar["mass_rel_err"] = abs(mass / expected - 1.0)

@@ -119,7 +119,9 @@ def select_levels(k, B: float, E):
     n = _n_k(k, B)
     if np.any(n < 1.0):
         raise ValueError("empty ladder: kB < 1")
-    # candidates m0 - 3 .. m0 + 3 on the ladder
+    # candidates m0 - 3 .. m0 + 3 on the ladder, of which m0 or m0 - 1 is a
+    # rung: 0 <= E < E_c puts m0 = rint(k(B - gamma) - 1/2) in [0, kB], and
+    # N_k > kB - 1, so m0 <= N_k
     m = np.rint(k * (B - np.sqrt(B * B - 2.0 * E)) - 0.5)[:, None] + np.arange(-3.0, 4.0)
     k2 = k * k
     lam = rung(k[..., None], B, m)
@@ -127,13 +129,8 @@ def select_levels(k, B: float, E):
     err[(m < 0.0) | (m >= n[..., None])] = np.inf
     rows = np.arange(len(E))
     pick = err.argmin(axis=1)  # the first minimum: the smaller m
-    m_best, lam_best = m[rows, pick].astype(int), lam[rows, pick]
-    for i in np.flatnonzero(np.isinf(err[rows, pick])):
-        # candidate window missed the ladder: fall back to the full scan
-        _, lam_all, scaled = ladder_arrays(int(np.broadcast_to(k, E.shape)[i]), B)
-        m_best[i] = np.argmin(np.abs(scaled - E[i]))
-        lam_best[i] = lam_all[m_best[i]]
-    return m_best, lam_best, lam_best / k2
+    lam_best = lam[rows, pick]
+    return m[rows, pick].astype(int), lam_best, lam_best / k2
 
 
 def critical_gaps(k, B: float):

@@ -299,14 +299,14 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
     return tuple(found)
 
 
-def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y,
-                         center_band: float = 1e-3, boundary_band: float = 1e-3):
+def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: float = 1e-3):
     """Surface pushforward density at an array of points y: alpha_radial
     summed over the lifts that land in the projected disk (within R_E + 1e-9
     of the center), one pass per translate in the order of
-    translates_meeting_disk.  Flags: NearCenter if a lift lies in the center
-    band, else NearBoundary if one lies in the boundary band, else Regular
-    if the point has a preimage, else Outside.  Returns the folded points,
+    translates_meeting_disk.  Flags, with band relative to R_E: NearCenter
+    if a lift lies within band R_E of the center, else NearBoundary if one
+    lies within band R_E of the boundary circle, else Regular if the point
+    has a preimage, else Outside.  Returns the folded points,
     alpha_raw, the preimage counts and the flags, as flat arrays.
     """
     require_chern(cfg)
@@ -319,18 +319,18 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y,
     for g in translates_meeting_disk(group, R):
         d = hyp_dist_vec(1j, g.apply(y0))
         hit = d < R + 1e-9
-        near_center |= hit & (d <= center_band * R)
-        near_boundary |= hit & (np.abs(d - R) < boundary_band * R)
+        near_center |= hit & (d <= band * R)
+        near_boundary |= hit & (np.abs(d - R) < band * R)
         alpha += np.where(hit, alpha_radial(cfg, d), 0.0)
         count += preimage_count(cfg, d)
     return y0, alpha, count, _flags(near_center, near_boundary, count == 0)
 
 
 def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
-                    center_band: float = 1e-3, boundary_band: float = 1e-3) -> tuple:
+                    band: float = 1e-3) -> tuple:
     """density_surface_many at one point: (folded point, alpha_raw,
     n_preimages, flag)."""
-    y0, alpha, count, flags = density_surface_many(group, cfg, y, center_band, boundary_band)
+    y0, alpha, count, flags = density_surface_many(group, cfg, y, band)
     return complex(y0[0]), float(alpha[0]), int(count[0]), flags[0]
 
 

@@ -30,9 +30,12 @@ branch of the distance profile phi(t) = d(i, Psi(0, t)), at the closed-form
 times t_1 = t_of_distance(d) and T_E - t_1); boundary points one; exterior
 points none.
 
-The density, the preimage count and the flag are array kernels of the
-distance to the center, evaluated together by density_cover_many;
-preimages_cover lists the torus coordinates of one point's preimages.
+Every formula here is an array kernel: the profile phi_profile, the
+density, the preimage count and the flag of the distance to the center
+(the last three evaluated together by density_cover_many, with one relative
+band width for both flags), the preimages' torus coordinates
+(preimages_many, of which preimages_cover is the one-point wrapper), and the
+fits of the two singular blowups (singular_fits).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import MagneticConfig, Regime, _exp_entries, _exp_scalars, period, variation_coeffs
-from .halfplane import hyp_dist, to_disk
+from .halfplane import hyp_dist_vec, to_disk
 
 __all__ = [
     "TorusPoint",
@@ -58,7 +61,9 @@ __all__ = [
     "singular_constants",
     "jacobian",
     "preimage_count",
+    "preimages_many",
     "preimages_cover",
+    "singular_fits",
     "density_cover_many",
     "density_mass",
 ]
@@ -115,9 +120,10 @@ def radius(cfg: MagneticConfig) -> float:
     return math.acosh((cfg.B * cfg.B + 2.0 * cfg.E) / (cfg.B * cfg.B - 2.0 * cfg.E))
 
 
-def phi_profile(cfg: MagneticConfig, t: float) -> float:
-    """Distance profile phi(t) = d(i, psi(0, t)); maximal at t = T_E/2."""
-    return hyp_dist(1j, psi(cfg, 0.0, t))
+def phi_profile(cfg: MagneticConfig, t):
+    """Distance profile phi(t) = d(i, psi(0, t)); maximal at t = T_E/2;
+    vectorized."""
+    return hyp_dist_vec(psi_many(cfg, 0.0, t), 1j)
 
 
 def _sin2_half(cfg: MagneticConfig, d):
@@ -174,20 +180,36 @@ def singular_constants(cfg: MagneticConfig) -> tuple:
     return c_center, c_bd
 
 
+def singular_fits(cfg: MagneticConfig) -> dict:
+    """Log-log slopes and constants of alpha at its two singularities, next to
+    the expected constants of singular_constants: the center slope over 20
+    distances in [1e-5, 1e-2], the boundary slope over 20 gaps R_E - d in
+    [1e-6, 1e-3], and each constant at 1e-6; all scaled by R_E / 0.02 on a
+    disk smaller than 0.02."""
+    R = radius(cfg)
+    c_center, c_bd = singular_constants(cfg)
+    # every sample distance shrinks with a disk smaller than 0.02, so each
+    # lies in (0, R_E); the scale is exactly 1 from R_E = 0.02 on
+    s = min(1.0, R / 0.02)
+    ds = np.logspace(-5, -2, 20) * s
+    center_slope = float(np.polyfit(np.log(ds), np.log(alpha_radial(cfg, ds)), 1)[0])
+    taus = np.logspace(-6, -3, 20) * s
+    boundary_slope = float(np.polyfit(np.log(taus), np.log(alpha_radial(cfg, R - taus)), 1)[0])
+    eps = 1e-6 * s
+    return {
+        "center_slope": center_slope,
+        "center_constant": float(alpha_radial(cfg, eps) * eps),
+        "center_constant_expected": c_center,
+        "boundary_slope": boundary_slope,
+        "boundary_constant": float(alpha_radial(cfg, R - eps) * math.sqrt(eps)),
+        "boundary_constant_expected": c_bd,
+    }
+
+
 def jacobian(cfg: MagneticConfig, theta: float, t: float) -> float:
     """|det dPsi| = 2E |b(t)|; independent of theta."""
     _require_torus(cfg)
     return 2.0 * cfg.E * abs(variation_coeffs(cfg, t).b)
-
-
-def _theta_from_point(cfg: MagneticConfig, y: complex, t: float) -> float:
-    # launch-angle rotation acts on the disk centered at i as w -> e^{i theta} w;
-    # psi(0, t) sits at to_disk = i S lam / (2i C - S B), and S lam > 0 on
-    # 0 < t < T_E, so its angle is pi/2 - atan2(2C, -S B)
-    C, S = _exp_scalars(cfg, t)
-    cur = to_disk(y)
-    ref = 0.5 * math.pi - math.atan2(2.0 * C, -S * cfg.B)
-    return (math.atan2(cur.imag, cur.real) - ref) % (2.0 * math.pi)
 
 
 def preimage_count(cfg: MagneticConfig, d):
@@ -204,23 +226,37 @@ def preimage_count(cfg: MagneticConfig, d):
     return np.where(d < _CENTER_TOL, 0, n)
 
 
+def preimages_many(cfg: MagneticConfig, y):
+    """Torus coordinates of the preimages of an array of points y:
+    (theta, t, n), with n = preimage_count of each point's distance to the
+    center.  theta and t have shape y.shape + (2,): t_1 then T_E - t_1 inside
+    the disk, T_E/2 alone on the boundary circle, NaN past each count (so the
+    center and points outside the disk have none)."""
+    _require_torus(cfg)
+    y = np.asarray(y, dtype=complex)
+    d = hyp_dist_vec(y, 1j)
+    n = preimage_count(cfg, d)
+    T = period(cfg)
+    t1 = np.where(n == 1, 0.5 * T, t_of_distance(cfg, np.minimum(d, radius(cfg))))
+    t = np.stack([t1, T - t1], axis=-1)
+    # the launch-angle rotation acts on the disk centered at i as
+    # w -> e^{i theta} w; psi(0, t) sits at to_disk = i S lam / (2i C - S B),
+    # and S lam > 0 on 0 < t < T_E, so its angle is pi/2 - atan2(2C, -S B)
+    C, S = _exp_scalars(cfg, t)
+    cur = np.angle(to_disk(y))[..., None]
+    theta = (cur - (0.5 * np.pi - np.arctan2(2.0 * C, -S * cfg.B))) % (2.0 * np.pi)
+    past = np.arange(2) >= n[..., None]
+    theta[past] = t[past] = np.nan
+    return theta, t, n
+
+
 def preimages_cover(cfg: MagneticConfig, y: complex) -> list:
     """All torus coordinates mapping to y: two inside the disk, one on the
     boundary circle, none outside."""
-    _require_torus(cfg)
-    d = hyp_dist(1j, y)
-    if d < _CENTER_TOL:
+    theta, t, n = preimages_many(cfg, y)
+    if hyp_dist_vec(y, 1j) < _CENTER_TOL:
         raise ValueError("degenerate center: full circle fiber")
-    n = int(preimage_count(cfg, d))
-    if n == 0:
-        return []
-    T = period(cfg)
-    if n == 1:
-        ts = (0.5 * T,)
-    else:
-        t1 = float(t_of_distance(cfg, d))
-        ts = (t1, T - t1)
-    return [TorusPoint(_theta_from_point(cfg, y, t), t) for t in ts]
+    return [TorusPoint(float(a), float(b)) for a, b in zip(theta[:n], t[:n])]
 
 
 _FLAG_ORDER = np.array(list(Flag), dtype=object)  # declared in the rule's order
@@ -232,24 +268,23 @@ def _flags(near_center, near_boundary, outside):
     return _FLAG_ORDER[np.select([near_center, near_boundary, outside], [0, 1, 2], 3)]
 
 
-def density_cover_many(cfg: MagneticConfig, d, center_band: float = 1e-3,
-                       boundary_band: float = 1e-3):
+def density_cover_many(cfg: MagneticConfig, d, band: float = 1e-3):
     """Pushforward density on the universal cover at distances d from the
     center: (alpha_raw, n_preimages, flags), arrays shaped like d.
 
     alpha_raw is the closed-form branch sum alpha_radial(d) of 1/|det dPsi|
     over the preimage_count(d) preimages; dividing by the total mass
-    2 pi T_E normalizes it.  Bands are relative to R_E and only affect the
-    flags: NearCenter within the center band (closed, so a zero band still
-    flags the center itself), else NearBoundary within the boundary band,
-    else Outside past R_E, else Regular.
+    2 pi T_E normalizes it.  The band is relative to R_E and only affects the
+    flags: NearCenter within band R_E of the center (closed, so a zero band
+    still flags the center itself), else NearBoundary within band R_E of the
+    boundary circle, else Outside past R_E, else Regular.
     """
     R = radius(cfg)
     d = np.asarray(d, dtype=float)
     # alpha is 0 past R_E; clipping there keeps cosh(d) finite
     alpha = alpha_radial(cfg, np.minimum(d, R + 1.0))
     n = preimage_count(cfg, d)
-    return alpha, n, _flags(d <= center_band * R, np.abs(d - R) < boundary_band * R, d > R)
+    return alpha, n, _flags(d <= band * R, np.abs(d - R) < band * R, d > R)
 
 
 def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:

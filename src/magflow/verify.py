@@ -43,13 +43,13 @@ from .surface import (
     word_element,
 )
 from .torus import (
-    density_cover_many,
     density_mass,
-    preimages_cover,
+    phi_profile,
+    preimages_many,
     psi,
     psi_many,
     radius,
-    singular_constants,
+    singular_fits,
 )
 
 __all__ = ["CHECKS"]
@@ -99,8 +99,7 @@ def check_footpoint_radius(seed: int = 1002) -> dict:
     for _ in range(20):
         cfg = _random_subcritical(rng)
         ts = np.linspace(0.0, period(cfg), 1001)  # contains T_E/2 exactly
-        prof = hyp_dist_vec(psi_many(cfg, 0.0, ts), 1j)
-        worst = max(worst, abs(float(prof.max()) - radius(cfg)))
+        worst = max(worst, abs(float(phi_profile(cfg, ts).max()) - radius(cfg)))
     return _result("footpoint-radius", worst < 1e-8, worst, 1e-8,
                    "max |swept radius - closed form| over 20 random pairs")
 
@@ -110,16 +109,12 @@ def check_profile_derivatives(seed: int = 1003) -> dict:
     rng = np.random.default_rng(seed)
     configs = [_STD] + [_random_subcritical(rng) for _ in range(4)]
     worst1 = worst2 = 0.0
+    h1, h2 = 1e-5, 1e-4
     for cfg in configs:
         tm = 0.5 * period(cfg)
-
-        def phi(t):
-            return hyp_dist(1j, psi(cfg, 0.0, t))
-
-        h1 = 1e-5
-        d1 = (phi(tm + h1) - phi(tm - h1)) / (2.0 * h1)
-        h2 = 1e-4
-        d2 = (phi(tm + h2) - 2.0 * phi(tm) + phi(tm - h2)) / (h2 * h2)
+        up1, down1, mid, up2, down2 = phi_profile(cfg, tm + np.array([h1, -h1, 0.0, h2, -h2]))
+        d1 = (up1 - down1) / (2.0 * h1)
+        d2 = (up2 - 2.0 * mid + down2) / (h2 * h2)
         target = (cfg.lam / (2.0 * cfg.B)) * (2.0 * cfg.E - cfg.B * cfg.B)
         worst1 = max(worst1, abs(d1))
         worst2 = max(worst2, abs(d2 - target))
@@ -170,22 +165,11 @@ def check_density_mass() -> dict:
 
 def check_singularity_asymptotics() -> dict:
     """1/d blowup at the center, 1/sqrt blowup inside the boundary circle."""
-    cfg = _STD
-    R = radius(cfg)
-    c_center, c_bd = singular_constants(cfg)
-
-    # 42 probes on the imaginary axis, at distances d0, R - tau, ds and R - taus
-    # from the center, in one kernel call
-    d0 = tau = 1e-6
-    ds = np.logspace(-5, -2, 20)
-    taus = np.logspace(-6, -3, 20)
-    probes = 1j * np.exp(np.concatenate([[d0, R - tau], ds, R - taus]))
-    alpha, _, _ = density_cover_many(cfg, hyp_dist_vec(1j, probes))
-
-    center_err = abs(alpha[0] * d0 / c_center - 1.0)
-    bd_err = abs(alpha[1] * math.sqrt(tau) / c_bd - 1.0)
-    center_slope = float(np.polyfit(np.log(ds), np.log(alpha[2:22]), 1)[0])
-    boundary_slope = float(np.polyfit(np.log(taus), np.log(alpha[22:]), 1)[0])
+    fits = singular_fits(_STD)
+    c_center, c_bd = fits["center_constant_expected"], fits["boundary_constant_expected"]
+    center_err = abs(fits["center_constant"] / c_center - 1.0)
+    bd_err = abs(fits["boundary_constant"] / c_bd - 1.0)
+    center_slope, boundary_slope = fits["center_slope"], fits["boundary_slope"]
 
     passed = (
         center_err < 0.01
@@ -216,26 +200,27 @@ def check_mc_oracle(seed: int = 777, n: int = 10_000_000) -> dict:
 
 
 def check_preimage_counts(seed: int = 1008) -> dict:
-    """2 preimages strictly inside, 1 on the boundary, 0 outside; and the
-    surface count is bounded by twice the translate count."""
+    """2 preimages strictly inside, 1 on the boundary, 0 outside, each
+    mapping back onto its point; and the surface count is bounded by twice
+    the translate count."""
     rng = np.random.default_rng(seed)
     cfg = _STD
     R = radius(cfg)
     T = period(cfg)
-    ok = True
-    for _ in range(800):
-        d = rng.uniform(0.01, 0.99) * R
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        y = from_disk(math.tanh(0.5 * d) * complex(math.cos(ang), math.sin(ang)))
-        ok = ok and len(preimages_cover(cfg, y)) == 2
-    for _ in range(100):
-        y = psi(cfg, rng.uniform(0.0, 2.0 * math.pi), 0.5 * T)
-        ok = ok and len(preimages_cover(cfg, y)) == 1
-    for _ in range(100):
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        y = from_disk(math.tanh(0.5 * (R + rng.uniform(0.05, 1.0)))
-                      * complex(math.cos(ang), math.sin(ang)))
-        ok = ok and len(preimages_cover(cfg, y)) == 0
+    # the draws in per-probe order: (fraction of R_E, angle) for each interior
+    # probe, an angle for each boundary probe, (angle, gap past R_E) outside
+    frac, ang = rng.uniform((0.01, 0.0), (0.99, 2.0 * math.pi), size=(800, 2)).T
+    inside = from_disk(np.tanh(0.5 * frac * R) * np.exp(1j * ang))
+    rim = psi_many(cfg, rng.uniform(0.0, 2.0 * math.pi, 100), 0.5 * T)
+    ang, gap = rng.uniform((0.0, 0.05), (2.0 * math.pi, 1.0), size=(100, 2)).T
+    outside = from_disk(np.tanh(0.5 * (R + gap)) * np.exp(1j * ang))
+    y = np.concatenate([inside, rim, outside])
+    theta, t, n = preimages_many(cfg, y)
+    ok = np.array_equal(n, np.repeat([2, 1, 0], [800, 100, 100]))
+    listed = np.arange(2) < n[:, None]
+    roundtrip = float(np.max(hyp_dist_vec(psi_many(cfg, theta[listed], t[listed]),
+                                          np.broadcast_to(y[:, None], t.shape)[listed])))
+    ok = ok and roundtrip < 1e-10
 
     group = bolza_group()
     translates = translates_meeting_disk(group, R)
@@ -256,7 +241,8 @@ def check_preimage_counts(seed: int = 1008) -> dict:
     _, _, n_pre, _ = density_surface_many(group, cfg, z)
     ok = ok and np.array_equal(n_pre, counts)
     return _result("preimage-counts", ok,
-                   {"surface_max": max_count, "surface_bound": bound}, None,
+                   {"surface_max": max_count, "surface_bound": bound, "roundtrip": roundtrip},
+                   {"roundtrip": 1e-10},
                    "cover: 800 interior / 100 boundary / 100 outside probes; "
                    "surface: 100x100 grid")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import magflow
@@ -89,10 +89,20 @@ def load_strict_json(out):
             json.load(fh, parse_constant=refuse_constant)
 
 
+def assert_nothing_written(out):
+    """No file in out but a test's own run.ini and the sidecar that density
+    --surface bolza writes on purpose when the disk passes the enumeration cap."""
+    for path in Path(out).rglob("*"):
+        if path.is_file() and path.name != "run.ini":
+            assert path.name == "density_summary.json", path
+            assert read_json(path)["enumeration_cap_exceeded"] is True, path
+
+
 def exit_code(capsys, command, out, **flags):
     """cli.main with each flag given as a separate "--name value" pair, as a
-    user types it (skipping None); asserts no traceback reached stderr and,
-    on exit 0, that every JSON file written loads as strict JSON."""
+    user types it (skipping None); asserts no traceback reached stderr, that
+    every JSON file written on exit 0 loads as strict JSON, and that an
+    exit-2 run wrote nothing."""
     argv = [command, "--out", str(out)]
     for name, value in flags.items():
         if value is not None:
@@ -101,6 +111,8 @@ def exit_code(capsys, command, out, **flags):
     assert "Traceback" not in capsys.readouterr().err
     if rc == 0:
         load_strict_json(out)
+    elif rc == 2:
+        assert_nothing_written(out)
     return rc
 
 
@@ -189,9 +201,17 @@ class TestFlowCommand:
     @given(B=wild(0.1, 4.0), E=wild(0.0, 4.0), grid=st.integers(-3, 50),
            dt=st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.1, 1e-9, math.nan,
                                                               math.inf, -math.inf])))
+    @example(B=1.0, E=0.25, grid=None, dt=math.inf)  # once wrote both CSVs, then exited 2
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, grid, dt):
         rc = exit_code(capsys, "flow", fresh_dir(tmp_path), B=B, E=E, grid=grid, dt=dt)
         assert rc in (0, 2)
+
+    def test_infinite_dt_fails_before_integrating(self, tmp_path, capsys):
+        for dt in ("inf", "nan"):
+            rc = cli.main(["flow", "--dt", dt, "--out", str(tmp_path / dt)])
+            assert rc == 2
+            assert f"error: dt must be positive and finite, got {dt}" in capsys.readouterr().err
+            assert not (tmp_path / dt).exists()
 
     def test_step_budget(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -797,8 +817,8 @@ class TestConfigHandling:
     def config_exit_code(tmp_path, capsys, command, section, values, extra):
         """cli.main of command with its flags from an INI file under section,
         each value written as given (skipping None), plus the extra lines;
-        asserts a clean exit, an "error:" line on exit 2 and strict JSON on
-        exit 0."""
+        asserts a clean exit, an "error:" line and no file written on exit 2,
+        and strict JSON on exit 0."""
         lines = [f"[{section}]"] + [f"{key} = {value}" for key, value in values.items()
                                     if value is not None]
         out = fresh_dir(tmp_path)
@@ -810,6 +830,7 @@ class TestConfigHandling:
         assert rc in (0, 2)
         if rc == 2:
             assert err.startswith("error: ")
+            assert_nothing_written(out)
         else:
             load_strict_json(out)
         return rc
@@ -975,11 +996,11 @@ PUBLIC_NAMES = {
     "density_surface", "density_surface_many", "exact_ring_averages", "flow", "flow_exact",
     "flow_matrix", "flow_numeric", "frame_of", "from_disk", "generator", "halfplane",
     "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
-    "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover", "psi",
-    "radius", "reduce_point", "relation_residual", "rotate_fiber", "rotation_about_i",
-    "sample_pushforward", "sample_radii_analytic", "singular_constants", "spectrum",
-    "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
-    "variation_coeffs",
+    "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
+    "preimages_many", "psi", "radius", "reduce_point", "relation_residual", "rotate_fiber",
+    "rotation_about_i", "sample_pushforward", "sample_radii_analytic", "singular_constants",
+    "singular_fits", "spectrum", "surface", "t_of_distance", "to_disk", "torus",
+    "translates_meeting_disk", "variation_coeffs",
 }
 
 # runs the CLI as `python -m magflow.cli ARGV...` does, then prints as JSON

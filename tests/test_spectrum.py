@@ -187,6 +187,26 @@ class TestSelectLevel:
         slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
 
+    def test_candidate_window_always_meets_the_ladder(self):
+        # m0 = rint(k(B - gamma) - 1/2) lies in [0, kB] and N_k > kB - 1, so m0
+        # or m0 - 1 is a rung: the seven candidates need no full-scan fallback,
+        # at E = 0, just below E_c, with kB just above an integer, and at huge k
+        for B in (0.5, 1.0, 1.5, 2.0, 1.0 + 1e-12, 0.5 + 2.0 ** -40, 3.0 + 1e-10):
+            ec = 0.5 * B * B
+            energies = np.array([0.0, np.nextafter(ec, 0.0), 0.3 * ec])
+            for k in (1, 2, 3, 7, 10, 64, 999, 4096, 10**6, 10**12, 10**15, 10**18):
+                n = ladder_size(k, B)
+                if n == 0:
+                    continue
+                m, lam, _ = select_levels(k, B, energies)
+                assert np.all((m >= 0) & (m < n)) and np.all(np.isfinite(lam))
+                assert m[0] == 0
+                if n <= 5000:
+                    _, _, scaled = ladder_arrays(k, B)
+                    want = np.argmin(np.abs(scaled - energies[:, None]), axis=1)
+                    assert m.tolist() == want.tolist()
+                    assert m[1] == n - 1  # the top rung sits below E_c and nearest it
+
     def test_rejects_out_of_range_energy(self):
         with pytest.raises(ValueError, match="ladder does not reach critical energy"):
             select_level(10, 1.0, 0.5)

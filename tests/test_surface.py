@@ -312,7 +312,7 @@ class TestDensitySurfaceMany:
                         * rays).ravel()
         sides = _side_points(rng, 20, (-1e-9, 0.0, 1e-9))
         y = np.concatenate([domain, rim, sides, [1j]])
-        folded, alpha, count, flags = density_surface_many(GROUP, cfg, y, band, band)
+        folded, alpha, count, flags = density_surface_many(GROUP, cfg, y, band)
         assert flags.dtype == object
         for j, yj in enumerate(y):
             y0, total, n, flag = _density_reference(cfg, yj, band)

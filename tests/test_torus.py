@@ -1,6 +1,7 @@
 """Zonal torus: parametrization, radius, profile, preimages, density, mass."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,15 +20,18 @@ from magflow import (
     phi_profile,
     preimage_count,
     preimages_cover,
+    preimages_many,
     psi,
     radius,
     rotation_about_i,
     singular_constants,
+    singular_fits,
     t_of_distance,
     variation_coeffs,
 )
 from magflow import cli
 from magflow.halfplane import from_disk
+from magflow.halfplane import hyp_dist_vec
 from magflow.torus import psi_many
 
 STD = MagneticConfig(1.0, 0.25)
@@ -138,6 +142,12 @@ class TestPhiProfile:
         prof = np.array([phi_profile(STD, float(t)) for t in ts])
         assert np.all(np.diff(prof) > 0.0)
 
+    def test_array_matches_per_point_calls(self):
+        ts = np.linspace(0.0, T_STD, 257)
+        prof = phi_profile(STD, ts)
+        assert prof.shape == ts.shape
+        assert prof.tolist() == [float(phi_profile(STD, float(t))) for t in ts]
+
     def test_t_of_distance_inverts_profile(self):
         for t in (0.4, 1.3, 3.1):
             d = phi_profile(STD, t)
@@ -230,6 +240,62 @@ class TestPreimages:
             assert 0.0 <= q.t < T_STD
 
 
+class TestPreimagesMany:
+    # points of the per-point tests above: boundary, interior, outside and
+    # reduced-coordinate probes, then the first probes of the round-trip grid
+    @staticmethod
+    def probe_points():
+        ys = [psi(STD, 0.0, 0.5 * T_STD), psi(STD, 0.3, T_STD / 5.0),
+              1j * math.exp(R_STD + 0.1), psi(STD, 5.9, 0.83 * T_STD)]
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            ys.append(psi(STD, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(1e-3, T_STD - 1e-3)))
+        return ys
+
+    def test_matches_preimages_cover(self):
+        ys = self.probe_points()
+        theta, t, n = preimages_many(STD, ys)
+        assert theta.shape == t.shape == (len(ys), 2) and n.shape == (len(ys),)
+        for j, y in enumerate(ys):
+            want = preimages_cover(STD, y)
+            assert n[j] == len(want)
+            assert list(zip(theta[j, :n[j]].tolist(), t[j, :n[j]].tolist())) == want
+
+    def test_nan_layout_by_count(self):
+        interior = psi(STD, 1.0, 0.2 * T_STD)
+        ys = np.array([[1j, 1j * math.exp(R_STD + 0.5)],
+                       [psi(STD, 2.0, 0.5 * T_STD), interior]])
+        theta, t, n = preimages_many(STD, ys)
+        assert theta.shape == t.shape == (2, 2, 2)
+        assert n.tolist() == [[0, 0], [1, 2]]
+        assert np.isnan(t[0]).all() and np.isnan(theta[0]).all()
+        assert t[1, 0, 0] == 0.5 * T_STD and np.isnan(t[1, 0, 1]) and np.isnan(theta[1, 0, 1])
+        t1 = float(t_of_distance(STD, hyp_dist(1j, interior)))
+        assert t[1, 1].tolist() == pytest.approx([t1, T_STD - t1], abs=1e-12)
+        assert not np.isnan(theta[1, 1]).any() and not np.isnan(theta[1, 0, 0])
+        # one point: the trailing axis alone
+        theta, t, n = preimages_many(STD, interior)
+        assert theta.shape == t.shape == (2,) and n == 2
+
+    @pytest.mark.parametrize("B, E", [(1.0, 0.25), (2.0, 0.5), (1.5, 1.0), (0.7, 0.2),
+                                      (1.0, 0.49)])
+    def test_round_trip(self, B, E):
+        cfg = MagneticConfig(B, E)
+        T = period(cfg)
+        rng = np.random.default_rng(5)
+        th0 = rng.uniform(0.0, 2.0 * math.pi, 500)
+        t0 = rng.uniform(0.01, 0.49, 500) * T
+        t0[::2] = T - t0[::2]  # both branches of the profile
+        y = psi_many(cfg, th0, t0)
+        theta, t, n = preimages_many(cfg, y)
+        assert np.all(n == 2)
+        back = psi_many(cfg, theta, t)
+        assert float(np.max(hyp_dist_vec(back, y[:, None]))) < 1e-12
+        # the launch coordinates are one of the two listed preimages
+        gap = np.abs((theta - th0[:, None] + math.pi) % (2.0 * math.pi) - math.pi)
+        assert float(np.max(np.min(gap + np.abs(t - t0[:, None]), axis=1))) < 1e-8
+
+
 class TestPreimageCount:
     def test_counts_by_distance(self):
         band = 1e-12 * R_STD
@@ -310,6 +376,29 @@ class TestDensityCover:
         got = float(alpha_radial(STD, R_STD - 1e-6)) * 1e-3
         assert got == pytest.approx(want, rel=1e-2)
         assert want == pytest.approx(1.189207, abs=1e-6)
+
+    def test_singular_fits(self):
+        fits = singular_fits(STD)
+        assert (fits["center_constant_expected"], fits["boundary_constant_expected"]) == \
+            singular_constants(STD)
+        assert fits["center_slope"] == pytest.approx(-1.0, abs=0.05)
+        assert fits["boundary_slope"] == pytest.approx(-0.5, abs=0.05)
+        assert fits["center_constant"] == pytest.approx(fits["center_constant_expected"], rel=1e-2)
+        assert fits["boundary_constant"] == pytest.approx(fits["boundary_constant_expected"],
+                                                          rel=2e-2)
+        assert fits["center_constant"] == float(alpha_radial(STD, 1e-6)) * 1e-6
+
+    def test_singular_fits_of_a_small_disk(self):
+        # R_E is 2.8e-3, below the top of the fixed window d <= 1e-2 of larger
+        # disks: the windows shrink with the disk and the fits stay clean
+        cfg = MagneticConfig(1.0, 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = singular_fits(cfg)
+        assert radius(cfg) < 0.02
+        assert fits["center_slope"] == pytest.approx(-1.0, abs=0.02)
+        assert fits["boundary_slope"] == pytest.approx(-0.5, abs=0.02)
+        assert fits["center_constant"] == pytest.approx(fits["center_constant_expected"], rel=1e-2)
 
     def test_singularity_exponents(self):
         ds = np.logspace(-5.0, -2.0, 40)
