@@ -1,22 +1,27 @@
 """Monte Carlo verification of the pushforward density.
 
-Samples (theta, t) uniformly on the torus [0, 2pi) x [0, T_E), pushes them
-through the footpoint map, and histograms the hyperbolic distance to the
-center in geodesic-polar rings.  Ring densities are scaled to the raw
-normalization (total mass 2 pi T_E) so they compare directly with the
-closed-form density, whose exact ring averages follow from the analytic
-radial mass M(r) = 4 pi t1(r) (t1 = first passage time of the distance
-profile).
+Samples (theta, t) uniformly on the torus [0, 2pi) x [0, T_E) and histograms
+the hyperbolic distance of their footpoints to the center in geodesic-polar
+rings.  The distance comes from the real entries of the footpoint matrix
+P = R(theta/2) exp(tF) (torus.psi_distance_many): det P = 1 makes
+d(i, P.i) = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2) exact, with no
+complex division and no cancellation at small distances.  Ring densities
+are scaled to the raw normalization (total mass 2 pi T_E) so they compare
+directly with the closed-form density, whose exact ring averages follow
+from the analytic radial mass M(r) = 4 pi t1(r) (t1 = first passage time of
+the distance profile).
 
 The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
-Philox keyed by (seed, j), theta block first, then t: the t stream is a
-second generator of the same key advanced by m draws.  Each chunk draws,
-maps and bins its samples in cache-sized blocks of 2^14, one block slice of
-each stream at a time, so no step holds a chunk-sized array and sampling
-memory does not grow with n.  Histograms are therefore bit-identical for a
-given (seed, n) regardless of how many workers evaluate the chunks; by
-default there is one worker per usable CPU.
+Philox keyed by the 64-bit words (seed, j), theta block first, then t: the
+t stream is a second generator of the same key advanced by m draws.  Each
+chunk draws, maps and bins its samples in cache-sized blocks of 2^14, one
+block slice of each stream at a time, into buffers that the chunk owns and
+that the block's theta and t overwrite, so no step holds a chunk-sized
+array, no buffer is shared between workers, and sampling memory does not
+grow with n.  Histograms are therefore bit-identical for a given (seed, n)
+regardless of how many workers evaluate the chunks; by default there is one
+worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import MagneticConfig, period
-from .torus import _require_torus, psi_many, radius, t_of_distance
+from .torus import _require_torus, psi_distance_many, radius, t_of_distance
 
 __all__ = [
     "PushforwardHistogram",
@@ -96,7 +101,8 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int,
                threads: int):
     """Ring counts of n samples: chunk j of m samples splits Philox keyed by
     (seed, j) into streams runs of m uniforms, and each block calls
-    radii(*uniform_blocks) on one slice of every run."""
+    radii(*uniform_blocks) on one slice of every run, drawn into the chunk's
+    buffers; radii may overwrite them."""
     R = radius(cfg)
     edges = np.linspace(0.0, R, rings + 1)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -106,15 +112,20 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int,
         j, m = job
         rngs = []
         for s in range(streams):
-            # stream s starts s m draws in; Philox makes 4 draws a counter step
-            bits = np.random.Philox(key=[seed, j])
+            # stream s starts s m draws in; Philox makes 4 draws a counter step.
+            # A list key would pass through float64 from seed 2^63 on.
+            bits = np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
             bits.advance(s * m // 4)
             bits.random_raw(s * m % 4)
             rngs.append(np.random.Generator(bits))
+        # one row per stream, owned by this chunk: no two workers share one
+        buf = np.empty((streams, _BLOCK))
         counts = np.zeros(rings, dtype=np.int64)
         for lo in range(0, m, _BLOCK):
-            size = min(_BLOCK, m - lo)
-            counts += _bin_counts(radii(*(rng.random(size) for rng in rngs)), R, rings)
+            block = buf[:, :min(_BLOCK, m - lo)]
+            for rng, row in zip(rngs, block):
+                rng.random(out=row)
+            counts += _bin_counts(radii(*block), R, rings)
         return counts
 
     if threads > 1 and n_chunks > 1:
@@ -140,9 +151,10 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
     T = period(cfg)
 
     def radii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        z = psi_many(cfg, u * (2.0 * math.pi), v * T)
-        arg = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
-        return np.arccosh(np.maximum(arg, 1.0))
+        # theta and t take the place of their draws
+        u *= 2.0 * math.pi
+        v *= T
+        return psi_distance_many(cfg, u, v)
 
     return _histogram(cfg, n, seed, rings, 2, radii, threads or worker_count())
 
@@ -158,9 +170,8 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
 
     def radii(u: np.ndarray) -> np.ndarray:
         # t uniform on the rising branch [0, T/2]; phi covers [0, R_E] once
-        t = u * (math.pi / g)
-        ch = 1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * t) ** 2
-        return np.arccosh(ch)
+        u *= math.pi / g
+        return np.arccosh(1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * u) ** 2)
 
     return _histogram(cfg, n, seed, rings, 1, radii, threads or worker_count())
 

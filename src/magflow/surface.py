@@ -81,6 +81,8 @@ _BLOCK_STEPS = 1024
 _BLOCK_BT = 8.0
 # a single step longer than _BLOCK_BT / B may reach this far, no further
 _MAX_BLOCK_COSH = 1e8
+# area_average evaluates this many grid rows at a time
+_AREA_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -395,20 +397,26 @@ def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> flo
     re = math.tanh(0.5 * group.circumradius)
     xs = np.linspace(-re, re, resolution)
     cell = (xs[1] - xs[0]) ** 2
-    u = xs[None, :] + 1j * xs[:, None]
-    inside_disk = np.abs(u) < re
-    z = np.where(inside_disk, from_disk(np.where(inside_disk, u, 0.0)), 1j)
-    # the membership test only where the disk test passed: about a fifth of
-    # the square grid lies outside the circumscribed disk
-    mask = inside_disk.copy()
-    mask[inside_disk] = in_domain_mask(group, z[inside_disk])
-    if not mask.any():
+    # the grid is evaluated _AREA_ROWS rows at a time into one term array,
+    # whose single sum keeps the bits of a whole-grid evaluation
+    terms = np.empty((resolution, resolution))
+    hit = False
+    for lo in range(0, resolution, _AREA_ROWS):
+        u = xs[None, :] + 1j * xs[lo:lo + _AREA_ROWS, None]
+        inside_disk = np.abs(u) < re
+        z = np.where(inside_disk, from_disk(np.where(inside_disk, u, 0.0)), 1j)
+        # the membership test only where the disk test passed: about a fifth
+        # of the square grid lies outside the circumscribed disk
+        mask = inside_disk.copy()
+        mask[inside_disk] = in_domain_mask(group, z[inside_disk])
+        hit = hit or bool(mask.any())
+        weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
+        vals = np.asarray(observable(z), dtype=float)
+        terms[lo:lo + _AREA_ROWS] = np.where(mask, vals * weight, 0.0)
+    if not hit:
         raise ValueError(f"area-average resolution {resolution} puts no grid point "
                          "inside the domain")
-    weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
-    vals = np.asarray(observable(z), dtype=float)
-    integral = float(np.sum(np.where(mask, vals * weight, 0.0)) * cell)
-    return integral / octagon_area(group)
+    return float(np.sum(terms) * cell) / octagon_area(group)
 
 
 def _bump(z):

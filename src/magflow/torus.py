@@ -30,7 +30,9 @@ branch of the distance profile phi(t) = d(i, Psi(0, t)), at the closed-form
 times t_1 = t_of_distance(d) and T_E - t_1); boundary points one; exterior
 points none.
 
-Every formula here is an array kernel: the profile phi_profile, the
+Every formula here is an array kernel: the footpoint distance
+d(i, Psi(theta, t)) from the real entries of R(theta/2) exp(tF)
+(psi_distance_many, whose theta = 0 slice is the profile phi_profile), the
 density, the preimage count and the flag of the distance to the center
 (the last three evaluated together by density_cover_many, with one relative
 band width for both flags), the preimages' torus coordinates
@@ -54,6 +56,7 @@ __all__ = [
     "Flag",
     "psi",
     "psi_many",
+    "psi_distance_many",
     "radius",
     "phi_profile",
     "t_of_distance",
@@ -99,18 +102,36 @@ def psi(cfg: MagneticConfig, theta: float, t: float) -> complex:
     return complex(psi_many(cfg, theta, t))
 
 
+def _psi_entries(cfg: MagneticConfig, rc, rs, t):
+    """Entries (p11, p12, p21, p22) of P = R(theta/2) exp(tF), whose Moebius
+    action takes i to psi(theta, t), from rc = cos(theta/2) and
+    rs = sin(theta/2); broadcastable arrays."""
+    _require_torus(cfg)
+    m11, m12, m21, m22 = _exp_entries(cfg, np.asarray(t, dtype=float))
+    return rc * m11 + rs * m21, rc * m12 + rs * m22, rc * m21 - rs * m11, rc * m22 - rs * m12
+
+
 def psi_many(cfg: MagneticConfig, theta, t):
     """psi over broadcastable arrays of angles and times."""
-    _require_torus(cfg)
-    theta = np.asarray(theta, dtype=float)
-    m11, m12, m21, m22 = _exp_entries(cfg, np.asarray(t, dtype=float))
-    rc = np.cos(0.5 * theta)
-    rs = np.sin(0.5 * theta)
-    p11 = rc * m11 + rs * m21
-    p12 = rc * m12 + rs * m22
-    p21 = rc * m21 - rs * m11
-    p22 = rc * m22 - rs * m12
+    half = 0.5 * np.asarray(theta, dtype=float)
+    p11, p12, p21, p22 = _psi_entries(cfg, np.cos(half), np.sin(half), t)
     return (p11 * 1j + p12) / (p21 * 1j + p22)
+
+
+def psi_distance_many(cfg: MagneticConfig, theta, t):
+    """d(i, psi(theta, t)) over broadcastable arrays, from the real entries of
+    P: det P = 1 makes cosh d - 1 = ((p11 - p22)^2 + (p12 + p21)^2) / 2, so
+    d = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2), with no complex
+    division and no cancellation at small d.  R(theta/2) takes its entries
+    (1 - x^2, 2x) / (1 + x^2) from one tangent x = tan(theta/4), which costs
+    less than a cosine and a sine."""
+    x = np.tan(0.25 * np.asarray(theta, dtype=float))
+    x2 = x * x
+    w = 1.0 / (1.0 + x2)
+    p11, p12, p21, p22 = _psi_entries(cfg, (1.0 - x2) * w, (x + x) * w, t)
+    a = p11 - p22
+    b = p12 + p21
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(a * a + b * b))
 
 
 def radius(cfg: MagneticConfig) -> float:
@@ -123,7 +144,7 @@ def radius(cfg: MagneticConfig) -> float:
 def phi_profile(cfg: MagneticConfig, t):
     """Distance profile phi(t) = d(i, psi(0, t)); maximal at t = T_E/2;
     vectorized."""
-    return hyp_dist_vec(psi_many(cfg, 0.0, t), 1j)
+    return psi_distance_many(cfg, 0.0, t)
 
 
 def _sin2_half(cfg: MagneticConfig, d):

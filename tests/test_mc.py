@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from magflow import (
 )
 from magflow import mc
 from magflow.mc import worker_count
-from magflow.torus import psi_many
+from magflow.torus import psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -60,8 +61,7 @@ class TestSampling:
         T = period(STD)
         th, t = np.meshgrid(np.linspace(0.0, 2.0 * math.pi, 200),
                             np.linspace(0.0, T, 200, endpoint=False))
-        z = psi_many(STD, th.ravel(), t.ravel())
-        d = np.arccosh(1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag))
+        d = psi_distance_many(STD, th.ravel(), t.ravel())
         assert float(d.max()) <= radius(STD) + 1e-9
 
     def test_rejects_small_n(self):
@@ -76,6 +76,16 @@ class TestSampling:
         # the disk radius rounds to 0, which the rings would divide by
         with pytest.raises(ValueError, match="torus radius rounds to 0 at B=1.0, E=1e-17"):
             sample_pushforward(MagneticConfig(1.0, 1e-17), 100_000, 1)
+
+    # a Philox key given as a list passes through float64 from 2^63 on, which
+    # rounds these pairs onto one key
+    @pytest.mark.parametrize("seed,other", [(2**64 - 1, 0), (2**63 + 1, 2**63)])
+    def test_high_seeds_keep_their_bits(self, seed, other):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = sample_pushforward(STD, 20_000, seed, threads=1)
+            b = sample_pushforward(STD, 20_000, other, threads=1)
+        assert a.counts.tobytes() != b.counts.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_philox_key(self, seed):
