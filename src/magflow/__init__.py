@@ -8,6 +8,8 @@ process loads only the layers its subcommand runs.
 
 import importlib
 
+# The one list of public names, by the layer that defines each; the layers
+# keep no __all__ of their own.
 _EXPORTS = {
     "flow": (
         "MagneticConfig",

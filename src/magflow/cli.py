@@ -51,8 +51,6 @@ if TYPE_CHECKING:
 # Each command imports the layers it runs inside its handler, so a run loads
 # only those.
 
-__all__ = ["main"]
-
 # work budgets, checked before any loop or allocation; each sits well above
 # the largest perfbench workload (about 178k RK4 steps, 200k rungs, grid 300,
 # 150k Birkhoff steps, 4e6 samples)
@@ -375,8 +373,6 @@ def cmd_spectrum(args) -> int:
     if rungs > _MAX_RUNGS:
         raise ValueError(f"k B = {rungs:.6g} rungs; the limit is {_MAX_RUNGS}")
     n = ladder_size(k, B)
-    if not n:
-        raise ValueError("empty ladder: kB < 1")
 
     gap_top, gap_beyond = (g.item() for g in critical_gaps(k, B))
     # lambda(m + 1) - lambda(m) = kB - m - 1 >= 1 on the ladder: the top is the last rung

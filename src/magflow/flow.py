@@ -43,20 +43,6 @@ import numpy as np
 
 from .halfplane import Moebius, Tangent, frame_of, hyp_norm, mobius_apply
 
-__all__ = [
-    "Regime",
-    "MagneticConfig",
-    "VariationCoeffs",
-    "NumericFlowResult",
-    "generator",
-    "flow_matrix",
-    "flow_exact",
-    "flow_numeric",
-    "period",
-    "lyapunov_exponent",
-    "variation_coeffs",
-]
-
 # |B^2 - 2E| below this uses the series branch of exp(tF) ...
 _SERIES_CUT = 1e-8
 # ... for the elements with |q| = |B^2 - 2E| t^2 / 4 up to this; further out

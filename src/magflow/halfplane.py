@@ -23,20 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Moebius",
-    "Tangent",
-    "mobius_apply",
-    "hyp_dist",
-    "hyp_dist_vec",
-    "hyp_norm",
-    "rotate_fiber",
-    "rotation_about_i",
-    "frame_of",
-    "to_disk",
-    "from_disk",
-]
-
 
 class Moebius:
     """A real 2x2 unimodular matrix up to global sign: an element of PSL(2, R).

@@ -36,16 +36,9 @@ import numpy as np
 from .flow import MagneticConfig, period
 from .torus import _require_torus, psi_distance_many, radius, t_of_distance
 
-__all__ = [
-    "PushforwardHistogram",
-    "sample_pushforward",
-    "sample_radii_analytic",
-    "exact_ring_averages",
-    "compare_to_closed_form",
-    "worker_count",
-]
-
 _CHUNK = 1_000_000
+# equal-width distance rings on [0, R_E]
+_RINGS = 256
 # samples mapped and binned at a time; the block's temporaries stay in cache
 _BLOCK = 1 << 14
 
@@ -92,19 +85,18 @@ def _ring_areas(edges: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * (np.cosh(edges[1:]) - np.cosh(edges[:-1]))
 
 
-def _bin_counts(d: np.ndarray, R: float, rings: int) -> np.ndarray:
-    idx = np.clip((d * (rings / R)).astype(np.int64), 0, rings - 1)
-    return np.bincount(idx, minlength=rings)
+def _bin_counts(d: np.ndarray, R: float) -> np.ndarray:
+    idx = np.clip((d * (_RINGS / R)).astype(np.int64), 0, _RINGS - 1)
+    return np.bincount(idx, minlength=_RINGS)
 
 
-def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int, radii,
-               threads: int):
+def _histogram(cfg: MagneticConfig, n: int, seed: int, streams: int, radii, threads: int):
     """Ring counts of n samples: chunk j of m samples splits Philox keyed by
     (seed, j) into streams runs of m uniforms, and each block calls
     radii(*uniform_blocks) on one slice of every run, drawn into the chunk's
     buffers; radii may overwrite them."""
     R = radius(cfg)
-    edges = np.linspace(0.0, R, rings + 1)
+    edges = np.linspace(0.0, R, _RINGS + 1)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     sizes = [(j, min(_CHUNK, n - j * _CHUNK)) for j in range(n_chunks)]
 
@@ -120,12 +112,12 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int,
             rngs.append(np.random.Generator(bits))
         # one row per stream, owned by this chunk: no two workers share one
         buf = np.empty((streams, _BLOCK))
-        counts = np.zeros(rings, dtype=np.int64)
+        counts = np.zeros(_RINGS, dtype=np.int64)
         for lo in range(0, m, _BLOCK):
             block = buf[:, :min(_BLOCK, m - lo)]
             for rng, row in zip(rngs, block):
                 rng.random(out=row)
-            counts += _bin_counts(radii(*block), R, rings)
+            counts += _bin_counts(radii(*block), R)
         return counts
 
     if threads > 1 and n_chunks > 1:
@@ -141,7 +133,7 @@ def _histogram(cfg: MagneticConfig, n: int, seed: int, rings: int, streams: int,
 
 
 def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
-                       rings: int = 256, threads: int | None = None) -> PushforwardHistogram:
+                       threads: int | None = None) -> PushforwardHistogram:
     """Histogram of distances of n pushed-forward torus samples.
 
     Deterministic for fixed (cfg, n, seed); see the module docstring for the
@@ -156,11 +148,11 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
         v *= T
         return psi_distance_many(cfg, u, v)
 
-    return _histogram(cfg, n, seed, rings, 2, radii, threads or worker_count())
+    return _histogram(cfg, n, seed, 2, radii, threads or worker_count())
 
 
 def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
-                          rings: int = 256, threads: int | None = None) -> PushforwardHistogram:
+                          threads: int | None = None) -> PushforwardHistogram:
     """Self-consistency path: sample the distance law directly by inverting
     the time parametrization (t uniform, r = phi(t)), bypassing the Moebius
     arithmetic entirely."""
@@ -173,7 +165,7 @@ def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
         u *= math.pi / g
         return np.arccosh(1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * u) ** 2)
 
-    return _histogram(cfg, n, seed, rings, 1, radii, threads or worker_count())
+    return _histogram(cfg, n, seed, 1, radii, threads or worker_count())
 
 
 def _check_sampling_pre(cfg: MagneticConfig, n: int, seed: int) -> None:

@@ -23,17 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "SpectrumEntry",
-    "ladder",
-    "ladder_arrays",
-    "ladder_size",
-    "ladder_slices",
-    "rung",
-    "select_levels",
-    "critical_gaps",
-]
-
 
 # rungs per slice of ladder_slices
 _SLICE = 4096

@@ -53,24 +53,6 @@ from .halfplane import (
 )
 from .torus import _flags, alpha_radial, preimage_count, radius
 
-__all__ = [
-    "ENUM_CAP",
-    "FuchsianGroup",
-    "DomainReduction",
-    "bolza_group",
-    "relation_residual",
-    "octagon_area",
-    "require_chern",
-    "word_element",
-    "reduce_point",
-    "in_domain_mask",
-    "translates_meeting_disk",
-    "density_surface",
-    "density_surface_many",
-    "birkhoff_average",
-    "area_average",
-]
-
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
 _DESCENT_EPS = 1e-12
 _MAX_STEPS = 100_000
@@ -165,10 +147,10 @@ def octagon_area(group: FuchsianGroup) -> float:
     return total
 
 
-def require_chern(cfg: MagneticConfig, genus: int = 2) -> None:
-    """Integrality of the field on a closed surface: 2B(genus-1) must be a
-    positive integer (B > 0 rules out 0, which a tiny B would round to)."""
-    q = 2.0 * cfg.B * (genus - 1)
+def require_chern(cfg: MagneticConfig) -> None:
+    """Integrality of the field on the genus-2 surface: 2B(genus-1) = 2B must
+    be a positive integer (B > 0 rules out 0, which a tiny B would round to)."""
+    q = 2.0 * cfg.B
     if round(q) < 1 or abs(q - round(q)) > 1e-9:
         raise ValueError(
             "Chern constraint violated: 2B(genus-1) must be a positive integer on this surface"
@@ -223,14 +205,15 @@ def reduce_point(group: FuchsianGroup, z: complex) -> DomainReduction:
                            word=tuple(word[word >= 0].tolist()))
 
 
-def in_domain_mask(group: FuchsianGroup, z, slack: float = 1e-12):
+def in_domain_mask(group: FuchsianGroup, z):
     """Vectorized Dirichlet-domain membership test for an array of points."""
     z = np.asarray(z)
     ref = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
     ok = np.ones(z.shape, dtype=bool)
     for g in group.generators:
         w = g.apply(z)
-        ok &= ref <= 1.0 + np.abs(w - 1j) ** 2 / (2.0 * w.imag) + slack
+        # the slack keeps points on a side, which rounding puts either way
+        ok &= ref <= 1.0 + np.abs(w - 1j) ** 2 / (2.0 * w.imag) + 1e-12
     return ok
 
 

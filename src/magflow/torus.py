@@ -51,26 +51,6 @@ import numpy as np
 from .flow import MagneticConfig, Regime, _exp_entries, _exp_scalars, period, variation_coeffs
 from .halfplane import hyp_dist_vec, to_disk
 
-__all__ = [
-    "TorusPoint",
-    "Flag",
-    "psi",
-    "psi_many",
-    "psi_distance_many",
-    "radius",
-    "phi_profile",
-    "t_of_distance",
-    "alpha_radial",
-    "singular_constants",
-    "jacobian",
-    "preimage_count",
-    "preimages_many",
-    "preimages_cover",
-    "singular_fits",
-    "density_cover_many",
-    "density_mass",
-]
-
 # preimage pair closer than this in t is a tangency with the boundary
 _MERGE_T = 1e-7
 # points this close to the center have an ill-defined angular coordinate
@@ -308,16 +288,15 @@ def density_cover_many(cfg: MagneticConfig, d, band: float = 1e-3):
     return alpha, n, _flags(d <= band * R, np.abs(d - R) < band * R, d > R)
 
 
-def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:
+def density_mass(cfg: MagneticConfig) -> float:
     """Integral of alpha_raw over the projected disk against hyperbolic area.
 
     Geodesic polar quadrature with the singular bands of width 1e-4 around
     the center and the boundary excised; the excised contributions are added
-    back from the integrable leading asymptotics.  Returns a value close to
-    2 pi T_E; divide by that for the normalized (probability) mass.
+    back from the integrable leading asymptotics.  Each of the two radial
+    pieces takes 128 Gauss-Legendre nodes.  Returns a value close to 2 pi T_E;
+    divide by that for the normalized (probability) mass.
     """
-    if n_radial < 64:
-        raise ValueError("quadrature resolution too coarse: need at least 64 radial nodes")
     _require_torus(cfg)
     R = radius(cfg)
     delta = 1e-4
@@ -328,8 +307,7 @@ def density_mass(cfg: MagneticConfig, n_radial: int = 256) -> float:
     mass = 2.0 * math.pi * c_center * delta
     mass += 2.0 * math.pi * math.sinh(R) * c_bd * 2.0 * math.sqrt(delta)
 
-    half = n_radial // 2
-    nodes, weights = np.polynomial.legendre.leggauss(half)
+    nodes, weights = np.polynomial.legendre.leggauss(128)
 
     # [delta, R/2]: alpha * sinh extends smoothly to r = 0
     mid = 0.5 * R

@@ -52,8 +52,6 @@ from .torus import (
     singular_fits,
 )
 
-__all__ = ["CHECKS"]
-
 _STD = MagneticConfig(1.0, 0.25)
 
 
@@ -155,7 +153,7 @@ def check_jacobian_identity(seed: int = 1004) -> dict:
 
 def check_density_mass() -> dict:
     """Raw density integrates to 2 pi T_E over the disk (normalized: to 1)."""
-    mass = density_mass(_STD, 256)
+    mass = density_mass(_STD)
     target = 2.0 * math.pi * period(_STD)
     rel = abs(mass / target - 1.0)
     return _result("density-mass", rel < 0.01,

@@ -723,6 +723,14 @@ class TestEquidistCommand:
         assert rc == 2
         assert "equidistribution test requires critical energy" in capsys.readouterr().err
 
+    def test_chern_violation_fails(self, tmp_path, capsys):
+        # E defaults to the critical energy of B = 0.7, so the run reaches the
+        # Chern check; 2B = 1.4 is not an integer
+        rc = cli.main(["equidist", "--B", "0.7", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "Chern constraint violated" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestVerifyCommand:
     def test_single_check_passes(self, tmp_path):
@@ -748,6 +756,29 @@ class TestVerifyCommand:
         rc = cli.main(["verify", "--only", "bogus", "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown check" in capsys.readouterr().err
+
+    # every check but the two slowest, mc-oracle and equidistribution
+    CHEAP_CHECKS = [name for name, _ in cli._checks()
+                    if name not in ("mc-oracle", "equidistribution")]
+
+    @settings(CLEAN_EXIT, max_examples=15)
+    @given(only=st.lists(st.one_of(st.sampled_from(CHEAP_CHECKS), st.text(max_size=12)),
+                         min_size=1, max_size=3),
+           flip=st.booleans())
+    def test_any_selection_exits_cleanly(self, tmp_path, capsys, only, flip):
+        out = fresh_dir(tmp_path)
+        argv = ["verify", "--out", str(out)] + [a for name in only for a in ("--only", name)]
+        try:
+            rc = cli.main(argv + ["--flip-j"] * flip)
+        except SystemExit as exc:  # argparse refuses an option where a name belongs
+            rc = exc.code
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if rc == 2:
+            assert not any(out.iterdir())
+        else:
+            with open(out / "verify_report.json") as fh:
+                json.load(fh, parse_constant=refuse_constant)
 
 
 class TestConfigHandling:
@@ -1075,3 +1106,10 @@ class TestProcessStartup:
                 assert value is getattr(getattr(magflow, magflow._MODULE_OF[name]), name)
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             magflow.no_such_name  # noqa: B018
+
+    def test_public_names_are_defined_in_their_layer(self):
+        # the package table is the only list of public names, so each must
+        # name the layer that defines it, not one that merely imports it
+        for layer, names in magflow._EXPORTS.items():
+            for name in names:
+                assert getattr(magflow, name).__module__ == f"magflow.{layer}", name

@@ -504,7 +504,3 @@ class TestDensityMass:
     def test_outside_annulus_carries_no_mass(self):
         ds = np.linspace(R_STD + 1e-9, R_STD + 0.1, 200)
         assert np.all(alpha_radial(STD, ds) == 0.0)
-
-    def test_coarse_resolution_rejected(self):
-        with pytest.raises(ValueError, match="quadrature resolution too coarse"):
-            density_mass(STD, n_radial=32)
