@@ -19,7 +19,6 @@ _EXPORTS = {
         "flow_exact",
         "flow_matrix",
         "flow_numeric",
-        "generator",
         "lyapunov_exponent",
         "period",
         "variation_coeffs",

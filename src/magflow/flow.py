@@ -24,7 +24,8 @@ exp(t F) has closed forms in all regimes:
     I + t F                                    at E_c
     cosh(g t/2) I + (2/g) sinh(g t/2) F        g = sqrt(2E-B^2) > 0
 
-with a single power series covering the neighborhood of E_c.  One kernel
+Neither trigonometric nor hyperbolic form subtracts, so each stays accurate
+as g -> 0 and the energies next to E_c need no form of their own.  One kernel
 evaluates (C, S) with exp(tF) = C I + S F; the flow matrix, the Jacobi
 coefficients and the torus map all read it.  An independent 4th-order
 integrator for the second-order equation on the half-plane provides the
@@ -43,12 +44,6 @@ import numpy as np
 
 from .halfplane import Moebius, Tangent, frame_of, hyp_norm, mobius_apply
 
-# |B^2 - 2E| below this uses the series branch of exp(tF) ...
-_SERIES_CUT = 1e-8
-# ... for the elements with |q| = |B^2 - 2E| t^2 / 4 up to this; further out
-# the alternating series below E_c cancels by about cosh(sqrt|q|) ulps, up to
-# 74 here, and the trig form is accurate to a few ulps of gamma t / 2
-_SERIES_Q = 25.0
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
 # largest |det - 1| that flow_matrix accepts from the closed-form entries;
@@ -120,70 +115,34 @@ class NumericFlowResult:
     step_warning: bool
 
 
-def generator(cfg: MagneticConfig) -> np.ndarray:
-    """The trace-zero flow generator F as a 2x2 array."""
-    lam, B = cfg.lam, cfg.B
-    return np.array([[0.5 * lam, -0.5 * B], [0.5 * B, -0.5 * lam]])
-
-
 def _exp_scalars(cfg: MagneticConfig, t):
     """(C, S) with exp(tF) = C I + S F, for a float t (through math) or
-    elementwise over an array t (through numpy).  Near E_c an element takes
-    the series while |q| <= _SERIES_Q and the trig or hyperbolic form past
-    it.  Raises ValueError where a supercritical exp(tF) would leave float
-    range, or where the series is not finite (an infinite t at E_c)."""
-    w = cfg.discriminant
-    if abs(w) < _SERIES_CUT:
-        # series in q = (2E - B^2) t^2 / 4, valid across the critical energy
-        q = -0.25 * w * t * t
-        far = abs(q) > _SERIES_Q  # False where q is nan: w = 0 keeps the series
-        if not isinstance(t, np.ndarray):
-            if not far:
-                return _series(cfg, q, t)
-        elif not far.any():
-            return _series(cfg, q, t)
-        elif not far.all():
-            C, S = _series(cfg, np.where(far, 0.0, q), t)
-            Cf, Sf = _closed_form(cfg, t)
-            return np.where(far, Cf, C), np.where(far, Sf, S)
-    return _closed_form(cfg, t)
-
-
-def _series(cfg: MagneticConfig, q, t):
-    """(C, S) from the power series in q; |q| <= _SERIES_Q converges within
-    the 60 terms."""
-    ck = sk = C = S = 1.0  # q^k / (2k)!, q^k / (2k+1)! and their sums
-    for k in range(1, 60):
-        ck = ck * (q / ((2 * k - 1) * (2 * k)))
-        sk = sk * (q / ((2 * k) * (2 * k + 1)))
-        C = C + ck
-        S = S + sk
-        live = abs(ck) + abs(sk) >= 1e-18 * (abs(C) + abs(S))  # bool for a float t
-        if live is False or (live is not True and not live.any()):
-            break
-        ck, sk = ck * live, sk * live  # converged array elements take no more terms
-    S = S * t
-    if not (np.isfinite(C).all() and np.isfinite(S).all()):
-        raise _range_error(cfg, t, "series overflows")
-    return C, S
-
-
-def _closed_form(cfg: MagneticConfig, t):
-    """(C, S) from cos/sin (below E_c) or cosh/sinh (above) of gamma t / 2."""
+    elementwise over an array t (through numpy): cos and (2/g) sin of
+    g t / 2 below E_c, cosh and (2/g) sinh above, and (1, t) at exactly
+    B^2 = 2E.  Neither closed form subtracts, so both stay accurate as
+    g -> 0.  Raises ValueError for a non-finite t, and where a
+    supercritical exp(tF) would leave float range."""
     xp = np if isinstance(t, np.ndarray) else math
+    t_max = abs(t).max(initial=0.0) if xp is np else abs(t)  # nan if any t is nan
+    if not math.isfinite(t_max):
+        raise _range_error(cfg, t, "needs a finite time")
+    w = cfg.discriminant
+    if w == 0.0:
+        return 1.0 + 0.0 * t, 1.0 * t  # shaped and typed like the closed forms
     g = cfg.gamma
     h = 0.5 * g * t
-    if cfg.discriminant > 0.0:
+    if w > 0.0:
         return xp.cos(h), xp.sin(h) * (2.0 / g)
-    # entries grow like e^|h| (1 + lam) / g; the determinant and S^2 square them
-    if (abs(h).max(initial=0.0) if xp is np else abs(h)) + math.log1p((1.0 + cfg.lam) / g) > 354.0:
+    # entries grow like e^|h| (1 + (1 + lam) min(|t|, 1/g)); the determinant
+    # and S^2 square them
+    if 0.5 * g * t_max + math.log1p((1.0 + cfg.lam) * min(t_max, 1.0 / g)) > 354.0:
         raise _range_error(cfg, t, "overflows")
     return xp.cosh(h), xp.sinh(h) * (2.0 / g)
 
 
 def _range_error(cfg: MagneticConfig, t, what: str) -> ValueError:
-    """The error for an exp(tF) out of float range, naming B, E and the
-    largest |t| of an array t."""
+    """The error for an exp(tF) that is not formed in float range, naming
+    B, E and the largest |t| of an array t."""
     t_bad = float(abs(t).max()) if isinstance(t, np.ndarray) else t
     return ValueError(f"exp(tF) {what} at B={cfg.B!r}, E={cfg.E!r}, t={t_bad!r}")
 
@@ -237,8 +196,10 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     closed-form flow, and the verification suite flips it to demonstrate the
     oracle pair is sensitive to the sign convention.
     """
-    if dt <= 0.0:
-        raise ValueError("step size must be positive")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"step size must be positive and finite, got {dt!r}")
     _check_shell(cfg, p)
     if cfg.E == 0.0:
         return NumericFlowResult(p, False)
@@ -296,8 +257,8 @@ def lyapunov_exponent(cfg: MagneticConfig, t_max: float) -> float:
     the largest real part of the eigenvalues of F: 0 for E <= E_c and
     sqrt(2E - B^2)/2 above, at rate O(log t / t).
     """
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     m = flow_matrix(cfg, 1.0)
     a, b, c, d = m.entries()
     ux, uy = 0.6, 0.8

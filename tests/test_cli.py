@@ -163,6 +163,13 @@ class TestFlowCommand:
         assert "period" not in summary
         assert "return_residual" not in summary
 
+    @pytest.mark.parametrize("E", ["0.5000000001", "0.50000000000001", "0.49999999999999"])
+    def test_near_critical_tracks_the_integrator(self, tmp_path, E):
+        # energies next to E_c take the same closed forms as any other
+        rc = cli.main(["flow", "--B", "1", "--E", E, "--grid", "101", "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_json(tmp_path / "flow_summary.json")["max_divergence"] < 1e-8
+
     def test_supercritical_lyapunov(self, tmp_path):
         rc = cli.main(["flow", "--B", "1", "--E", "1",
                        "--grid", "101", "--out", str(tmp_path)])
@@ -1028,7 +1035,7 @@ PUBLIC_NAMES = {
     "TorusPoint", "VariationCoeffs", "alpha_radial", "area_average", "birkhoff_average",
     "bolza_group", "compare_to_closed_form", "density_cover_many", "density_mass",
     "density_surface", "density_surface_many", "exact_ring_averages", "flow", "flow_exact",
-    "flow_matrix", "flow_numeric", "frame_of", "from_disk", "generator", "halfplane",
+    "flow_matrix", "flow_numeric", "frame_of", "from_disk", "halfplane",
     "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
     "preimages_many", "psi", "radius", "reduce_point", "relation_residual", "rotate_fiber",

@@ -1,4 +1,4 @@
-"""Magnetic flow: generator, exact/numeric flows, period, Lyapunov, variations."""
+"""Magnetic flow: exp(tF), exact/numeric flows, period, Lyapunov, variations."""
 
 import math
 import re
@@ -13,7 +13,6 @@ from magflow import (
     flow_exact,
     flow_matrix,
     flow_numeric,
-    generator,
     hyp_dist,
     hyp_norm,
     lyapunov_exponent,
@@ -65,26 +64,6 @@ class TestConfig:
             MagneticConfig(B, E)
         # the largest and smallest field strengths still taken
         MagneticConfig(1.3e154, 0.25), MagneticConfig(1.5e-154, 0.0)
-
-
-class TestGenerator:
-    def test_zero_energy(self):
-        assert np.allclose(generator(MagneticConfig(1.0, 0.0)),
-                           [[0.0, -0.5], [0.5, 0.0]])
-
-    def test_critical_is_nilpotent(self):
-        F = generator(MagneticConfig(1.0, 0.5))
-        assert np.allclose(F, [[0.5, -0.5], [0.5, -0.5]])
-        assert np.allclose(F @ F, 0.0)
-
-    def test_determinant_formula(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            cfg = MagneticConfig(rng.uniform(0.1, 3.0), rng.uniform(0.0, 4.0))
-            F = generator(cfg)
-            assert np.trace(F) == pytest.approx(0.0, abs=1e-15)
-            want = (cfg.B**2 - 2.0 * cfg.E) / 4.0
-            assert np.linalg.det(F) == pytest.approx(want, abs=1e-14)
 
 
 class TestFlowExact:
@@ -143,6 +122,12 @@ class TestFlowExact:
         with pytest.raises(ValueError, match="off energy shell"):
             flow_exact(STD, Tangent(1j, 1j), 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        for cfg in (STD, MagneticConfig(1.0, 0.5), MagneticConfig(1.0, 2.0)):
+            with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E={cfg.E!r}, t={t!r}"):
+                flow_exact(cfg, shell_tangent(cfg), t)
+
 
 class TestFlowMatrix:
     def test_group_law_and_det(self):
@@ -163,8 +148,8 @@ class TestFlowMatrix:
                 flow_matrix(MagneticConfig(1.0, E), t)
 
     def test_series_branch_continuous_at_critical(self):
-        # closed-form branches on both sides of the series cut agree with the
-        # series values just inside it
+        # exp(tF) is continuous in E across |B^2 - 2E| = 1e-8, on both sides
+        # of E_c
         for s in (1.0, -1.0):
             Eout = 0.5 * (1.0 - s * 1.0001e-8)
             Ein = 0.5 * (1.0 - s * 0.9999e-8)
@@ -263,6 +248,14 @@ class TestFlowNumeric:
         with pytest.raises(ValueError, match="off energy shell"):
             flow_numeric(STD, Tangent(1j, 3j), 1.0, 1e-3)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_or_step_rejected(self, x):
+        p = shell_tangent(STD)
+        with pytest.raises(ValueError, match=rf"^flow time must be finite, got {x!r}$"):
+            flow_numeric(STD, p, x, 1e-3)
+        with pytest.raises(ValueError, match=rf"^step size must be positive and finite, got {x!r}$"):
+            flow_numeric(STD, p, 1.0, x)
+
 
 class TestPeriod:
     def test_known_values(self):
@@ -299,6 +292,11 @@ class TestLyapunov:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             lyapunov_exponent(STD, 0.0)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, t_max):
+        with pytest.raises(ValueError, match=rf"^t_max must be positive and finite, got {t_max!r}$"):
+            lyapunov_exponent(STD, t_max)
 
 
 class TestVariationCoeffs:
@@ -374,27 +372,40 @@ class TestVariationCoeffs:
                 assert got.c == pytest.approx(1.0 + 2.0 * cfg.E * ib, rel=1e-12)
 
 
+def mp_exp_scalars(w, t):
+    """(C, S) of exp(tF) over an array of times t in 50-digit arithmetic,
+    from the float discriminant w = B^2 - 2E != 0 taken as exact."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        w = mp.mpf(w)
+        g = mp.sqrt(abs(w))
+        cs, sn = (mp.cos, mp.sin) if w > 0 else (mp.cosh, mp.sinh)
+        pairs = [(float(cs(g * x / 2)), float(2 * sn(g * x / 2) / g)) for x in t.tolist()]
+    return np.array(pairs).T
+
+
 class TestExpScalars:
     CONFIGS = (
         STD,
         MagneticConfig(1.0, 0.5),
         MagneticConfig(1.0, 2.0),
-        # series branch off the critical point: several terms per element
+        # next to the critical point on both sides
         MagneticConfig(1.0, 0.5 * (1.0 - 4e-9)),
         MagneticConfig(1.0, 0.5 * (1.0 + 4e-9)),
     )
+    # 28 configs next to E_c, from 3e-16 to 4e-9 of it on both sides
+    NEAR_CRITICAL = [MagneticConfig(B, 0.5 * B * B * (1.0 + s))
+                     for B in (1e-3, 0.7, 1.0, 2.5)
+                     for s in (-4e-9, -3e-11, -3e-16, 3e-16, 2e-13, 3e-11, 4e-9)]
 
     def test_array_matches_float_calls(self):
         rng = np.random.default_rng(22)
         base = np.concatenate([rng.uniform(-20.0, 20.0, 60), [0.0, 1e-3]])
         for cfg in self.CONFIGS:
-            series = abs(cfg.discriminant) < 1e-8
             t = base
-            if series and cfg.discriminant != 0.0:
-                # long times give the series many terms, unevenly; below E_c,
-                # C crosses zero near t = pi / gamma, where terms taken only
-                # because a longer time in the array needs them would still
-                # move the last bit of C
+            if 0.0 < abs(cfg.discriminant) < 1e-8:
+                # long times next to E_c, and below it the times around the
+                # zero of C near t = pi / gamma
                 t_zero = math.pi / cfg.gamma
                 t = np.concatenate([base, [3e4, -3.0 * t_zero],
                                     t_zero + rng.uniform(-1.0, 1.0, 40)])
@@ -404,13 +415,9 @@ class TestExpScalars:
             assert all(isinstance(c, float) and isinstance(s, float) for c, s in pairs)
             want_C = np.array([c for c, _ in pairs])
             want_S = np.array([s for _, s in pairs])
-            if series:
-                # same arithmetic, term for term: equal to the bit
-                assert np.array_equal(C, want_C) and np.array_equal(S, want_S)
-            else:
-                # numpy and math trig may differ in the last place
-                np.testing.assert_allclose(C, want_C, rtol=1e-15, atol=1e-15)
-                np.testing.assert_allclose(S, want_S, rtol=1e-15, atol=1e-15)
+            # numpy and math trig may differ in the last place
+            np.testing.assert_allclose(C, want_C, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(S, want_S, rtol=1e-15, atol=1e-15)
 
     def test_overflow_names_the_config(self):
         cfg = MagneticConfig(1.0, 1e6)
@@ -420,24 +427,10 @@ class TestExpScalars:
         C, S = _exp_scalars(cfg, 0.2)
         assert math.isfinite(C) and math.isfinite(S)
 
-    @staticmethod
-    def series_reference(w, t):
-        # the near-critical series term by term, until the element converges
-        # or 60 terms: the bits every series element must reproduce
-        q = -0.25 * w * t * t
-        ck = sk = C = S = 1.0
-        for k in range(1, 60):
-            ck = ck * (q / ((2 * k - 1) * (2 * k)))
-            sk = sk * (q / ((2 * k) * (2 * k + 1)))
-            C = C + ck
-            S = S + sk
-            if abs(ck) + abs(sk) < 1e-18 * (abs(C) + abs(S)):
-                break
-        return C, S * t
-
     def test_near_critical_cancellation(self):
-        # q = -490: the series, summed until it converges, misses
-        # cos(gamma t / 2) by 3.8e-8 relative through cancellation
+        # q = (2E - B^2) t^2 / 4 = -490: a power series in q, summed until it
+        # converges, misses cos(gamma t / 2) by 3.8e-8 relative through
+        # cancellation
         cfg = MagneticConfig(1.0, 0.5 - 2e-9)
         t = 7e5
         h = 0.5 * cfg.gamma * t
@@ -445,24 +438,9 @@ class TestExpScalars:
             assert abs(C / math.cos(h) - 1.0) < 1e-12
             assert abs(S / (2.0 * math.sin(h) / cfg.gamma) - 1.0) < 1e-12
 
-    def test_series_elements_keep_their_bits(self):
-        # elements with |q| up to the cut take the series exactly as before,
-        # in a float call and in an array that mixes them with longer times
-        for E in (0.5 - 2e-9, 0.5 + 2e-9, 0.5):
-            cfg = MagneticConfig(1.0, E)
-            w = cfg.discriminant
-            q_cut = np.linspace(0.0, 25.0, 41)
-            t = np.sqrt(4.0 * q_cut / abs(w)) if w else np.linspace(0.0, 1e9, 41)
-            t = np.concatenate([t, -t[::5], [7e5, 3e6]])
-            C, S = _exp_scalars(cfg, t)
-            for i, x in enumerate(t.tolist()):
-                if abs(0.25 * w * x * x) <= 25.0:
-                    want = self.series_reference(w, x)
-                    assert (C[i], S[i]) == want == _exp_scalars(cfg, x)
-
     def test_long_near_critical_times_take_the_closed_form(self):
-        # just off E_c, times whose series would need more than 60 terms
-        # (|q| = 9000) read cos/sin below E_c and cosh/sinh above it
+        # just off E_c, long times (|q| = 9000) read cos/sin below E_c and
+        # cosh/sinh above it
         for E, c, s in ((0.5 - 2e-9, math.cos, math.sin), (0.5 + 2e-9, math.cosh, math.sinh)):
             cfg = MagneticConfig(1.0, E)
             g = cfg.gamma
@@ -476,11 +454,43 @@ class TestExpScalars:
 
     def test_near_critical_overflow_names_the_config(self):
         # above E_c a long time overflows like any supercritical exp(tF);
-        # below it the trig form stays bounded; an infinite time at E_c
-        # leaves the series non-finite
+        # below it the trig form stays bounded; an infinite time is refused,
+        # at E_c too
         with pytest.raises(ValueError, match=r"exp\(tF\) overflows at B=1.0, E=0.500000002, t=1000000000.0"):
             _exp_scalars(MagneticConfig(1.0, 0.5 + 2e-9), 1e9)
         C, S = _exp_scalars(MagneticConfig(1.0, 0.5 - 2e-9), 1e9)
         assert abs(C) <= 1.0 and math.isfinite(S)
-        with pytest.raises(ValueError, match=r"series overflows at B=1.0, E=0.5, t=inf"):
+        with pytest.raises(ValueError, match=r"exp\(tF\) needs a finite time at B=1.0, E=0.5, t=inf"):
             _exp_scalars(MagneticConfig(1.0, 0.5), math.inf)
+
+    def test_weak_field_next_to_critical_takes_short_times(self):
+        # 1/gamma is near 1e158 here, so bounding the entries by
+        # e^|h| (1 + lam) / gamma alone would refuse even t = 0
+        cfg = MagneticConfig(1e-150, 0.5e-300 * (1.0 + 2.0**-50))
+        assert 0.0 < -cfg.discriminant < 1e-314
+        for t in (0.0, 1.0, -1e10, np.array([0.0, 1.0, -1e10])):
+            C, S = _exp_scalars(cfg, t)
+            np.testing.assert_allclose(C, 1.0, rtol=1e-15)
+            np.testing.assert_allclose(S, t, rtol=1e-15)
+        with pytest.raises(ValueError, match=r"exp\(tF\) overflows at B=1e-150, .* t=1e\+160"):
+            _exp_scalars(cfg, 1e160)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_named(self, t):
+        for cfg in self.CONFIGS:
+            with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E={cfg.E!r}, t={abs(t)!r}"):
+                _exp_scalars(cfg, np.array([0.0, t, 1.0]))
+            with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E={cfg.E!r}, t={t!r}"):
+                _exp_scalars(cfg, t)
+
+    def test_near_critical_matches_mpmath(self):
+        # times from 1e-3 to 30 / gamma, three times as far as |q| = 25
+        # (gamma t / 2 = 15); C is scaled by max(1, |C|) and S by its bound
+        # |t| max(1, |C|), in an array call and in float calls
+        for cfg in self.NEAR_CRITICAL:
+            t = np.concatenate([[0.0, 1e-3, 0.5, 1.0, 7.0], np.linspace(-30.0, 30.0, 41) / cfg.gamma])
+            C_ref, S_ref = mp_exp_scalars(cfg.discriminant, t)
+            amp = np.maximum(1.0, np.abs(C_ref))
+            for C, S in (_exp_scalars(cfg, t), np.array([_exp_scalars(cfg, x) for x in t.tolist()]).T):
+                assert np.all(np.abs(C - C_ref) <= 4e-15 * amp)
+                assert np.all(np.abs(S - S_ref) <= 4e-15 * np.abs(t) * amp)

@@ -84,6 +84,13 @@ class TestPsi:
             with pytest.raises(ValueError, match="torus undefined at this energy"):
                 psi(MagneticConfig(1.0, E), 0.0, 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E=0.25, t={t!r}"):
+            psi(STD, 0.0, t)
+        with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E=0.25, t={t!r}"):
+            psi_many(STD, np.zeros(3), np.array([1.0, t, 2.0]))
+
     def test_stays_on_energy_shell(self):
         # Lagrangian check, tangential part: the t-flow lines of the torus
         # keep hyperbolic speed lambda
