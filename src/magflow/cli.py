@@ -53,8 +53,7 @@ if TYPE_CHECKING:
 
 # work budgets, checked before any loop or allocation; each sits well above
 # the largest perfbench workload (about 178k RK4 steps, 200k rungs, grid 300,
-# 150k Birkhoff steps, 4e6 samples)
-_MAX_RK4_STEPS = 10_000_000
+# 150k Birkhoff steps, 4e6 samples); flow's _MAX_STEPS budgets RK4 steps
 _MAX_RUNGS = 2_000_000
 _MAX_GRID = 1000
 _MAX_BIRKHOFF_STEPS = 100_000_000  # over the three orbits of equidist
@@ -172,7 +171,8 @@ def _traj_csv(ts, pts) -> str:
 
 
 def cmd_flow(args) -> int:
-    from .flow import MagneticConfig, Regime, flow_exact, flow_numeric, lyapunov_exponent, period
+    from .flow import (_MAX_STEPS, MagneticConfig, Regime, flow_exact, flow_numeric,
+                       lyapunov_exponent, period)
     from .halfplane import Tangent, hyp_dist
 
     cfg = MagneticConfig(args.B, args.E)
@@ -188,9 +188,9 @@ def cmd_flow(args) -> int:
     # the integrator takes ceil(step / dt) steps per row, at least one; an
     # int grid past the float range counts as an infinite one
     steps = max(rows - 1 if rows <= sys.float_info.max else math.inf, t_total / dt)
-    if not steps <= _MAX_RK4_STEPS:
+    if not steps <= _MAX_STEPS:
         raise ValueError(f"about {steps:.3g} RK4 steps needed at dt={dt!r}, grid={rows}; "
-                         f"the limit is {_MAX_RK4_STEPS}")
+                         f"the limit is {_MAX_STEPS}")
     ts = [t_total * i / (rows - 1) for i in range(rows)]
 
     exact = [flow_exact(cfg, p0, t) for t in ts]

@@ -27,9 +27,14 @@ exp(t F) has closed forms in all regimes:
 Neither trigonometric nor hyperbolic form subtracts, so each stays accurate
 as g -> 0 and the energies next to E_c need no form of their own.  One kernel
 evaluates (C, S) with exp(tF) = C I + S F; the flow matrix, the Jacobi
-coefficients and the torus map all read it.  An independent 4th-order
-integrator for the second-order equation on the half-plane provides the
-verification oracle for the closed form.
+coefficients and the torus map all read it.  Over arrays below E_c it takes
+cos and sin of g t/2 from one tangent of g t/4 (the half-angle form), which
+numpy evaluates several times faster than a cosine and a sine.  The entry
+points refuse a non-finite time once, and the kernel itself checks nothing,
+so the torus sampler's blocks, whose times are finite by construction, skip
+that pass.  An independent 4th-order integrator for the second-order
+equation on the half-plane provides the verification oracle for the closed
+form; it and the Lyapunov cocycle refuse more than _MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ _REGIME_TOL = 1e-12
 # largest |det - 1| that flow_matrix accepts from the closed-form entries;
 # Moebius renormalizes them by 1/sqrt(det), a relative move of about half that
 _DET_TOL = 1e-6
+# most RK4 steps of flow_numeric, and unit-time products of
+# lyapunov_exponent, in one call; far above any run of the CLI or verify
+_MAX_STEPS = 10_000_000
 
 
 class Regime(str, Enum):
@@ -116,40 +124,65 @@ class NumericFlowResult:
 
 
 def _exp_scalars(cfg: MagneticConfig, t):
-    """(C, S) with exp(tF) = C I + S F, for a float t (through math) or
-    elementwise over an array t (through numpy): cos and (2/g) sin of
-    g t / 2 below E_c, cosh and (2/g) sinh above, and (1, t) at exactly
-    B^2 = 2E.  Neither closed form subtracts, so both stay accurate as
-    g -> 0.  Raises ValueError for a non-finite t, and where a
+    """(C, S) with exp(tF) = C I + S F, for a float or an array t, through
+    _exp_kernel.  Raises ValueError for a non-finite t, and where a
     supercritical exp(tF) would leave float range."""
-    xp = np if isinstance(t, np.ndarray) else math
-    t_max = abs(t).max(initial=0.0) if xp is np else abs(t)  # nan if any t is nan
-    if not math.isfinite(t_max):
-        raise _range_error(cfg, t, "needs a finite time")
+    t_max = _require_finite(cfg, t)
+    if cfg.discriminant < 0.0:
+        # entries grow like e^|h| (1 + (1 + lam) min(|t|, 1/g)); the
+        # determinant and S^2 square them
+        g = cfg.gamma
+        if 0.5 * g * t_max + math.log1p((1.0 + cfg.lam) * min(t_max, 1.0 / g)) > 354.0:
+            raise _range_error(cfg, t, "exp(tF) overflows")
+    return _exp_kernel(cfg, t)
+
+
+def _exp_kernel(cfg: MagneticConfig, t):
+    """(C, S) with exp(tF) = C I + S F, for a finite t that _exp_scalars
+    accepts; unchecked.  Below E_c, C = cos(h) and S = (2/g) sin(h) with
+    h = g t / 2: a float t takes math.cos and math.sin, and an array t one
+    tangent u = tan(h/2), C = (1 - u^2)/(1 + u^2), S = (4/g) u/(1 + u^2),
+    since numpy's cos and sin cost several times its tan.  u stays finite
+    at the poles of tan, since no float h/2 is pi/2 + k pi.  Above E_c the
+    array and float forms are cosh(h) and (2/g) sinh(h), and at exactly
+    B^2 = 2E (1, t).  None of these subtracts, so all stay accurate as
+    g -> 0."""
     w = cfg.discriminant
     if w == 0.0:
         return 1.0 + 0.0 * t, 1.0 * t  # shaped and typed like the closed forms
     g = cfg.gamma
-    h = 0.5 * g * t
-    if w > 0.0:
-        return xp.cos(h), xp.sin(h) * (2.0 / g)
-    # entries grow like e^|h| (1 + (1 + lam) min(|t|, 1/g)); the determinant
-    # and S^2 square them
-    if 0.5 * g * t_max + math.log1p((1.0 + cfg.lam) * min(t_max, 1.0 / g)) > 354.0:
-        raise _range_error(cfg, t, "overflows")
-    return xp.cosh(h), xp.sinh(h) * (2.0 / g)
+    if w < 0.0:
+        xp = np if isinstance(t, np.ndarray) else math
+        h = 0.5 * g * t
+        return xp.cosh(h), xp.sinh(h) * (2.0 / g)
+    if not isinstance(t, np.ndarray):
+        h = 0.5 * g * t
+        return math.cos(h), math.sin(h) * (2.0 / g)
+    u = np.tan(0.25 * g * t)
+    u2 = u * u
+    v = 1.0 / (1.0 + u2)
+    return (1.0 - u2) * v, u * v * (4.0 / g)
 
 
-def _range_error(cfg: MagneticConfig, t, what: str) -> ValueError:
-    """The error for an exp(tF) that is not formed in float range, naming
-    B, E and the largest |t| of an array t."""
-    t_bad = float(abs(t).max()) if isinstance(t, np.ndarray) else t
-    return ValueError(f"exp(tF) {what} at B={cfg.B!r}, E={cfg.E!r}, t={t_bad!r}")
+def _require_finite(cfg: MagneticConfig, x, what: str = "exp(tF) needs a finite time",
+                    name: str = "t") -> float:
+    """max |x| over a float or an array x; raises the _range_error of what
+    and name when that is not finite (nan if any x is nan)."""
+    x_max = abs(x).max(initial=0.0) if isinstance(x, np.ndarray) else abs(x)
+    if not math.isfinite(x_max):
+        raise _range_error(cfg, x, what, name)
+    return x_max
 
 
-def _exp_entries(cfg: MagneticConfig, t):
-    """Entries (a, b, c, d) of exp(tF) = C I + S F, for a float or an array t."""
-    C, S = _exp_scalars(cfg, t)
+def _range_error(cfg: MagneticConfig, x, what: str, name: str = "t") -> ValueError:
+    """The error for an input that is refused at B, E, naming a float x or
+    the largest |x| of an array x."""
+    x_bad = float(abs(x).max()) if isinstance(x, np.ndarray) else x
+    return ValueError(f"{what} at B={cfg.B!r}, E={cfg.E!r}, {name}={x_bad!r}")
+
+
+def _exp_entries(cfg: MagneticConfig, C, S):
+    """Entries (a, b, c, d) of exp(tF) = C I + S F from its scalars."""
     lam, B = cfg.lam, cfg.B
     return C + 0.5 * S * lam, -0.5 * S * B, 0.5 * S * B, C - 0.5 * S * lam
 
@@ -158,10 +191,10 @@ def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
     """exp(t F) in closed form.  Raises ValueError once a d - b c cancels
     (supercritical, g t / 2 past about 9): Moebius would renormalize the
     accurate entries by the drifted determinant."""
-    a, b, c, d = _exp_entries(cfg, t)
+    a, b, c, d = _exp_entries(cfg, *_exp_scalars(cfg, t))
     drift = a * d - b * c - 1.0
     if not abs(drift) <= _DET_TOL:
-        raise _range_error(cfg, t, f"loses its determinant (det - 1 = {drift:.3g})")
+        raise _range_error(cfg, t, f"exp(tF) loses its determinant (det - 1 = {drift:.3g})")
     return Moebius(a, b, c, d)
 
 
@@ -207,10 +240,14 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     if t == 0.0:
         return NumericFlowResult(p, warn)
 
+    total = abs(t)
+    steps = total / dt - 1e-12
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"about {steps:.3g} RK4 steps needed for t={t!r} at dt={dt!r}; "
+                         f"the limit is {_MAX_STEPS}")
     B = j_sign * cfg.B
     sign = 1.0 if t > 0.0 else -1.0
-    total = abs(t)
-    n = max(1, math.ceil(total / dt - 1e-12))
+    n = max(1, math.ceil(steps))
     h = sign * (total / n)
     hh = 0.5 * h
     h6 = h / 6.0
@@ -259,6 +296,9 @@ def lyapunov_exponent(cfg: MagneticConfig, t_max: float) -> float:
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if int(t_max) > _MAX_STEPS:
+        raise ValueError(f"about {t_max:.3g} unit-time products needed for t_max={t_max!r}; "
+                         f"the limit is {_MAX_STEPS}")
     m = flow_matrix(cfg, 1.0)
     a, b, c, d = m.entries()
     ux, uy = 0.6, 0.8

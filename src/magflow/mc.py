@@ -3,7 +3,8 @@
 Samples (theta, t) uniformly on the torus [0, 2pi) x [0, T_E) and histograms
 the hyperbolic distance of their footpoints to the center in geodesic-polar
 rings.  The distance comes from the real entries of the footpoint matrix
-P = R(theta/2) exp(tF) (torus.psi_distance_many): det P = 1 makes
+P = R(theta/2) exp(tF) (the kernel of torus.psi_distance_many, without its
+input checks): det P = 1 makes
 d(i, P.i) = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2) exact, with no
 complex division and no cancellation at small distances.  Ring densities
 are scaled to the raw normalization (total mass 2 pi T_E) so they compare
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import MagneticConfig, period
-from .torus import _require_torus, psi_distance_many, radius, t_of_distance
+from .torus import _psi_distance, _require_torus, radius, t_of_distance
 
 _CHUNK = 1_000_000
 # equal-width distance rings on [0, R_E]
@@ -143,10 +144,11 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
     T = period(cfg)
 
     def radii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # theta and t take the place of their draws
+        # theta and t take the place of their draws; both are finite, and
+        # _check_sampling_pre found the torus, so the unchecked kernel serves
         u *= 2.0 * math.pi
         v *= T
-        return psi_distance_many(cfg, u, v)
+        return _psi_distance(cfg, u, v)
 
     return _histogram(cfg, n, seed, 2, radii, threads or worker_count())
 

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, _check_shell, _exp_entries
+from .flow import MagneticConfig, _check_shell, _exp_entries, _exp_scalars
 from .halfplane import (
     Moebius,
     Tangent,
@@ -346,7 +346,8 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     # cosh d(i, exp(tF) i) over a block; a frame point that far from the
     # block's start carries a rounding error of about 1e-16 cosh d (its Im is
     # a cancelling determinant)
-    if not 0.5 * sum(x * x for x in _exp_entries(cfg, block * dt)) <= _MAX_BLOCK_COSH:
+    reach = _exp_entries(cfg, *_exp_scalars(cfg, block * dt))
+    if not 0.5 * sum(x * x for x in reach) <= _MAX_BLOCK_COSH:
         raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
                          f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
     unit = Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v)))
@@ -356,7 +357,8 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     while done < n_steps:
         m = min(block, n_steps - done)
         # the first block starts at t = 0, before the first midpoint
-        ea, eb, ec, ed = _exp_entries(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt)
+        ea, eb, ec, ed = _exp_entries(
+            cfg, *_exp_scalars(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt))
         fa, fb = start.a * ea + start.b * ec, start.a * eb + start.b * ed
         fc, fd = start.c * ea + start.d * ec, start.c * eb + start.d * ed
         z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))

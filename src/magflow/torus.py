@@ -38,6 +38,14 @@ density, the preimage count and the flag of the distance to the center
 band width for both flags), the preimages' torus coordinates
 (preimages_many, of which preimages_cover is the one-point wrapper), and the
 fits of the two singular blowups (singular_fits).
+
+psi_many and psi_distance_many share one unchecked kernel for P's entries:
+R(theta/2) takes cos and sin of theta/2 from one tangent of theta/4, and
+exp(tF) takes (C, S) from the flow module's half-angle kernel, so neither
+runs a libm cosine or sine on its arrays.  The two refuse a non-finite
+angle or time once, before the kernel; the Monte Carlo sampler, whose
+angles and times are finite by construction, calls the kernel directly on
+each block.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import MagneticConfig, Regime, _exp_entries, _exp_scalars, period, variation_coeffs
+from .flow import (MagneticConfig, Regime, _exp_entries, _exp_kernel, _exp_scalars,
+                   _require_finite, period, variation_coeffs)
 from .halfplane import hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
@@ -82,36 +91,57 @@ def psi(cfg: MagneticConfig, theta: float, t: float) -> complex:
     return complex(psi_many(cfg, theta, t))
 
 
-def _psi_entries(cfg: MagneticConfig, rc, rs, t):
-    """Entries (p11, p12, p21, p22) of P = R(theta/2) exp(tF), whose Moebius
-    action takes i to psi(theta, t), from rc = cos(theta/2) and
-    rs = sin(theta/2); broadcastable arrays."""
+def _torus_inputs(cfg: MagneticConfig, theta, t):
+    """theta and t as float arrays, once the torus exists at cfg and every
+    angle and time is finite; raises ValueError naming what is not."""
     _require_torus(cfg)
-    m11, m12, m21, m22 = _exp_entries(cfg, np.asarray(t, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    _require_finite(cfg, theta, "psi needs a finite angle", "theta")
+    _require_finite(cfg, t)
+    return theta, t
+
+
+def _half_turn(theta):
+    """(cos(theta/2), sin(theta/2)), the entries of R(theta/2), as
+    (1 - x^2, 2x) / (1 + x^2) from one tangent x = tan(theta/4), which costs
+    less than a cosine and a sine."""
+    x = np.tan(0.25 * theta)
+    x2 = x * x
+    w = 1.0 / (1.0 + x2)
+    return (1.0 - x2) * w, (x + x) * w
+
+
+def _psi_entries(cfg: MagneticConfig, theta, t):
+    """Entries (p11, p12, p21, p22) of P = R(theta/2) exp(tF), whose Moebius
+    action takes i to psi(theta, t), over broadcastable float arrays of
+    finite angles and times; unchecked."""
+    rc, rs = _half_turn(theta)
+    m11, m12, m21, m22 = _exp_entries(cfg, *_exp_kernel(cfg, t))
     return rc * m11 + rs * m21, rc * m12 + rs * m22, rc * m21 - rs * m11, rc * m22 - rs * m12
 
 
 def psi_many(cfg: MagneticConfig, theta, t):
     """psi over broadcastable arrays of angles and times."""
-    half = 0.5 * np.asarray(theta, dtype=float)
-    p11, p12, p21, p22 = _psi_entries(cfg, np.cos(half), np.sin(half), t)
+    p11, p12, p21, p22 = _psi_entries(cfg, *_torus_inputs(cfg, theta, t))
     return (p11 * 1j + p12) / (p21 * 1j + p22)
+
+
+def _psi_distance(cfg: MagneticConfig, theta, t):
+    """psi_distance_many over float arrays of finite angles and times;
+    unchecked."""
+    p11, p12, p21, p22 = _psi_entries(cfg, theta, t)
+    a = p11 - p22
+    b = p12 + p21
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(a * a + b * b))
 
 
 def psi_distance_many(cfg: MagneticConfig, theta, t):
     """d(i, psi(theta, t)) over broadcastable arrays, from the real entries of
     P: det P = 1 makes cosh d - 1 = ((p11 - p22)^2 + (p12 + p21)^2) / 2, so
     d = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2), with no complex
-    division and no cancellation at small d.  R(theta/2) takes its entries
-    (1 - x^2, 2x) / (1 + x^2) from one tangent x = tan(theta/4), which costs
-    less than a cosine and a sine."""
-    x = np.tan(0.25 * np.asarray(theta, dtype=float))
-    x2 = x * x
-    w = 1.0 / (1.0 + x2)
-    p11, p12, p21, p22 = _psi_entries(cfg, (1.0 - x2) * w, (x + x) * w, t)
-    a = p11 - p22
-    b = p12 + p21
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(a * a + b * b))
+    division and no cancellation at small d."""
+    return _psi_distance(cfg, *_torus_inputs(cfg, theta, t))
 
 
 def radius(cfg: MagneticConfig) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from magflow import (
     variation_coeffs,
 )
 
+from magflow import flow
 from magflow.flow import _exp_scalars
 
 STD = MagneticConfig(1.0, 0.25)
@@ -248,6 +250,21 @@ class TestFlowNumeric:
         with pytest.raises(ValueError, match="off energy shell"):
             flow_numeric(STD, Tangent(1j, 3j), 1.0, 1e-3)
 
+    def test_step_budget(self, monkeypatch):
+        p = shell_tangent(STD)
+        with pytest.raises(ValueError, match=r"^about 1e\+303 RK4 steps needed for t=1e\+300 "
+                                             r"at dt=0.001; the limit is 10000000$"):
+            flow_numeric(STD, p, 1e300, 1e-3)
+        with pytest.raises(ValueError, match=r"^about 1e\+07 RK4 steps needed for t=-10.00001 "
+                                             r"at dt=1e-06;"):
+            flow_numeric(STD, p, -10.00001, 1e-6)
+        # the limit itself is allowed: 100 steps run where 101 are refused
+        monkeypatch.setattr(flow, "_MAX_STEPS", 100)
+        assert flow_numeric(STD, p, 1.0, 0.01).p == flow_numeric(STD, p, 1.0, 0.01 + 1e-16).p
+        with pytest.raises(ValueError, match=r"^about 101 RK4 steps needed for t=1.01 at dt=0.01; "
+                                             r"the limit is 100$"):
+            flow_numeric(STD, p, 1.01, 0.01)
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_or_step_rejected(self, x):
         p = shell_tangent(STD)
@@ -297,6 +314,20 @@ class TestLyapunov:
     def test_rejects_non_finite_horizon(self, t_max):
         with pytest.raises(ValueError, match=rf"^t_max must be positive and finite, got {t_max!r}$"):
             lyapunov_exponent(STD, t_max)
+
+    def test_step_budget(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^about 1e\+300 unit-time products needed for "
+                                             r"t_max=1e\+300; the limit is 10000000$"):
+            lyapunov_exponent(STD, 1e300)
+        with pytest.raises(ValueError, match=r"^about 1e\+07 unit-time products needed for "
+                                             r"t_max=10000001.0;"):
+            lyapunov_exponent(STD, 1e7 + 1.0)
+        # int(t_max) products: 100.9 takes the limit of 100, 101 is refused
+        monkeypatch.setattr(flow, "_MAX_STEPS", 100)
+        assert lyapunov_exponent(STD, 100.9) == lyapunov_exponent(STD, 100.0)
+        with pytest.raises(ValueError, match=r"^about 101 unit-time products needed for "
+                                             r"t_max=101.0; "):
+            lyapunov_exponent(STD, 101.0)
 
 
 class TestVariationCoeffs:
@@ -494,3 +525,38 @@ class TestExpScalars:
             for C, S in (_exp_scalars(cfg, t), np.array([_exp_scalars(cfg, x) for x in t.tolist()]).T):
                 assert np.all(np.abs(C - C_ref) <= 4e-15 * amp)
                 assert np.all(np.abs(S - S_ref) <= 4e-15 * np.abs(t) * amp)
+
+    @pytest.mark.parametrize("B,E", [(1.0, 0.25), (2.0, 0.5), (1.0, 0.49), (1.0, 1e-6), (0.7, 0.1)])
+    def test_half_angle_form_matches_mpmath(self, B, E):
+        # an array t below E_c takes (C, S) from u = tan(gamma t / 4), whose
+        # poles sit at odd multiples of T_E.  With the float gamma and t taken
+        # as exact, the error of C and of (gamma/2) S is the rounding of the
+        # argument h = gamma t / 2 (2.8e-14 at B = 1, E = 0.25), as it is for
+        # cos and sin of h; it may exceed theirs by one unit in the last
+        # place of 1.  At the rounded h itself, it is at most two such units
+        # (numpy's cos and sin read at most half of one).
+        mp = pytest.importorskip("mpmath")
+        cfg = MagneticConfig(B, E)
+        g, T = cfg.gamma, period(cfg)
+        rng = np.random.default_rng(17)
+        t = np.concatenate([rng.uniform(0.0, 1000.0, 2000), np.arange(40) * T,
+                            np.nextafter(T, [0.0, 2.0 * T]),
+                            T * (1.0 + np.arange(-4, 5) * 2.0**-52)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            C, S = _exp_scalars(cfg, t)
+        assert np.isfinite(C).all() and np.isfinite(S).all()
+        h = 0.5 * g * t
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            exact = [mp.mpf(g) * x / 2 for x in t.tolist()]
+            rounded = [mp.mpf(x) for x in h.tolist()]
+            cos_exact, sin_exact, cos_h, sin_h = (np.array([float(f(x)) for x in args])
+                                                  for args in (exact, rounded)
+                                                  for f in (mp.cos, mp.sin))
+        for got, trig, ref, at_h in ((C, np.cos(h), cos_exact, cos_h),
+                                     (0.5 * g * S, np.sin(h), sin_exact, sin_h)):
+            err = np.max(np.abs(got - ref))
+            assert err <= np.max(np.abs(trig - ref)) + eps
+            assert err <= np.spacing(h.max())
+            assert np.max(np.abs(got - at_h)) <= 2.0 * eps

@@ -32,7 +32,7 @@ from magflow import (
 from magflow import cli
 from magflow.halfplane import from_disk
 from magflow.halfplane import hyp_dist_vec
-from magflow.torus import psi_distance_many, psi_many
+from magflow.torus import _half_turn, psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
 T_STD = period(STD)
@@ -90,6 +90,37 @@ class TestPsi:
             psi(STD, 0.0, t)
         with pytest.raises(ValueError, match=rf"needs a finite time at B=1.0, E=0.25, t={t!r}"):
             psi_many(STD, np.zeros(3), np.array([1.0, t, 2.0]))
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_angle(self, theta):
+        # refused before numpy's tan would warn and return nan
+        message = rf"^psi needs a finite angle at B=1.0, E=0.25, theta={abs(theta)!r}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                psi(STD, theta, 1.0)
+            for f in (psi_many, psi_distance_many):
+                with pytest.raises(ValueError, match=message):
+                    f(STD, np.array([0.0, theta, 1.0]), 1.0)
+
+    def test_half_turn_matches_mpmath(self):
+        # R(theta/2) from x = tan(theta/4), whose pole sits at theta = 2 pi:
+        # within two units in the last place of 1 of cos and sin of theta/2
+        # (the largest error reads one; numpy's cos and sin read none)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        two_pi = 2.0 * math.pi
+        th = np.concatenate([rng.uniform(0.0, two_pi, 500), np.nextafter(two_pi, [0.0, 7.0]),
+                             [0.0, two_pi, math.pi, 4.0 * math.pi, -two_pi, 1e3]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rc, rs = _half_turn(th)
+        with mp.workdps(40):
+            want_c = np.array([float(mp.cos(mp.mpf(x) / 2)) for x in th.tolist()])
+            want_s = np.array([float(mp.sin(mp.mpf(x) / 2)) for x in th.tolist()])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(rc - want_c)) <= 2.0 * eps
+        assert np.max(np.abs(rs - want_s)) <= 2.0 * eps
 
     def test_stays_on_energy_shell(self):
         # Lagrangian check, tangential part: the t-flow lines of the torus
@@ -154,6 +185,12 @@ class TestPsiDistance:
         at_zero = psi_distance_many(STD, 0.0, t)
         for th in np.linspace(0.0, 2.0 * math.pi, 33):
             assert np.max(np.abs(psi_distance_many(STD, th, t) / at_zero - 1.0)) < 2e-14
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        message = rf"^exp\(tF\) needs a finite time at B=1.0, E=0.25, t={t!r}$"
+        with pytest.raises(ValueError, match=message):
+            psi_distance_many(STD, np.zeros(3), np.array([1.0, t, 2.0]))
 
     def test_is_the_profile_at_theta_zero(self):
         t = np.linspace(0.0, T_STD, 257)
