@@ -31,7 +31,6 @@ _EXPORTS = {
         "hyp_dist",
         "hyp_norm",
         "mobius_apply",
-        "rotate_fiber",
         "rotation_about_i",
         "to_disk",
     ),
@@ -40,7 +39,6 @@ _EXPORTS = {
         "compare_to_closed_form",
         "exact_ring_averages",
         "sample_pushforward",
-        "sample_radii_analytic",
     ),
     "spectrum": (
         "SpectrumEntry",

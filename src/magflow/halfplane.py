@@ -146,11 +146,6 @@ def hyp_dist_vec(z, w):
     return 2.0 * np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
 
 
-def rotate_fiber(p: Tangent, angle: float) -> Tangent:
-    """Rotate the tangent vector by angle in the conformal tangent plane."""
-    return Tangent(p.z, p.v * cmath.exp(1j * angle))
-
-
 def rotation_about_i(angle: float) -> Moebius:
     """The isometry fixing i whose derivative at i is multiplication by e^{i angle}."""
     h = 0.5 * angle

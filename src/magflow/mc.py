@@ -14,15 +14,16 @@ the distance profile).
 
 The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
-Philox keyed by the 64-bit words (seed, j), theta block first, then t: the
-t stream is a second generator of the same key advanced by m draws.  Each
-chunk draws, maps and bins its samples in cache-sized blocks of 2^14, one
-block slice of each stream at a time, into buffers that the chunk owns and
-that the block's theta and t overwrite, so no step holds a chunk-sized
-array, no buffer is shared between workers, and sampling memory does not
-grow with n.  Histograms are therefore bit-identical for a given (seed, n)
-regardless of how many workers evaluate the chunks; by default there is one
-worker per usable CPU.
+Philox keyed by the 64-bit words (seed, j): its m theta draws come from
+the key's stream, and its m t draws from a second generator of the same key
+advanced by m draws.  Each chunk draws, maps and bins its samples in
+cache-sized blocks of 2^14, one block slice of each stream at a time, into
+a buffer that the chunk owns and that the block's theta and t overwrite, so
+no step holds a chunk-sized array, no buffer is shared between workers, and
+sampling memory does not grow with n.  Histograms are therefore
+bit-identical for a given (seed, n) regardless of how many workers evaluate
+the chunks.  worker_count() sets that number: one worker per usable CPU,
+capped by the environment variable MAGFLOW_THREADS.
 """
 
 from __future__ import annotations
@@ -91,92 +92,53 @@ def _bin_counts(d: np.ndarray, R: float) -> np.ndarray:
     return np.bincount(idx, minlength=_RINGS)
 
 
-def _histogram(cfg: MagneticConfig, n: int, seed: int, streams: int, radii, threads: int):
-    """Ring counts of n samples: chunk j of m samples splits Philox keyed by
-    (seed, j) into streams runs of m uniforms, and each block calls
-    radii(*uniform_blocks) on one slice of every run, drawn into the chunk's
-    buffers; radii may overwrite them."""
-    R = radius(cfg)
-    edges = np.linspace(0.0, R, _RINGS + 1)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    sizes = [(j, min(_CHUNK, n - j * _CHUNK)) for j in range(n_chunks)]
-
-    def one(job):
-        j, m = job
-        rngs = []
-        for s in range(streams):
-            # stream s starts s m draws in; Philox makes 4 draws a counter step.
-            # A list key would pass through float64 from seed 2^63 on.
-            bits = np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
-            bits.advance(s * m // 4)
-            bits.random_raw(s * m % 4)
-            rngs.append(np.random.Generator(bits))
-        # one row per stream, owned by this chunk: no two workers share one
-        buf = np.empty((streams, _BLOCK))
-        counts = np.zeros(_RINGS, dtype=np.int64)
-        for lo in range(0, m, _BLOCK):
-            block = buf[:, :min(_BLOCK, m - lo)]
-            for rng, row in zip(rngs, block):
-                rng.random(out=row)
-            counts += _bin_counts(radii(*block), R)
-        return counts
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, sizes))
-    else:
-        parts = [one(job) for job in sizes]
-    counts = np.sum(parts, axis=0)
-    est = counts / (n * _ring_areas(edges)) * (2.0 * math.pi * period(cfg))
-    return PushforwardHistogram(
-        B=cfg.B, E=cfg.E, n=n, seed=seed, edges=edges, counts=counts, est_density=est,
-    )
-
-
-def sample_pushforward(cfg: MagneticConfig, n: int, seed: int,
-                       threads: int | None = None) -> PushforwardHistogram:
+def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHistogram:
     """Histogram of distances of n pushed-forward torus samples.
 
-    Deterministic for fixed (cfg, n, seed); see the module docstring for the
-    stream layout.
+    Deterministic for fixed (cfg, n, seed), whatever the worker count; see
+    the module docstring for the stream layout.
     """
-    _check_sampling_pre(cfg, n, seed)
-    T = period(cfg)
-
-    def radii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # theta and t take the place of their draws; both are finite, and
-        # _check_sampling_pre found the torus, so the unchecked kernel serves
-        u *= 2.0 * math.pi
-        v *= T
-        return _psi_distance(cfg, u, v)
-
-    return _histogram(cfg, n, seed, 2, radii, threads or worker_count())
-
-
-def sample_radii_analytic(cfg: MagneticConfig, n: int, seed: int,
-                          threads: int | None = None) -> PushforwardHistogram:
-    """Self-consistency path: sample the distance law directly by inverting
-    the time parametrization (t uniform, r = phi(t)), bypassing the Moebius
-    arithmetic entirely."""
-    _check_sampling_pre(cfg, n, seed)
-    g = cfg.gamma
-    E = cfg.E
-
-    def radii(u: np.ndarray) -> np.ndarray:
-        # t uniform on the rising branch [0, T/2]; phi covers [0, R_E] once
-        u *= math.pi / g
-        return np.arccosh(1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * u) ** 2)
-
-    return _histogram(cfg, n, seed, 1, radii, threads or worker_count())
-
-
-def _check_sampling_pre(cfg: MagneticConfig, n: int, seed: int) -> None:
     if n < 10_000:
-        raise ValueError("need at least 10^4 samples")
+        raise ValueError(f"need at least 10^4 samples, got n={n}")
     # Philox keys are 64-bit words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer from 0 to 2^64 - 1, got {seed}")
     _require_torus(cfg)
+    T = period(cfg)
+    R = radius(cfg)
+    edges = np.linspace(0.0, R, _RINGS + 1)
+    chunks = range((n + _CHUNK - 1) // _CHUNK)
+
+    def one(j):
+        m = min(_CHUNK, n - j * _CHUNK)
+        # A list key would pass through float64 from seed 2^63 on.
+        key = np.array([seed, j], dtype=np.uint64)
+        theta_rng = np.random.Generator(np.random.Philox(key=key))
+        # the t stream starts m draws in; Philox makes 4 draws a counter step
+        bits = np.random.Philox(key=key)
+        bits.advance(m // 4)
+        bits.random_raw(m % 4)
+        t_rng = np.random.Generator(bits)
+        # one row per stream, owned by this chunk: no two workers share one
+        buf = np.empty((2, _BLOCK))
+        counts = np.zeros(_RINGS, dtype=np.int64)
+        for lo in range(0, m, _BLOCK):
+            theta, t = buf[:, :min(_BLOCK, m - lo)]
+            theta_rng.random(out=theta)
+            t_rng.random(out=t)
+            # theta and t take the place of their draws; both are finite, and
+            # the torus exists, so the unchecked kernel serves
+            theta *= 2.0 * math.pi
+            t *= T
+            counts += _bin_counts(_psi_distance(cfg, theta, t), R)
+        return counts
+
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(chunks))) as pool:
+        counts = np.sum(list(pool.map(one, chunks)), axis=0)
+    est = counts / (n * _ring_areas(edges)) * (2.0 * math.pi * T)
+    return PushforwardHistogram(
+        B=cfg.B, E=cfg.E, n=n, seed=seed, edges=edges, counts=counts, est_density=est,
+    )
 
 
 def exact_ring_averages(cfg: MagneticConfig, edges: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (MagneticConfig, Regime, _exp_entries, _exp_kernel, _exp_scalars,
-                   _require_finite, period, variation_coeffs)
+                   _range_error, _require_finite, period, variation_coeffs)
 from .halfplane import hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
@@ -78,9 +78,15 @@ class Flag(str, Enum):
     REGULAR = "Regular"
 
 
+def _no_torus(cfg: MagneticConfig) -> ValueError:
+    """The error for an energy outside (0, E_c), naming B, E and E_c."""
+    return ValueError(f"torus undefined at this energy: it needs 0 < E < E_c = B^2/2, "
+                      f"got B={cfg.B!r}, E={cfg.E!r}, E_c={cfg.Ec!r}")
+
+
 def _require_torus(cfg: MagneticConfig) -> None:
     if cfg.E <= 0.0 or cfg.regime is not Regime.SUBCRITICAL:
-        raise ValueError("torus undefined at this energy")
+        raise _no_torus(cfg)
     if radius(cfg) == 0.0:
         raise ValueError(f"torus radius rounds to 0 at B={cfg.B!r}, E={cfg.E!r}: "
                          "E is below double precision against B^2")
@@ -147,7 +153,7 @@ def psi_distance_many(cfg: MagneticConfig, theta, t):
 def radius(cfg: MagneticConfig) -> float:
     """Hyperbolic radius R_E of the projected disk."""
     if cfg.regime is not Regime.SUBCRITICAL:
-        raise ValueError("torus undefined at this energy")
+        raise _no_torus(cfg)
     return math.acosh((cfg.B * cfg.B + 2.0 * cfg.E) / (cfg.B * cfg.B - 2.0 * cfg.E))
 
 
@@ -262,9 +268,14 @@ def preimages_many(cfg: MagneticConfig, y):
     (theta, t, n), with n = preimage_count of each point's distance to the
     center.  theta and t have shape y.shape + (2,): t_1 then T_E - t_1 inside
     the disk, T_E/2 alone on the boundary circle, NaN past each count (so the
-    center and points outside the disk have none)."""
+    center and points outside the disk have none).  Raises ValueError naming
+    the first point that is not finite or not in the upper half-plane."""
     _require_torus(cfg)
     y = np.asarray(y, dtype=complex)
+    bad = ~(np.isfinite(y) & (y.imag > 0.0))
+    if bad.any():
+        raise _range_error(cfg, complex(y[bad][0]),
+                           "preimages need a finite point in the upper half-plane", "y")
     d = hyp_dist_vec(y, 1j)
     n = preimage_count(cfg, d)
     T = period(cfg)

@@ -662,6 +662,20 @@ class TestSampleCommand:
         assert rc == 2
         assert "need at least 10^4 samples" in capsys.readouterr().err
 
+    NO_TORUS = "torus undefined at this energy: it needs 0 < E < E_c = B^2/2, got "
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--E", "0.6"], NO_TORUS + "B=1.0, E=0.6, E_c=0.5"),
+        (["sample", "--E", "0"], NO_TORUS + "B=1.0, E=0.0, E_c=0.5"),
+        (["density", "--B", "2", "--E", "2"], NO_TORUS + "B=2.0, E=2.0, E_c=2.0"),
+        (["sample", "--n", "5"], "need at least 10^4 samples, got n=5"),
+    ], ids=["sample-above-Ec", "sample-zero-E", "density-at-Ec", "sample-few"])
+    def test_refusals_name_their_inputs(self, tmp_path, capsys, argv, message):
+        rc = cli.main([*argv, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEquidistCommand:
     def test_short_run_writes_reports(self, tmp_path):
@@ -1038,10 +1052,10 @@ PUBLIC_NAMES = {
     "flow_matrix", "flow_numeric", "frame_of", "from_disk", "halfplane",
     "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
-    "preimages_many", "psi", "radius", "reduce_point", "relation_residual", "rotate_fiber",
-    "rotation_about_i", "sample_pushforward", "sample_radii_analytic", "singular_constants",
-    "singular_fits", "spectrum", "surface", "t_of_distance", "to_disk", "torus",
-    "translates_meeting_disk", "variation_coeffs",
+    "preimages_many", "psi", "radius", "reduce_point", "relation_residual",
+    "rotation_about_i", "sample_pushforward", "singular_constants", "singular_fits",
+    "spectrum", "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
+    "variation_coeffs",
 }
 
 # runs the CLI as `python -m magflow.cli ARGV...` does, then prints as JSON

@@ -1,5 +1,6 @@
 """Magnetic flow: exp(tF), exact/numeric flows, period, Lyapunov, variations."""
 
+import cmath
 import math
 import re
 import warnings
@@ -18,7 +19,6 @@ from magflow import (
     hyp_norm,
     lyapunov_exponent,
     period,
-    rotate_fiber,
     variation_coeffs,
 )
 
@@ -30,7 +30,7 @@ STD = MagneticConfig(1.0, 0.25)
 
 def shell_tangent(cfg, z=1j, angle=0.0):
     """Unit-speed-lambda tangent at z, rotated by angle from vertical."""
-    return rotate_fiber(Tangent(z, 1j * z.imag * cfg.lam), angle)
+    return Tangent(z, 1j * z.imag * cfg.lam * cmath.exp(1j * angle))
 
 
 class TestConfig:

@@ -14,7 +14,6 @@ from magflow import (
     hyp_dist,
     hyp_norm,
     mobius_apply,
-    rotate_fiber,
     rotation_about_i,
     to_disk,
 )
@@ -163,28 +162,6 @@ class TestHypDist:
             g = random_moebius(rng, scale=2.0)
             z, w = random_point(rng, 2.0), random_point(rng, 2.0)
             assert abs(hyp_dist(g.apply(z), g.apply(w)) - hyp_dist(z, w)) < 1e-10
-
-
-class TestRotateFiber:
-    def test_zero_angle(self):
-        p = Tangent(0.2 + 1.5j, 0.4 + 0.1j)
-        q = rotate_fiber(p, 0.0)
-        assert q.z == p.z and q.v == p.v
-
-    def test_full_turn(self):
-        p = Tangent(0.2 + 1.5j, 0.4 + 0.1j)
-        q = rotate_fiber(p, 2.0 * math.pi)
-        assert abs(q.v - p.v) < 1e-12
-
-    def test_quarter_turn_at_base(self):
-        q = rotate_fiber(Tangent(1j, 1j), 0.5 * math.pi)
-        assert q.z == 1j
-        assert q.v == pytest.approx(-1.0 + 0j, abs=1e-15)
-
-    def test_preserves_norm(self):
-        p = Tangent(0.7 + 0.4j, -0.3 + 0.9j)
-        q = rotate_fiber(p, 1.234)
-        assert hyp_norm(q) == pytest.approx(hyp_norm(p), abs=1e-14)
 
 
 class TestFrameOf:

@@ -10,18 +10,26 @@ import pytest
 
 from magflow import (
     MagneticConfig,
+    alpha_radial,
     compare_to_closed_form,
     exact_ring_averages,
     period,
     radius,
     sample_pushforward,
-    sample_radii_analytic,
 )
 from magflow import mc
 from magflow.mc import worker_count
 from magflow.torus import psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
+
+
+def use_workers(monkeypatch, k):
+    # k usable CPUs, capped at k: worker_count() gives k on any machine, and
+    # the sampler's pool k threads, or one per chunk when there are fewer
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setenv("MAGFLOW_THREADS", str(k))
+    assert worker_count() == k
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +47,11 @@ class TestSampling:
         c = sample_pushforward(STD, 200_000, 43)
         assert a.counts.tobytes() != c.counts.tobytes()
 
-    def test_thread_count_does_not_change_result(self):
-        a = sample_pushforward(STD, 3_500_000, 7, threads=1)
-        b = sample_pushforward(STD, 3_500_000, 7, threads=4)
+    def test_thread_count_does_not_change_result(self, monkeypatch):
+        use_workers(monkeypatch, 1)
+        a = sample_pushforward(STD, 3_500_000, 7)
+        use_workers(monkeypatch, 4)
+        b = sample_pushforward(STD, 3_500_000, 7)
         assert np.array_equal(a.counts, b.counts)
 
     def test_counts_sum_to_n(self):
@@ -83,8 +93,8 @@ class TestSampling:
     def test_high_seeds_keep_their_bits(self, seed, other):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            a = sample_pushforward(STD, 20_000, seed, threads=1)
-            b = sample_pushforward(STD, 20_000, other, threads=1)
+            a = sample_pushforward(STD, 20_000, seed)
+            b = sample_pushforward(STD, 20_000, other)
         assert a.counts.tobytes() != b.counts.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -119,43 +129,28 @@ def pushforward_chunk(cfg):
     return radii
 
 
-def analytic_chunk(cfg):
-    g, E = cfg.gamma, cfg.E
-
-    def radii(rng, m):
-        t = rng.random(m) * (math.pi / g)
-        return np.arccosh(1.0 + (4.0 * E / (g * g)) * np.sin(0.5 * g * t) ** 2)
-    return radii
-
-
 class TestBlockedSampling:
     # 2,040,007 samples: two full chunks and a ragged one, each ending in a
     # ragged block
     N = 2_040_007
-    ANALYTIC = MagneticConfig(1.3, 0.3)
 
     @staticmethod
-    def assert_matches_one_shot(sampler, cfg, n, seed, radii_of_chunk):
-        want = one_shot_counts(cfg, n, seed, radii_of_chunk)
-        for threads in (1, 2):
-            assert np.array_equal(sampler(cfg, n, seed, threads=threads).counts, want)
+    def assert_matches_one_shot(monkeypatch, n):
+        want = one_shot_counts(STD, n, 31, pushforward_chunk(STD))
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            assert np.array_equal(sample_pushforward(STD, n, 31).counts, want)
 
-    def test_pushforward_matches_one_shot_chunks(self):
-        self.assert_matches_one_shot(sample_pushforward, STD, self.N, 31, pushforward_chunk(STD))
-
-    def test_analytic_matches_one_shot_chunks(self):
-        cfg = self.ANALYTIC
-        self.assert_matches_one_shot(sample_radii_analytic, cfg, self.N, 32, analytic_chunk(cfg))
+    def test_pushforward_matches_one_shot_chunks(self, monkeypatch):
+        self.assert_matches_one_shot(monkeypatch, self.N)
 
     # The t stream starts m draws into its chunk's Philox stream, 4 draws a
     # counter step, so single ragged chunks of m = 0, 1, 2 and 3 mod 4 each
     # take a different skip; 1,010,001 ends in a ragged chunk shorter than
     # one block.
     @pytest.mark.parametrize("n", [40_000, 40_001, 40_002, 40_003, 1_010_001])
-    def test_ragged_chunks_match_one_shot_chunks(self, n):
-        cfg = self.ANALYTIC
-        self.assert_matches_one_shot(sample_pushforward, STD, n, 31, pushforward_chunk(STD))
-        self.assert_matches_one_shot(sample_radii_analytic, cfg, n, 32, analytic_chunk(cfg))
+    def test_ragged_chunks_match_one_shot_chunks(self, monkeypatch, n):
+        self.assert_matches_one_shot(monkeypatch, n)
 
     def test_block_is_shorter_than_the_short_chunk(self):
         # the 10,001-sample chunk above is shorter than one block
@@ -166,11 +161,12 @@ class TestSamplingMemory:
     # numpy reports its buffers to tracemalloc; a chunk-sized draw would be
     # 8 MB per stream at any n past one chunk
     @pytest.mark.parametrize("n", [2_000_000, 4_000_000])
-    def test_traced_peak_does_not_grow_with_n(self, n):
-        sample_pushforward(STD, 10_000, 5, threads=1)  # first-call allocations
+    def test_traced_peak_does_not_grow_with_n(self, monkeypatch, n):
+        use_workers(monkeypatch, 1)
+        sample_pushforward(STD, 10_000, 5)  # first-call allocations
         tracemalloc.start()
         try:
-            hist = sample_pushforward(STD, n, 5, threads=1)
+            hist = sample_pushforward(STD, n, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,13 +220,6 @@ class TestClosedFormAgreement:
         ratio = big_report["chi2"] / big_report["chi2_dof"]
         assert 0.5 < ratio < 1.5
 
-    def test_analytic_path_self_consistency(self):
-        # the inverse-CDF-in-t path bypasses all Moebius arithmetic; at 10^8
-        # samples every ring off the two singular bands agrees below 1%
-        hist = sample_radii_analytic(STD, 100_000_000, 4242)
-        rel = np.abs(np.asarray(compare_to_closed_form(hist, STD)["rel_err"]))
-        assert float(rel[2:255].max()) < 0.01
-
     def test_error_halves_with_quadrupled_work(self):
         # rms body error should shrink by ~1/sqrt(2) when n doubles
         edges = None
@@ -254,7 +243,36 @@ class TestClosedFormAgreement:
             compare_to_closed_form(hist, MagneticConfig(1.0, 0.3))
 
 
+def quadrature_ring_averages(cfg, edges, nodes=32):
+    # ring averages of alpha_radial by Gauss-Legendre in u = sqrt(R - r) on
+    # each ring: the substitution turns alpha's 1/sqrt(R - r) blowup at the
+    # boundary into a smooth integrand, and alpha sinh r stays smooth at the
+    # center; the ring areas 4 pi sinh((a+b)/2) sinh((b-a)/2) do not cancel
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    R = edges[-1]
+    lo, hi = edges[:-1, None], edges[1:, None]
+    ua, ub = np.sqrt(R - hi), np.sqrt(R - lo)
+    u = 0.5 * (ub - ua) * x + 0.5 * (ua + ub)
+    r = R - u * u
+    mass = np.sum(0.5 * (ub - ua) * w * 2.0 * u * alpha_radial(cfg, r)
+                  * 2.0 * math.pi * np.sinh(r), axis=1)
+    area = 4.0 * math.pi * np.sinh(0.5 * (hi + lo)) * np.sinh(0.5 * (hi - lo))
+    return mass / area[:, 0]
+
+
 class TestExactRingAverages:
+    @pytest.mark.parametrize("B, E", [(1.0, 0.25), (1.3, 0.3), (2.0, 0.5)])
+    def test_match_quadrature_of_the_density(self, B, E):
+        cfg = MagneticConfig(B, E)
+        # the closed-form mass 4 pi t1(r) against alpha_radial integrated
+        # over each of the sampler's 256 rings, the two singular ones
+        # included; the rim ring agrees to about 2e-7, since t1 takes an
+        # arcsin next to 1 there, and every other ring to 1e-8
+        edges = np.linspace(0.0, radius(cfg), 257)
+        got = exact_ring_averages(cfg, edges)
+        want = quadrature_ring_averages(cfg, edges)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-6
+
     def test_ring_mass_adds_up(self):
         # total ring mass equals the raw density mass 2 pi T_E
         edges = np.linspace(0.0, radius(STD), 257)

@@ -1,6 +1,8 @@
 """Zonal torus: parametrization, radius, profile, preimages, density, mass."""
 
+import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -125,8 +127,8 @@ class TestPsi:
     def test_stays_on_energy_shell(self):
         # Lagrangian check, tangential part: the t-flow lines of the torus
         # keep hyperbolic speed lambda
-        from magflow import flow_exact, hyp_norm, rotate_fiber, Tangent
-        p0 = rotate_fiber(Tangent(1j, 1j * STD.lam), 0.9)
+        from magflow import flow_exact, hyp_norm, Tangent
+        p0 = Tangent(1j, 1j * STD.lam * cmath.exp(0.9j))
         for t in np.linspace(0.0, T_STD, 23):
             q = flow_exact(STD, p0, float(t))
             assert abs(hyp_norm(q) - STD.lam) < 1e-9
@@ -397,6 +399,21 @@ class TestPreimagesMany:
         # the launch coordinates are one of the two listed preimages
         gap = np.abs((theta - th0[:, None] + math.pi) % (2.0 * math.pi) - math.pi)
         assert float(np.max(np.min(gap + np.abs(t - t0[:, None]), axis=1))) < 1e-8
+
+    @pytest.mark.parametrize("y", [complex(math.nan, 1.0), complex(math.inf, 1.0), 1.0 - 1.0j,
+                                   0j, complex(0.5, math.nan)])
+    def test_rejects_points_off_the_half_plane(self, y):
+        # refused before any arithmetic, so no numpy warning escapes
+        message = ("^preimages need a finite point in the upper half-plane at B=1.0, E=0.25, "
+                   f"y={re.escape(repr(y))}$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (preimages_many, preimages_cover):
+                with pytest.raises(ValueError, match=message):
+                    call(STD, y)
+            # in an array, the first bad point is named
+            with pytest.raises(ValueError, match=message):
+                preimages_many(STD, np.array([[1j, 2j], [y, 1.0 - 1.0j]]))
 
 
 class TestPreimageCount:
