@@ -17,8 +17,10 @@ _EXPORTS = {
         "Regime",
         "VariationCoeffs",
         "flow_exact",
+        "flow_exact_many",
         "flow_matrix",
         "flow_numeric",
+        "flow_numeric_rows",
         "lyapunov_exponent",
         "period",
         "variation_coeffs",

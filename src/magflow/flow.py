@@ -25,14 +25,14 @@ exp(t F) has closed forms in all regimes:
     cosh(g t/2) I + (2/g) sinh(g t/2) F        g = sqrt(2E-B^2) > 0
 
 Neither trigonometric nor hyperbolic form subtracts, so each stays accurate
-as g -> 0 and the energies next to E_c need no form of their own.  One kernel
-evaluates (C, S) with exp(tF) = C I + S F; the flow matrix, the Jacobi
-coefficients and the torus map all read it.  Over arrays below E_c it takes
-cos and sin of g t/2 from one tangent of g t/4 (the half-angle form), which
-numpy evaluates several times faster than a cosine and a sine.  The entry
-points refuse a non-finite time once, and the kernel itself checks nothing,
-so the torus sampler's blocks, whose times are finite by construction, skip
-that pass.  An independent 4th-order integrator for the second-order
+as g -> 0 and the energies next to E_c need no form of their own.  One array
+kernel evaluates (C, S) with exp(tF) = C I + S F, a float t as a 0-d array;
+the trajectories (frame of the start times exp(tF)), the Jacobi coefficients
+and the torus map all read it.  Below E_c it takes cos and sin of g t/2 from
+one tangent of g t/4 (the half-angle form), which numpy evaluates several
+times faster than a cosine and a sine.  The entry points refuse a non-finite
+time once, and the kernel itself checks nothing, so the torus sampler's
+blocks skip that pass.  An independent 4th-order integrator for the second-order
 equation on the half-plane provides the verification oracle for the closed
 form; it and the Lyapunov cocycle refuse more than _MAX_STEPS steps.
 """
@@ -47,12 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfplane import Moebius, Tangent, frame_of, hyp_norm, mobius_apply
+from .halfplane import Moebius, Tangent, frame_of, hyp_norm
 
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
-# largest |det - 1| that flow_matrix accepts from the closed-form entries;
-# Moebius renormalizes them by 1/sqrt(det), a relative move of about half that
+# largest |det - 1| accepted from the closed-form entries of exp(tF)
 _DET_TOL = 1e-6
 # most RK4 steps of flow_numeric, and unit-time products of
 # lyapunov_exponent, in one call; far above any run of the CLI or verify
@@ -134,30 +133,19 @@ def _exp_scalars(cfg: MagneticConfig, t):
         g = cfg.gamma
         if 0.5 * g * t_max + math.log1p((1.0 + cfg.lam) * min(t_max, 1.0 / g)) > 354.0:
             raise _range_error(cfg, t, "exp(tF) overflows")
-    return _exp_kernel(cfg, t)
+    return _exp_kernel(cfg, np.asarray(t, dtype=float))
 
 
 def _exp_kernel(cfg: MagneticConfig, t):
-    """(C, S) with exp(tF) = C I + S F, for a finite t that _exp_scalars
-    accepts; unchecked.  Below E_c, C = cos(h) and S = (2/g) sin(h) with
-    h = g t / 2: a float t takes math.cos and math.sin, and an array t one
-    tangent u = tan(h/2), C = (1 - u^2)/(1 + u^2), S = (4/g) u/(1 + u^2),
-    since numpy's cos and sin cost several times its tan.  u stays finite
-    at the poles of tan, since no float h/2 is pi/2 + k pi.  Above E_c the
-    array and float forms are cosh(h) and (2/g) sinh(h), and at exactly
-    B^2 = 2E (1, t).  None of these subtracts, so all stay accurate as
-    g -> 0."""
+    """(C, S) over an array t (0-d for one time) of finite times, unchecked; below
+    E_c from u = tan(g t / 4), finite since no float g t / 4 is pi/2 + k pi."""
     w = cfg.discriminant
     if w == 0.0:
         return 1.0 + 0.0 * t, 1.0 * t  # shaped and typed like the closed forms
     g = cfg.gamma
     if w < 0.0:
-        xp = np if isinstance(t, np.ndarray) else math
         h = 0.5 * g * t
-        return xp.cosh(h), xp.sinh(h) * (2.0 / g)
-    if not isinstance(t, np.ndarray):
-        h = 0.5 * g * t
-        return math.cos(h), math.sin(h) * (2.0 / g)
+        return np.cosh(h), np.sinh(h) * (2.0 / g)
     u = np.tan(0.25 * g * t)
     u2 = u * u
     v = 1.0 / (1.0 + u2)
@@ -187,31 +175,54 @@ def _exp_entries(cfg: MagneticConfig, C, S):
     return C + 0.5 * S * lam, -0.5 * S * B, 0.5 * S * B, C - 0.5 * S * lam
 
 
-def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
-    """exp(t F) in closed form.  Raises ValueError once a d - b c cancels
-    (supercritical, g t / 2 past about 9): Moebius would renormalize the
-    accurate entries by the drifted determinant."""
+def _flow_entries(cfg: MagneticConfig, t):
+    """Entries (a, b, c, d) of exp(tF) for a float or an array t; refused once
+    some a d - b c has cancelled (supercritical, g t / 2 past about 9)."""
     a, b, c, d = _exp_entries(cfg, *_exp_scalars(cfg, t))
-    drift = a * d - b * c - 1.0
-    if not abs(drift) <= _DET_TOL:
-        raise _range_error(cfg, t, f"exp(tF) loses its determinant (det - 1 = {drift:.3g})")
-    return Moebius(a, b, c, d)
+    drift = np.abs(a * d - b * c - 1.0).max(initial=0.0)
+    if not drift <= _DET_TOL:
+        raise _range_error(cfg, t, f"exp(tF) loses its determinant (|det - 1| = {drift:.3g})")
+    return a, b, c, d
+
+
+def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
+    """exp(t F) in closed form, refused as _flow_entries refuses it."""
+    return Moebius(*map(float, _flow_entries(cfg, t)))
+
+
+def _framed(frame: Moebius, entries):
+    """Entries of frame @ M from the entries (a, b, c, d) of M, over arrays."""
+    ea, eb, ec, ed = entries
+    return (frame.a * ea + frame.b * ec, frame.a * eb + frame.b * ed,
+            frame.c * ea + frame.d * ec, frame.c * eb + frame.d * ed)
 
 
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:
-    if abs(hyp_norm(p) - cfg.lam) > 1e-8:
-        raise ValueError("off energy shell")
+    if abs(hyp_norm(p) - cfg.lam) > 1e-8 * max(1.0, cfg.lam):
+        raise _range_error(cfg, hyp_norm(p), "off energy shell", "|v|/Im z")
+
+
+def _shell_frame(cfg: MagneticConfig, p: Tangent):
+    """The frame g with g.(i, i) = p / lam of a shell tangent p; None at E = 0."""
+    _check_shell(cfg, p)
+    if cfg.E == 0.0:
+        return None
+    return frame_of(Tangent(p.z, p.v * (p.z.imag / abs(p.v))))
+
+
+def flow_exact_many(cfg: MagneticConfig, p: Tangent, t):
+    """Closed-form flow of the shell tangent p over a float or array t: footpoints, velocities."""
+    frame = _shell_frame(cfg, p)
+    if frame is None:
+        return np.full(np.shape(t), p.z, dtype=complex), np.full(np.shape(t), p.v, dtype=complex)
+    fa, fb, fc, fd = _framed(frame, _flow_entries(cfg, t))
+    w = fc * 1j + fd
+    return (fa * 1j + fb) / w, (1j / (w * w)) * cfg.lam
 
 
 def flow_exact(cfg: MagneticConfig, p: Tangent, t: float) -> Tangent:
     """Closed-form magnetic flow of the shell tangent p for time t."""
-    _check_shell(cfg, p)
-    if cfg.E == 0.0:
-        return p
-    unit = Tangent(p.z, p.v * (p.z.imag / abs(p.v)))
-    g = frame_of(unit) @ flow_matrix(cfg, t)
-    out = mobius_apply(g, Tangent(1j, 1j))
-    return Tangent(out.z, out.v * cfg.lam)
+    return Tangent(*map(complex, flow_exact_many(cfg, p, t)))
 
 
 def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
@@ -280,6 +291,17 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     return NumericFlowResult(Tangent(complex(x, y), complex(vx, vy)), warn)
 
 
+def flow_numeric_rows(cfg: MagneticConfig, p: Tangent, ts, dt: float, j_sign: float = 1.0):
+    """flow_numeric chained from p at ts[0] over the times ts: rows z, v and any step warning."""
+    rows, warned = [p], False
+    for t0, t1 in zip(ts, ts[1:]):
+        res = flow_numeric(cfg, rows[-1], float(t1 - t0), dt, j_sign)
+        rows.append(res.p)
+        warned = warned or res.step_warning
+    return (np.array([q.z for q in rows], dtype=complex),
+            np.array([q.v for q in rows], dtype=complex), warned)
+
+
 def period(cfg: MagneticConfig) -> float:
     """Common period T_E = 2 pi / sqrt(B^2 - 2E) of subcritical trajectories."""
     if cfg.regime is not Regime.SUBCRITICAL:
@@ -299,8 +321,7 @@ def lyapunov_exponent(cfg: MagneticConfig, t_max: float) -> float:
     if int(t_max) > _MAX_STEPS:
         raise ValueError(f"about {t_max:.3g} unit-time products needed for t_max={t_max!r}; "
                          f"the limit is {_MAX_STEPS}")
-    m = flow_matrix(cfg, 1.0)
-    a, b, c, d = m.entries()
+    a, b, c, d = map(float, _flow_entries(cfg, 1.0))
     ux, uy = 0.6, 0.8
     acc = 0.0
     n = max(1, int(t_max))

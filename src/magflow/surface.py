@@ -40,11 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, _check_shell, _exp_entries, _exp_scalars
+from .flow import MagneticConfig, _exp_entries, _exp_scalars, _framed, _shell_frame
 from .halfplane import (
     Moebius,
     Tangent,
-    frame_of,
     from_disk,
     hyp_dist,
     hyp_dist_vec,
@@ -340,27 +339,23 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
-    _check_shell(cfg, p0)
+    start = _shell_frame(cfg, p0)
     dt = T / n_steps
     block = max(1, int(min(_BLOCK_STEPS, n_steps, _BLOCK_BT / cfg.B * (n_steps / T))))
     # cosh d(i, exp(tF) i) over a block; a frame point that far from the
     # block's start carries a rounding error of about 1e-16 cosh d (its Im is
     # a cancelling determinant)
     reach = _exp_entries(cfg, *_exp_scalars(cfg, block * dt))
-    if not 0.5 * sum(x * x for x in reach) <= _MAX_BLOCK_COSH:
+    if not 0.5 * sum(x * x for x in map(float, reach)) <= _MAX_BLOCK_COSH:
         raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
                          f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
-    unit = Tangent(p0.z, p0.v * (p0.z.imag / abs(p0.v)))
-    start = frame_of(unit)
     total = 0.0
     done = 0
     while done < n_steps:
         m = min(block, n_steps - done)
         # the first block starts at t = 0, before the first midpoint
-        ea, eb, ec, ed = _exp_entries(
-            cfg, *_exp_scalars(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt))
-        fa, fb = start.a * ea + start.b * ec, start.a * eb + start.b * ed
-        fc, fd = start.c * ea + start.d * ec, start.c * eb + start.d * ed
+        fa, fb, fc, fd = _framed(start, _exp_entries(
+            cfg, *_exp_scalars(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt)))
         z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))
         total += float(np.sum(observable(z)))
         last = words[-1]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import magflow
 from magflow import (
     MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
-    flow_exact, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
+    flow_exact_many, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
 )
 from magflow.halfplane import from_disk
 from magflow.spectrum import critical_gaps, ladder_arrays, select_levels
@@ -147,12 +147,12 @@ class TestFlowCommand:
         # the row-template table against one _fmt join per line
         cfg = MagneticConfig(1.0, E)
         p0 = Tangent(1j, 1j * cfg.lam)
-        ts = [0.1 * i for i in range(101)]
-        pts = [flow_exact(cfg, p0, t) for t in ts]
+        ts = 0.1 * np.arange(101)
+        z, v = flow_exact_many(cfg, p0, ts)
         want = "t,re_z,im_z,re_v,im_v\n" + "".join(
-            ",".join(cli._fmt(x) for x in (t, p.z.real, p.z.imag, p.v.real, p.v.imag)) + "\n"
-            for t, p in zip(ts, pts))
-        assert cli._traj_csv(ts, pts) == want
+            ",".join(cli._fmt(x) for x in (t, a.real, a.imag, b.real, b.imag)) + "\n"
+            for t, a, b in zip(ts, z, v))
+        assert cli._traj_csv(ts, z, v) == want
 
     def test_critical_has_no_period(self, tmp_path):
         rc = cli.main(["flow", "--B", "1", "--E", "0.5",
@@ -186,14 +186,16 @@ class TestFlowCommand:
         assert "exp(tF) overflows at B=1.0, E=1000000.0, t=10.0" in capsys.readouterr().err
 
     def test_lost_determinant_fails(self, tmp_path, capsys):
-        # exp(tF) entries whose a d - b c has cancelled are refused, not renormalized
-        for E, t in (("5", "7.49"), ("1e6", "0.02")):
+        # exp(tF) entries whose a d - b c has cancelled are refused, not
+        # renormalized; the rows are checked as one array, whose largest
+        # time is named.  At E = 1e6 the overflow bound fires first.
+        for E, message in (("5", "exp(tF) loses its determinant (|det - 1| = 0.000885) "
+                                 "at B=1.0, E=5.0, t=10.0"),
+                           ("1e6", "exp(tF) overflows at B=1.0, E=1000000.0, t=10.0")):
             rc = cli.main(["flow", "--B", "1", "--E", E, "--out", str(tmp_path)])
             assert rc == 2
-            err = capsys.readouterr().err
-            assert "exp(tF) loses its determinant" in err
-            assert f"at B=1.0, E={float(E)!r}, t={t}" in err
-        assert not (tmp_path / "flow_summary.json").exists()
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_grid_fails(self, tmp_path, capsys):
         for grid in ("-5", "0", "1"):
@@ -728,21 +730,38 @@ class TestEquidistCommand:
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "equidist.json").exists()
 
-    # E is mostly left to default to the critical energy, so runs get past
-    # the energy check
     @CLEAN_EXIT
-    @given(B=SURFACE_B, E=st.one_of(st.none(), st.none(), wild(0.0, 2.0)),
-           T=wild(0.1, 20.0), n=st.integers(-3, 2000), grid=st.integers(-3, 60),
+    @given(B=SURFACE_B, T=wild(0.1, 20.0), n=st.integers(-3, 2000), grid=st.integers(-3, 60),
            seed=st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130)))
-    def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, T, n, grid, seed):
-        rc = exit_code(capsys, "equidist", fresh_dir(tmp_path), B=B, E=E, T=T, n=n, grid=grid,
+    def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, T, n, grid, seed):
+        rc = exit_code(capsys, "equidist", fresh_dir(tmp_path), B=B, T=T, n=n, grid=grid,
                        seed=seed)
         assert rc in (0, 2)
 
     def test_off_critical_energy_fails(self, tmp_path, capsys):
-        rc = cli.main(["equidist", "--E", "0.3", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "equidistribution test requires critical energy" in capsys.readouterr().err
+        # the run is at the critical energy B^2/2 by definition, so E is no flag
+        for E in ("0.3", "0.5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["equidist", "--E", E, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --E" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_shared_config_energy_is_ignored(self, tmp_path):
+        # a [magflow] section holding the keys the other commands share
+        ini = tmp_path / "run.ini"
+        ini.write_text("[magflow]\nB = 1\nE = 0.25\n")
+        out = tmp_path / "out"
+        rc = cli.main(["equidist", "--config", str(ini), "--T", "10", "--n", "1000",
+                       "--grid", "50", "--out", str(out)])
+        assert rc == 0
+        assert read_json(out / "equidist.json")["E"] == 0.5
+
+    def test_strong_field_start_is_on_the_shell(self, tmp_path):
+        # |v| / Im z of a start tangent rounds at about 1e-16 lam = 1e-8 here
+        rc = cli.main(["equidist", "--B", "100000000", "--T", "1e-8", "--n", "100",
+                       "--grid", "10", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
 
     def test_chern_violation_fails(self, tmp_path, capsys):
         # E defaults to the critical energy of B = 0.7, so the run reaches the
@@ -931,16 +950,14 @@ class TestConfigHandling:
 
     @CLEAN_EXIT
     @given(section=st.sampled_from(["magflow", "equidist"]), B=config_value(SURFACE_B),
-           E=st.one_of(st.none(), st.none(), config_value(wild(0.0, 2.0))),
            T=config_value(wild(0.1, 20.0)), n=config_value(st.integers(-3, 2000)),
            grid=config_value(st.integers(-3, 60)),
            seed=config_value(st.one_of(st.integers(-3, 1000), st.integers(2**64 - 2, 2**130))),
            extra=MALFORMED)
-    def test_any_equidist_config_exits_cleanly(self, tmp_path, capsys, section, B, E, T, n,
+    def test_any_equidist_config_exits_cleanly(self, tmp_path, capsys, section, B, T, n,
                                                grid, seed, extra):
         self.config_exit_code(tmp_path, capsys, "equidist", section,
-                              {"B": B, "E": E, "T": T, "n": n, "grid": grid, "seed": seed},
-                              extra)
+                              {"B": B, "T": T, "n": n, "grid": grid, "seed": seed}, extra)
 
     @pytest.mark.parametrize("text, message", [
         ("[spectrum]\nk = 5%\n", "bad config file"),
@@ -1049,7 +1066,8 @@ PUBLIC_NAMES = {
     "TorusPoint", "VariationCoeffs", "alpha_radial", "area_average", "birkhoff_average",
     "bolza_group", "compare_to_closed_form", "density_cover_many", "density_mass",
     "density_surface", "density_surface_many", "exact_ring_averages", "flow", "flow_exact",
-    "flow_matrix", "flow_numeric", "frame_of", "from_disk", "halfplane",
+    "flow_exact_many", "flow_matrix", "flow_numeric", "flow_numeric_rows", "frame_of",
+    "from_disk", "halfplane",
     "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
     "preimages_many", "psi", "radius", "reduce_point", "relation_residual",

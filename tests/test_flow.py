@@ -13,17 +13,21 @@ from magflow import (
     Regime,
     Tangent,
     flow_exact,
+    flow_exact_many,
     flow_matrix,
     flow_numeric,
+    flow_numeric_rows,
+    frame_of,
     hyp_dist,
     hyp_norm,
     lyapunov_exponent,
+    mobius_apply,
     period,
     variation_coeffs,
 )
 
 from magflow import flow
-from magflow.flow import _exp_scalars
+from magflow.flow import _exp_entries, _exp_scalars
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -123,6 +127,87 @@ class TestFlowExact:
     def test_off_shell_rejected(self):
         with pytest.raises(ValueError, match="off energy shell"):
             flow_exact(STD, Tangent(1j, 1j), 1.0)
+
+    def test_shell_tolerance_is_relative_to_the_speed(self):
+        # at lam = sqrt(2e18) the rounding of |v| / Im z alone is about
+        # 1e-16 lam = 1.4e-7, above an absolute 1e-8
+        rng = np.random.default_rng(23)
+        cfg = MagneticConfig(1.0, 1e18)
+        for _ in range(20):
+            z = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(-1.0, 1.0)))
+            p = shell_tangent(cfg, z, rng.uniform(0.0, 2.0 * math.pi))
+            q = flow_exact(cfg, p, 0.0)
+            assert abs(q.z - p.z) < 1e-14 * abs(p.z) and abs(q.v - p.v) < 1e-14 * abs(p.v)
+        off = Tangent(2j, 2j * cfg.lam * (1.0 + 1e-7))
+        message = f"off energy shell at B=1.0, E=1e+18, |v|/Im z={cfg.lam * (1.0 + 1e-7)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            flow_exact(cfg, off, 0.0)
+
+    def test_many_matches_the_moebius_chain(self):
+        # the array flow against the frame and flow_matrix Moebius products
+        # acting on (i, i), within 1e-12 relative below and at E_c.  Above
+        # it, a d - b c of entries of size cosh d rounds at eps cosh^2 d, and
+        # the chain renormalizes exp(tF) by that determinant, which moves its
+        # velocities by as much
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(24)
+        for cfg in (STD, MagneticConfig(2.0, 2.0), MagneticConfig(1.0, 2.0)):
+            p = shell_tangent(cfg, 0.3 + 1.7j, 2.1)
+            t = rng.uniform(-10.0, 10.0, 50)
+            z, v = flow_exact_many(cfg, p, t)
+            assert z.shape == v.shape == t.shape
+            unit = Tangent(p.z, p.v / cfg.lam)
+            a, b, c, d = _exp_entries(cfg, *_exp_scalars(cfg, t))
+            tol = np.full(t.shape, 1e-12)
+            if cfg.regime is Regime.SUPERCRITICAL:
+                tol = 8.0 * eps * (0.5 * (a * a + b * b + c * c + d * d)) ** 2
+            for k, tk in enumerate(t.tolist()):
+                q = mobius_apply(frame_of(unit) @ flow_matrix(cfg, tk), Tangent(1j, 1j))
+                assert abs(z[k] - q.z) <= tol[k] * abs(q.z)
+                assert abs(v[k] - cfg.lam * q.v) <= tol[k] * abs(v[k])
+
+    def test_supercritical_velocity_matches_mpmath(self):
+        # B = 1, E = 2, t = 10: the float d - b c of exp(tF) is 1 - 4.2e-9, so
+        # a renormalized matrix would move the velocity by that much
+        mp = pytest.importorskip("mpmath")
+        cfg = MagneticConfig(1.0, 2.0)
+        for p in (shell_tangent(cfg), shell_tangent(cfg, 0.3 + 1.7j, 2.1)):
+            with mp.workdps(40):
+                lam, B = mp.sqrt(2 * mp.mpf(cfg.E)), mp.mpf(cfg.B)
+                g = mp.sqrt(lam * lam - B * B)
+                C, S = mp.cosh(5 * g), 2 * mp.sinh(5 * g) / g
+                e = mp.matrix([[C + S * lam / 2, -S * B / 2], [S * B / 2, C - S * lam / 2]])
+                x, y = mp.mpf(p.z.real), mp.mpf(p.z.imag)
+                psi = mp.atan2(mp.mpf(p.v.imag), mp.mpf(p.v.real)) - mp.pi / 2
+                frame = (mp.matrix([[mp.sqrt(y), x / mp.sqrt(y)], [0, 1 / mp.sqrt(y)]])
+                         * mp.matrix([[mp.cos(psi / 2), mp.sin(psi / 2)],
+                                      [-mp.sin(psi / 2), mp.cos(psi / 2)]]) * e)
+                w = frame[1, 0] * 1j + frame[1, 1]
+                z_ref = complex((frame[0, 0] * 1j + frame[0, 1]) / w)
+                v_ref = complex(lam * 1j / (w * w))
+            q = flow_exact(cfg, p, 10.0)
+            assert abs(q.z - z_ref) <= 1e-12 * abs(z_ref)
+            assert abs(q.v - v_ref) <= 1e-12 * abs(v_ref)
+
+    def test_float_time_is_one_point_of_many(self):
+        # a float time takes numpy's scalar complex products, an array its
+        # vector loops; the two may differ in the last place
+        eps = np.finfo(float).eps
+        for cfg in (STD, MagneticConfig(1.0, 0.5), MagneticConfig(1.0, 2.0)):
+            p = shell_tangent(cfg, -0.4 + 0.6j, 1.1)
+            t = np.linspace(-5.0, 5.0, 11)
+            z, v = flow_exact_many(cfg, p, t)
+            for k, tk in enumerate(t.tolist()):
+                q = flow_exact(cfg, p, tk)
+                assert (q.z, q.v) == flow_exact_many(cfg, p, tk)
+                assert abs(q.z - z[k]) <= 4.0 * eps * abs(z[k])
+                assert abs(q.v - v[k]) <= 4.0 * eps * abs(v[k])
+
+    def test_many_at_zero_energy_is_fixed(self):
+        cfg = MagneticConfig(1.0, 0.0)
+        p = Tangent(0.4 + 2.0j, 0.0)
+        z, v = flow_exact_many(cfg, p, np.array([-3.0, 0.0, 5.0, 1e300]))
+        assert np.all(z == p.z) and np.all(v == p.v)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
@@ -237,6 +322,21 @@ class TestFlowNumeric:
         p = Tangent(0.4 + 2.0j, 0.0)
         got = flow_numeric(cfg, p, 3.0, 1e-2)
         assert got.p.z == p.z and not got.step_warning
+
+    def test_rows_chain_flow_numeric(self):
+        # each row continues the previous one over the difference of times
+        for cfg, j_sign in ((STD, 1.0), (MagneticConfig(1.0, 2.0), -1.0)):
+            p = shell_tangent(cfg, 0.3 + 1.7j, 0.4)
+            ts = np.array([0.0, 0.25, 0.5, 1.3, 1.3, 2.0])
+            z, v, warned = flow_numeric_rows(cfg, p, ts, 1e-2, j_sign)
+            cur = p
+            assert (z[0], v[0]) == (p.z, p.v)
+            for k in range(1, len(ts)):
+                cur = flow_numeric(cfg, cur, float(ts[k] - ts[k - 1]), 1e-2, j_sign).p
+                assert (z[k], v[k]) == (cur.z, cur.v)
+            assert not warned
+        T = period(STD)
+        assert flow_numeric_rows(STD, shell_tangent(STD), [0.0, 1.0], 0.02 * T)[2]
 
     def test_step_warning(self):
         p = shell_tangent(STD)
@@ -442,13 +542,12 @@ class TestExpScalars:
                                     t_zero + rng.uniform(-1.0, 1.0, 40)])
             C, S = _exp_scalars(cfg, t)
             assert C.shape == S.shape == t.shape
-            pairs = [_exp_scalars(cfg, float(x)) for x in t]
-            assert all(isinstance(c, float) and isinstance(s, float) for c, s in pairs)
-            want_C = np.array([c for c, _ in pairs])
-            want_S = np.array([s for _, s in pairs])
-            # numpy and math trig may differ in the last place
-            np.testing.assert_allclose(C, want_C, rtol=1e-15, atol=1e-15)
-            np.testing.assert_allclose(S, want_S, rtol=1e-15, atol=1e-15)
+            # one kernel: a float time, or a one-element array, runs the
+            # array arithmetic to the bit
+            for k, x in enumerate(t.tolist()):
+                c, s = _exp_scalars(cfg, x)
+                assert isinstance(c, float) and isinstance(s, float)
+                assert (c, s) == (C[k], S[k]) == _exp_scalars(cfg, np.array([x]))
 
     def test_overflow_names_the_config(self):
         cfg = MagneticConfig(1.0, 1e6)
