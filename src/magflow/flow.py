@@ -214,6 +214,7 @@ def flow_exact_many(cfg: MagneticConfig, p: Tangent, t):
     """Closed-form flow of the shell tangent p over a float or array t: footpoints, velocities."""
     frame = _shell_frame(cfg, p)
     if frame is None:
+        _require_finite(cfg, t)
         return np.full(np.shape(t), p.z, dtype=complex), np.full(np.shape(t), p.v, dtype=complex)
     fa, fb, fc, fd = _framed(frame, _flow_entries(cfg, t))
     w = fc * 1j + fd
@@ -340,6 +341,10 @@ def variation_coeffs(cfg: MagneticConfig, t) -> VariationCoeffs:
     b solves b'' = (2E - B^2) b with b(0) = 0, b'(0) = 1 (sin(gt)/g, t or
     sinh(gt)/g by regime); a = -B int_0^t b and c = 1 + 2E int_0^t b.  With
     exp(tF) = C I + S F, b = C S and int_0^t b = S^2 / 2 in every regime.
+    Refused where S^2 leaves float range (at E_c, once |t| passes 1e154).
     """
     C, S = _exp_scalars(cfg, t)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(S * S).all():
+            raise _range_error(cfg, t, "Jacobi coefficients overflow")
     return VariationCoeffs(-0.5 * cfg.B * S * S, C * S, 1.0 + cfg.E * S * S)

@@ -15,17 +15,16 @@ so g_{k+4} = g_k^{-1} and all traces equal 2(1 + sqrt 2).  They satisfy the
 single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = 1, encoded by
 the index word (0, 3, 6, 1, 4, 7, 2, 5).
 
-Operations, each an array kernel: fold points into
-the fundamental domain (greedy distance descent; a point is a local minimum
-of d(., i) over the generator orbit exactly when it lies in the Dirichlet
-domain), enumerate the group elements whose translated domain can meet a
-centered disk (breadth-first search over the Cayley graph, keyed on orbit
+Operations, each an array kernel: fold points into the fundamental domain
+(greedy distance descent; a point is a local minimum of d(., i) over the
+generator orbit exactly when it lies in the Dirichlet domain), enumerate as
+one (n, 4) entry array the group elements whose translated domain can meet
+a centered disk (the Cayley graph layer by layer, deduplicated on orbit
 points g.i), fold the planar pushforward density onto the surface by
 summing over those translates, and time-average observables along critical
-energy trajectories, which equidistribute toward the area measure; the
-averages take their samples in blocks of closed-form frames, each block
-folded as one array.  reduce_point and density_surface are the fold and the
-density at one point.
+energy trajectories, which equidistribute toward the area measure, in
+blocks of closed-form frames folded as one array.  reduce_point and
+density_surface are the fold and the density at one point.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -34,7 +33,6 @@ integrality constraint 2B(genus - 1) = 2B in Z.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,31 +154,33 @@ def require_chern(cfg: MagneticConfig) -> None:
         )
 
 
+def _ranks(gens, z):
+    """(8, n) ranks of the generator moves of a flat array z: |g.z - i|^2 Im z / Im g.z,
+    monotone in d(g.z, i), which is |(a - ic) z + b - id|^2 for g = (a, b; c, d)."""
+    rows = np.array([(g.a, g.c, g.b) for g in gens] + [(-g.c, g.a, -g.d) for g in gens])
+    r = rows @ np.array([z.real, z.imag, np.ones(z.size)])
+    r *= r
+    return r[:len(gens)] + r[len(gens):]
+
+
 def _descend_many(generators, z):
     """Greedy steepest descent of d(., i) over generator moves, for an array
     of points at once: the one fold rule.
 
-    A move must lower d(., i) by more than _DESCENT_EPS, the first minimum
-    (lowest generator index) wins, and a point still moving after _MAX_STEPS
-    passes raises "reduction failed".  Each point's candidates g.z are ranked
-    by |g.z - i|^2 / Im g.z, which is monotone in d(g.z, i) and equals
-    |(a - ic) z + b - id|^2 / Im z for g = (a, b; c, d): only the numerator
-    varies, and it is linear in (Re z, Im z, 1).  The chosen move alone is
-    applied and measured.  Returns the folded points and their words: row j
+    The move of least rank by _ranks (the lowest generator index among
+    equals) alone is applied and measured; it must lower d(., i) by more than
+    _DESCENT_EPS, and a point still moving after _MAX_STEPS passes raises
+    "reduction failed".  Returns the folded points and their words: row j
     holds the generator indices applied to z[j] in order, padded with -1.
     """
     z = np.array(z, dtype=complex).ravel()
-    ga, gb, gc, gd = (np.array(col) for col in zip(*(g.entries() for g in generators)))
-    rank = np.concatenate([np.stack([ga, gc, gb], 1), np.stack([-gc, ga, -gd], 1)])
-    n = len(generators)
+    ga, gb, gc, gd = np.array([g.entries() for g in generators]).T
     d0 = hyp_dist_vec(z, 1j)
     live = np.arange(z.size)
     moves = []
     for _ in range(_MAX_STEPS):
         zl = z[live]
-        r = rank @ np.array([zl.real, zl.imag, np.ones(zl.size)])
-        r *= r
-        best = np.argmin(r[:n] + r[n:], axis=0)  # first minimum: the lowest index
+        best = np.argmin(_ranks(generators, zl), axis=0)  # first minimum: the lowest index
         w = (ga[best] * zl + gb[best]) / (gc[best] * zl + gd[best])
         best_d = hyp_dist_vec(w, 1j)
         go = best_d < d0[live] - _DESCENT_EPS
@@ -205,82 +205,70 @@ def reduce_point(group: FuchsianGroup, z: complex) -> DomainReduction:
 
 
 def in_domain_mask(group: FuchsianGroup, z):
-    """Vectorized Dirichlet-domain membership test for an array of points."""
-    z = np.asarray(z)
-    ref = 1.0 + np.abs(z - 1j) ** 2 / (2.0 * z.imag)
-    ok = np.ones(z.shape, dtype=bool)
-    for g in group.generators:
-        w = g.apply(z)
-        # the slack keeps points on a side, which rounding puts either way
-        ok &= ref <= 1.0 + np.abs(w - 1j) ** 2 / (2.0 * w.imag) + 1e-12
-    return ok
+    """Dirichlet-domain membership of an array of points: no generator move
+    ranks below |z - i|^2 by more than 1e-12 in cosh d (points on a side)."""
+    flat = np.ravel(z)
+    ok = np.abs(flat - 1j) ** 2 <= _ranks(group.generators, flat).min(axis=0) + 2e-12 * flat.imag
+    return ok.reshape(np.shape(z))
 
 
-class _OrbitPoints:
-    """Group elements keyed by their orbit points w = g.i.
+def _cosh_displacement(g):
+    """cosh d(i, g.i) for each row (a, b, c, d) of an entry array."""
+    return 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2 + g[:, 2] ** 2 + g[:, 3] ** 2)
 
-    The group is torsion-free and its Dirichlet domain about i holds the
-    disk of radius rho (the inradius), so distinct elements have orbit
-    points at least 2 rho apart: g is known when a stored point lies within
-    rho of its own.  Cells are squares of side rho in the hyperboloid
-    coordinates ((|w|^2 - 1) / (2 Im w), Re w / Im w), whose plane distance
-    is at least the hyperbolic one, so a cell holds at most one orbit point;
-    a jittered copy of a stored point lies in its cell or a neighbouring one.
-    """
 
-    def __init__(self, rho: float):
-        self.rho = rho
-        self._cells = {}
-
-    def insert(self, g: Moebius) -> bool:
-        """Store g unless it is known; return whether it was new."""
-        w = g.apply(1j)
-        kx = round((abs(w) ** 2 - 1.0) / (2.0 * w.imag * self.rho))
-        ky = round(w.real / (w.imag * self.rho))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for v in self._cells.get((kx + dx, ky + dy), ()):
-                    if hyp_dist(w, v) < self.rho:
-                        return False
-        self._cells.setdefault((kx, ky), []).append(w)
-        return True
+def _first_orbit_points(g, rho: float):
+    """Mask of the rows of an (n, 4) entry array whose orbit point w = g.i no
+    earlier row has.  Distinct orbit points are 2 rho (the inradius) apart or
+    more, also in the plane of the hyperboloid coordinates ((|w|^2 - 1) / (2
+    Im w), Re w / Im w) = ((a^2 + b^2 - c^2 - d^2) / 2, ac + bd), so a cell
+    of side rho there holds at most one.  Rounded copies share a cell in one
+    of four grids offset by half a cell: a row that follows another row in
+    its cell of some grid is a copy."""
+    a, b, c, d = g.T
+    x = (a * a + b * b - c * c - d * d) / (2.0 * rho)
+    y = (a * c + b * d) / rho
+    first = np.zeros((4, len(g)), dtype=bool)
+    for k, (sx, sy) in enumerate(((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))):
+        first[k, np.unique(np.floor(x + sx) + 1j * np.floor(y + sy), return_index=True)[1]] = True
+    return first.all(axis=0)
 
 
 @lru_cache(maxsize=16)
 def translates_meeting_disk(group: FuchsianGroup, R: float):
-    """All group elements whose translated domain can intersect the closed
-    disk of radius R about the center.
+    """Entries (a, b, c, d) of the group elements whose translated domain
+    can meet the closed disk of radius R about the center, as a read-only
+    (n, 4) array sorted by (cosh d(i, g.i), a, b, c, d).
 
-    A translate gF meets the disk only if d(i, g.i) <= R + circumradius;
-    breadth-first search over the Cayley graph with an exploration margin of
-    two circumradii guarantees every such element is reached (the geodesic
-    to g.i crosses a side-adjacent chain of translates, each within a
-    circumradius of it).
-    """
+    gF meets the disk only if d(i, g.i) <= R + circumradius, and the Cayley
+    graph with an exploration margin of two circumradii reaches every such g
+    (the geodesic to g.i crosses a side-adjacent chain of translates).  Layer n + 1 is layer
+    n times the generators in (element, generator) order, normalized as
+    Moebius normalizes a matrix, kept within that radius and where the orbit
+    point is new.  Every relator has even length, so a product is new or in
+    layer n - 1, the one layer it is checked against."""
     if R >= ENUM_CAP:
         raise ValueError("disk too large for exact enumeration")
     if R < 0.0:
         raise ValueError("disk radius must be nonnegative")
     include = math.cosh(R + group.circumradius)
     explore = math.cosh(R + 2.0 * group.circumradius + 0.5)
-    seen = _OrbitPoints(group.inradius)
-    ident = Moebius.identity()
-    seen.insert(ident)
-    queue = deque([ident])
-    found = [ident]
-    while queue:
-        g = queue.popleft()
-        for gen in group.generators:
-            h = g @ gen
-            ch = h.cosh_displacement()
-            # elements past the exploration radius are never queued, so they
-            # need no place in the seen set
-            if ch <= explore and seen.insert(h):
-                queue.append(h)
-                if ch <= include:
-                    found.append(h)
-    found.sort(key=lambda m: (m.cosh_displacement(), m.a, m.b, m.c, m.d))
-    return tuple(found)
+    gen = np.array([g.entries() for g in group.generators]).reshape(-1, 2, 2)
+    layers = [np.empty((0, 4)), np.array([[1.0, 0.0, 0.0, 1.0]])]
+    while len(layers[-1]):
+        m = layers[-1].reshape(-1, 1, 2, 2)
+        h = (m[..., :1] * gen[:, :1] + m[..., 1:] * gen[:, 1:]).reshape(-1, 4)
+        det = h[:, 0] * h[:, 3] - h[:, 1] * h[:, 2]
+        h *= (1.0 / np.sqrt(det))[:, None]  # exactly 1.0 where det is 1.0
+        h[(h[:, 0] < 0.0) | ((h[:, 0] == 0.0) & (h[:, 1] < 0.0))] *= -1.0
+        h = h[_cosh_displacement(h) <= explore]
+        new = _first_orbit_points(np.concatenate([layers[-2], h]), group.inradius)
+        layers.append(h[new[len(layers[-2]):]])
+    found = np.concatenate(layers)
+    found = found[_cosh_displacement(found) <= include]
+    found = found[np.lexsort(np.vstack([found.T[::-1], _cosh_displacement(found)]))]
+    found.flags.writeable = False
+    return found
 
 
 def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: float = 1e-3):
@@ -300,13 +288,13 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: flo
     count = np.zeros(y0.shape, dtype=np.int64)
     near_center = np.zeros(y0.shape, dtype=bool)
     near_boundary = np.zeros(y0.shape, dtype=bool)
-    for g in translates_meeting_disk(group, R):
-        d = hyp_dist_vec(1j, g.apply(y0))
-        hit = d < R + 1e-9
-        near_center |= hit & (d <= band * R)
-        near_boundary |= hit & (np.abs(d - R) < band * R)
-        alpha += np.where(hit, alpha_radial(cfg, d), 0.0)
-        count += preimage_count(cfg, d)
+    for a, b, c, d in translates_meeting_disk(group, R):
+        dist = hyp_dist_vec(1j, (a * y0 + b) / (c * y0 + d))
+        hit = dist < R + 1e-9
+        near_center |= hit & (dist <= band * R)
+        near_boundary |= hit & (np.abs(dist - R) < band * R)
+        alpha += np.where(hit, alpha_radial(cfg, dist), 0.0)
+        count += preimage_count(cfg, dist)
     return y0, alpha, count, _flags(near_center, near_boundary, count == 0)
 
 

@@ -230,8 +230,8 @@ def check_preimage_counts(seed: int = 1008) -> dict:
     z = from_disk(u)
     z = z[in_domain_mask(group, z)]
     counts = np.zeros(z.shape, dtype=int)
-    for g in translates:
-        counts += 2 * (hyp_dist_vec(g.apply(z), 1j) < R)
+    for a, b, c, d in translates:
+        counts += 2 * (hyp_dist_vec((a * z + b) / (c * z + d), 1j) < R)
     max_count = int(counts.max())
     bound = 2 * len(translates)
     ok = ok and max_count <= bound

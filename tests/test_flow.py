@@ -209,6 +209,14 @@ class TestFlowExact:
         z, v = flow_exact_many(cfg, p, np.array([-3.0, 0.0, 5.0, 1e300]))
         assert np.all(z == p.z) and np.all(v == p.v)
 
+    def test_zero_energy_checks_the_time(self):
+        cfg = MagneticConfig(1.0, 0.0)
+        p = Tangent(2j, 0j)
+        with pytest.raises(ValueError, match=r"needs a finite time at B=1.0, E=0.0, t=nan"):
+            flow_exact(cfg, p, math.nan)
+        with pytest.raises(ValueError, match=r"needs a finite time at B=1.0, E=0.0, t=inf"):
+            flow_exact_many(cfg, p, np.array([0.0, 1.0, -math.inf]))
+
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
         for cfg in (STD, MagneticConfig(1.0, 0.5), MagneticConfig(1.0, 2.0)):
@@ -476,6 +484,16 @@ class TestVariationCoeffs:
             bp = variation_coeffs(cfg, t + h).b
             dd = (bp - 2.0 * b0 + bm) / (h * h)
             assert dd == pytest.approx(-cfg.discriminant * b0, abs=1e-4)
+
+    def test_overflow_at_critical_energy_is_refused(self):
+        # S = t at E_c, so S^2 leaves float range once |t| passes 1.3e154
+        cfg = MagneticConfig(1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e200, np.array([1.0, -1e155])):
+                with pytest.raises(ValueError, match=r"overflow at B=1.0, E=0.5, t=1e\+(200|155)"):
+                    variation_coeffs(cfg, t)
+            assert variation_coeffs(cfg, 1e150).a == -0.5 * 1e150 * 1e150
 
     def test_matches_regime_formulas(self):
         # the per-regime forms b = sin(gt)/g, int b = (1 - cos gt)/g^2 (and

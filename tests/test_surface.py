@@ -1,6 +1,7 @@
 """Bolza surface: group integrity, reduction, translate enumeration,
 surface density, and the critical-energy time average."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -10,7 +11,6 @@ import pytest
 from magflow import (
     Flag,
     MagneticConfig,
-    Moebius,
     Tangent,
     alpha_radial,
     area_average,
@@ -26,7 +26,6 @@ from magflow import (
     radius,
     reduce_point,
     relation_residual,
-    rotation_about_i,
     translates_meeting_disk,
 )
 from magflow import surface
@@ -212,60 +211,91 @@ class TestDescendMany:
             reduce_point(GROUP, far)
 
 
+def _same_elements(g, h, tol):
+    """(len(g), len(h)) mask of entry rows of g and h that are one element
+    of PSL(2, R) within tol: equal up to a global sign."""
+    diff = g[:, None, :] - h[None, :, :]
+    total = g[:, None, :] + h[None, :, :]
+    return np.minimum(np.abs(diff).max(axis=2), np.abs(total).max(axis=2)) <= tol
+
+
+def _row_at(X, Y):
+    """Entries of the element (sqrt y, x / sqrt y; 0, 1 / sqrt y) taking i
+    to x + iy, the point with hyperboloid coordinates (X, Y)."""
+    y = (X + math.sqrt(1.0 + X * X + Y * Y)) / (1.0 + Y * Y)
+    return [math.sqrt(y), Y * math.sqrt(y), 0.0, 1.0 / math.sqrt(y)]
+
+
 class TestTranslates:
     def test_tiny_disk_needs_only_identity(self):
         got = translates_meeting_disk(GROUP, 0.1)
-        assert len(got) == 1
-        assert got[0].close_to(Moebius.identity(), 1e-14)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [[1.0, 0.0, 0.0, 1.0]])
 
     def test_reference_energy_count(self):
         got = translates_meeting_disk(GROUP, radius(STD))
-        assert len(got) == 9
-        assert got == translates_meeting_disk(GROUP, radius(STD))
+        assert got.shape == (9, 4)
+        assert got is translates_meeting_disk(GROUP, radius(STD))
+
+    def test_cached_array_is_read_only(self):
+        got = translates_meeting_disk(GROUP, 2.0)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 2.0
+
+    # sha256 prefixes of the entry bytes that the earlier enumeration (a
+    # queue of Moebius products deduplicated by orbit point) produced
+    @pytest.mark.parametrize("R, n, digest", [
+        (0.1, 1, "7b38b86d9a7e6237"),
+        (radius(STD), 9, "e138ed38bcce428a"),
+        (4.0, 137, "b091ba61802faaa3"),
+        (radius(MagneticConfig(1.0, 0.48)), 297, "bdb39cb2afb75668"),
+        (5.9, 1001, "dd50adcbebbf2ddd"),
+    ])
+    def test_entry_bytes_are_pinned(self, R, n, digest):
+        got = translates_meeting_disk(GROUP, R)
+        assert got.shape == (n, 4)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
     def test_closed_under_inverses(self):
         got = translates_meeting_disk(GROUP, 2.0)
-        for g in got:
-            assert any(h.close_to(g.inv(), 1e-9) for h in got)
+        inverses = got[:, [3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+        assert _same_elements(got, inverses, 1e-9).any(axis=0).all()
 
     def test_monotone_in_radius(self):
         small = translates_meeting_disk(GROUP, 1.0)
         large = translates_meeting_disk(GROUP, 2.2)
         assert len(small) <= len(large)
-        for g in small:
-            assert any(h.close_to(g, 1e-9) for h in large)
+        assert _same_elements(large, small, 1e-9).any(axis=0).all()
 
     def test_orbit_points_are_distinct_at_radius_four(self):
         got = translates_meeting_disk(GROUP, 4.0)
         assert len(got) == 137
-        keys = [(m.cosh_displacement(), m.a, m.b, m.c, m.d) for m in got]
-        assert keys == sorted(keys)
+        a, b, c, d = got.T
+        keys = np.stack([0.5 * (a * a + b * b + c * c + d * d), a, b, c, d])
+        np.testing.assert_array_equal(np.lexsort(keys[::-1]), np.arange(len(got)))
         # the Dirichlet domain about i holds the disk of radius rho, so
         # distinct elements move i to points at least 2 rho apart
-        pts = np.array([m.apply(1j) for m in got])
-        d = hyp_dist_vec(pts[:, None], pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        assert d.min() >= 2.0 * GROUP.inradius - 1e-9
+        pts = (a * 1j + b) / (c * 1j + d)
+        dist = hyp_dist_vec(pts[:, None], pts[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert dist.min() >= 2.0 * GROUP.inradius - 1e-9
 
-    def test_orbit_point_set_knows_jittered_copies_only(self):
+    def test_first_orbit_points_drop_rounded_copies_only(self):
         rho = GROUP.inradius
-
-        def lift(X):
-            # the element taking i to i y, whose hyperboloid X is sinh(log y)
-            h = 0.5 * math.asinh(X)
-            return Moebius(math.exp(h), 0.0, 0.0, math.exp(-h))
-
-        seen = surface._OrbitPoints(rho)
-        assert seen.insert(lift(0.5 * rho * (1.0 + 1e-12)))
-        # across the cell edge at X = rho / 2 from the stored point
-        assert not seen.insert(lift(0.5 * rho * (1.0 - 1e-12)))
-        seen = surface._OrbitPoints(rho)
-        assert seen.insert(Moebius.identity())
-        # 1.2 rho from i on a diagonal of the hyperboloid plane, in cell (1, +-1)
-        h = 0.6 * rho
-        g = rotation_about_i(math.pi / 4.0) @ Moebius(math.exp(h), 0.0, 0.0, math.exp(-h))
-        assert seen.insert(g)
-        assert not seen.insert(g @ Moebius.identity())
+        # a pair of copies 2e-12 apart, relative, either side of a cell
+        # edge of one grid and of a cell corner of each of the four
+        for X, Y in ((rho, 0.3 * rho), (0.3 * rho, 0.5 * rho), (rho, rho),
+                     (0.5 * rho, rho), (rho, 0.5 * rho), (0.5 * rho, 0.5 * rho)):
+            rows = np.array([_row_at(X * (1.0 + 1e-12), Y * (1.0 + 1e-12)),
+                             _row_at(X * (1.0 - 1e-12), Y * (1.0 - 1e-12))])
+            assert surface._first_orbit_points(rows, rho).tolist() == [True, False]
+        # i and a point 1.2 rho from it on a diagonal of the hyperboloid
+        # plane are distinct; a copy of the second is not
+        far = math.sinh(1.2 * rho) / math.sqrt(2.0)
+        rows = np.array([_row_at(0.0, 0.0), _row_at(far, far),
+                         _row_at(far * (1.0 + 1e-12), far)])
+        assert surface._first_orbit_points(rows, rho).tolist() == [True, True, False]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="disk too large for exact enumeration"):
@@ -282,15 +312,15 @@ def _density_reference(cfg, y, band):
     R = radius(cfg)
     y0, _ = _descend(GROUP.generators, complex(y))
     total, count, near_center, near_boundary = 0.0, 0, False, False
-    for g in translates_meeting_disk(GROUP, R):
-        w = g.apply(y0)
-        d = hyp_dist(1j, w)
-        if d >= R + 1e-9:
+    for a, b, c, d in translates_meeting_disk(GROUP, R).tolist():
+        w = (a * y0 + b) / (c * y0 + d)
+        dist = hyp_dist(1j, w)
+        if dist >= R + 1e-9:
             continue
-        near_center = near_center or d < band * R
-        near_boundary = near_boundary or abs(d - R) < band * R
-        total += alpha_radial(cfg, d)
-        count += 0 if d < 1e-9 else len(preimages_cover(cfg, w))
+        near_center = near_center or dist < band * R
+        near_boundary = near_boundary or abs(dist - R) < band * R
+        total += alpha_radial(cfg, dist)
+        count += 0 if dist < 1e-9 else len(preimages_cover(cfg, w))
     flag = (Flag.NEAR_CENTER if near_center else Flag.NEAR_BOUNDARY if near_boundary
             else Flag.REGULAR if count else Flag.OUTSIDE)
     return y0, total, count, flag
@@ -385,8 +415,8 @@ class TestDensitySurface:
         mask = ins & in_domain_mask(GROUP, z)
         weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
         total = np.zeros(u.shape)
-        for g in translates_meeting_disk(GROUP, radius(STD)):
-            d = hyp_dist_vec(np.full_like(z, 1j), g.apply(z))
+        for ga, gb, gc, gd in translates_meeting_disk(GROUP, radius(STD)):
+            d = hyp_dist_vec(np.full_like(z, 1j), (ga * z + gb) / (gc * z + gd))
             a = np.asarray(alpha_radial(STD, d))
             total += np.where(np.isfinite(a), a, 0.0)
         mass = float(np.sum(np.where(mask, total * weight, 0.0)) * cell)
