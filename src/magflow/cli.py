@@ -448,6 +448,8 @@ def cmd_equidist(args) -> int:
     B, T, n_steps, res, seed, out = args.B, args.T, args.n, args.grid, args.seed, args.out
 
     cfg = MagneticConfig(B, 0.5 * B * B)  # the critical energy
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if 3 * n_steps > _MAX_BIRKHOFF_STEPS:
         raise ValueError(f"3 orbits of {n_steps} steps requested; "
                          f"the limit is {_MAX_BIRKHOFF_STEPS} Birkhoff steps")

@@ -79,10 +79,6 @@ class Moebius:
         """Moebius action on a point; works on scalars and numpy arrays."""
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def cosh_displacement(self) -> float:
-        """cosh of the hyperbolic distance d(i, g.i)."""
-        return 0.5 * (self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d)
-
     def close_to(self, other: "Moebius", tol: float = 1e-9) -> bool:
         """Equality up to global sign within tolerance."""
         dp = max(

@@ -20,11 +20,11 @@ Operations, each an array kernel: fold points into the fundamental domain
 generator orbit exactly when it lies in the Dirichlet domain), enumerate as
 one (n, 4) entry array the group elements whose translated domain can meet
 a centered disk (the Cayley graph layer by layer, deduplicated on orbit
-points g.i), fold the planar pushforward density onto the surface by
-summing over those translates, and time-average observables along critical
-energy trajectories, which equidistribute toward the area measure, in
-blocks of closed-form frames folded as one array.  reduce_point and
-density_surface are the fold and the density at one point.
+points g.i), fold the cover's density onto the surface by running its band,
+density and count rule (torus._cover_terms) on each translate's hits, and
+time-average observables along critical energy trajectories (which
+equidistribute toward the area measure) in blocks of closed-form frames
+folded as one array.  reduce_point and density_surface act on one point.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -48,7 +48,7 @@ from .halfplane import (
     rotation_about_i,
     to_disk,
 )
-from .torus import _flags, alpha_radial, preimage_count, radius
+from .torus import _cover_terms, _flags, radius
 
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
 _DESCENT_EPS = 1e-12
@@ -163,6 +163,17 @@ def _ranks(gens, z):
     return r[:len(gens)] + r[len(gens):]
 
 
+def _half_plane(z):
+    """z as a new flat complex array; raises ValueError naming its first
+    point that is not finite or not in the upper half-plane."""
+    z = np.array(z, dtype=complex).ravel()
+    bad = ~(np.isfinite(z) & (z.imag > 0.0))
+    if bad.any():
+        raise ValueError(f"points must be finite and in the upper half-plane, "
+                         f"got {complex(z[bad][0])!r}")
+    return z
+
+
 def _descend_many(generators, z):
     """Greedy steepest descent of d(., i) over generator moves, for an array
     of points at once: the one fold rule.
@@ -173,7 +184,7 @@ def _descend_many(generators, z):
     "reduction failed".  Returns the folded points and their words: row j
     holds the generator indices applied to z[j] in order, padded with -1.
     """
-    z = np.array(z, dtype=complex).ravel()
+    z = _half_plane(z)
     ga, gb, gc, gd = np.array([g.entries() for g in generators]).T
     d0 = hyp_dist_vec(z, 1j)
     live = np.arange(z.size)
@@ -207,7 +218,7 @@ def reduce_point(group: FuchsianGroup, z: complex) -> DomainReduction:
 def in_domain_mask(group: FuchsianGroup, z):
     """Dirichlet-domain membership of an array of points: no generator move
     ranks below |z - i|^2 by more than 1e-12 in cosh d (points on a side)."""
-    flat = np.ravel(z)
+    flat = _half_plane(z)
     ok = np.abs(flat - 1j) ** 2 <= _ranks(group.generators, flat).min(axis=0) + 2e-12 * flat.imag
     return ok.reshape(np.shape(z))
 
@@ -249,8 +260,8 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
     layer n - 1, the one layer it is checked against."""
     if R >= ENUM_CAP:
         raise ValueError("disk too large for exact enumeration")
-    if R < 0.0:
-        raise ValueError("disk radius must be nonnegative")
+    if not R >= 0.0:
+        raise ValueError(f"disk radius must be finite and nonnegative, got {R!r}")
     include = math.cosh(R + group.circumradius)
     explore = math.cosh(R + 2.0 * group.circumradius + 0.5)
     gen = np.array([g.entries() for g in group.generators]).reshape(-1, 2, 2)
@@ -272,15 +283,15 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
 
 
 def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: float = 1e-3):
-    """Surface pushforward density at an array of points y: alpha_radial
-    summed over the lifts that land in the projected disk (within R_E + 1e-9
-    of the center), one pass per translate in the order of
-    translates_meeting_disk.  Flags, with band relative to R_E: NearCenter
-    if a lift lies within band R_E of the center, else NearBoundary if one
-    lies within band R_E of the boundary circle, else Regular if the point
-    has a preimage, else Outside.  Returns the folded points,
-    alpha_raw, the preimage counts and the flags, as flat arrays.
-    """
+    """Surface pushforward density at an array of points y: the cover's rule
+    torus._cover_terms, run per translate (in the order of
+    translates_meeting_disk) on the lifts that land in the projected disk
+    (within R_E + 1e-9 of the center), its alpha and counts summed.  Flags,
+    with band relative to R_E: NearCenter if a lift lies within band R_E of
+    the center, else NearBoundary if one lies within band R_E of the
+    boundary circle, else Regular if the point has a preimage, else Outside.
+    Returns the folded points, alpha_raw, the preimage counts and the flags,
+    as flat arrays."""
     require_chern(cfg)
     R = radius(cfg)
     y0, _ = _descend_many(group.generators, y)
@@ -290,11 +301,10 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: flo
     near_boundary = np.zeros(y0.shape, dtype=bool)
     for a, b, c, d in translates_meeting_disk(group, R):
         dist = hyp_dist_vec(1j, (a * y0 + b) / (c * y0 + d))
-        hit = dist < R + 1e-9
-        near_center |= hit & (dist <= band * R)
-        near_boundary |= hit & (np.abs(dist - R) < band * R)
-        alpha += np.where(hit, alpha_radial(cfg, dist), 0.0)
-        count += preimage_count(cfg, dist)
+        hit = np.flatnonzero(dist < R + 1e-9)
+        totals = (alpha, count, near_center, near_boundary)  # + on the masks is or
+        for total, term in zip(totals, _cover_terms(cfg, dist[hit], band)):
+            total[hit] += term
     return y0, alpha, count, _flags(near_center, near_boundary, count == 0)
 
 

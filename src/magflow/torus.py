@@ -33,11 +33,11 @@ points none.
 Every formula here is an array kernel: the footpoint distance
 d(i, Psi(theta, t)) from the real entries of R(theta/2) exp(tF)
 (psi_distance_many, whose theta = 0 slice is the profile phi_profile), the
-density, the preimage count and the flag of the distance to the center
-(the last three evaluated together by density_cover_many, with one relative
-band width for both flags), the preimages' torus coordinates
-(preimages_many, of which preimages_cover is the one-point wrapper), and the
-fits of the two singular blowups (singular_fits).
+density, preimage count and two band masks of the distance to the center
+(one rule, _cover_terms, with one relative band width; density_cover_many
+adds the flags, and the Bolza surface runs it on each translate's hits),
+the preimages' torus coordinates (preimages_many; preimages_cover is its
+one-point wrapper), and the fits of both singular blowups (singular_fits).
 
 psi_many and psi_distance_many share one unchecked kernel for P's entries:
 R(theta/2) takes cos and sin of theta/2 from one tangent of theta/4, and
@@ -310,6 +310,15 @@ def _flags(near_center, near_boundary, outside):
     return _FLAG_ORDER[np.select([near_center, near_boundary, outside], [0, 1, 2], 3)]
 
 
+def _cover_terms(cfg: MagneticConfig, d, band: float):
+    """The band, density and count rule at float distances d: alpha_radial(d),
+    preimage_count(d), and d within band R_E of the center and of the boundary."""
+    R = radius(cfg)
+    # alpha is 0 past R_E; clipping there keeps cosh(d) finite
+    return (alpha_radial(cfg, np.minimum(d, R + 1.0)), preimage_count(cfg, d),
+            d <= band * R, np.abs(d - R) < band * R)
+
+
 def density_cover_many(cfg: MagneticConfig, d, band: float = 1e-3):
     """Pushforward density on the universal cover at distances d from the
     center: (alpha_raw, n_preimages, flags), arrays shaped like d.
@@ -321,12 +330,9 @@ def density_cover_many(cfg: MagneticConfig, d, band: float = 1e-3):
     still flags the center itself), else NearBoundary within band R_E of the
     boundary circle, else Outside past R_E, else Regular.
     """
-    R = radius(cfg)
     d = np.asarray(d, dtype=float)
-    # alpha is 0 past R_E; clipping there keeps cosh(d) finite
-    alpha = alpha_radial(cfg, np.minimum(d, R + 1.0))
-    n = preimage_count(cfg, d)
-    return alpha, n, _flags(d <= band * R, np.abs(d - R) < band * R, d > R)
+    alpha, n, near_center, near_boundary = _cover_terms(cfg, d, band)
+    return alpha, n, _flags(near_center, near_boundary, d > radius(cfg))
 
 
 def density_mass(cfg: MagneticConfig) -> float:

@@ -1,5 +1,6 @@
 """End-to-end command tests: files, exit codes, determinism, config handling."""
 
+import hashlib
 import json
 import math
 import os
@@ -419,6 +420,21 @@ class TestDensityCommand:
                 outside += 1
         assert inside > 100 and outside > 100
 
+    # sha256 of density_grid.csv of density --surface bolza --grid 40, recorded
+    # when the surface evaluated the band, density and count rule on every
+    # (translate, point) pair: band 0 and band >= 1 are where the hit mask and
+    # the band masks meet
+    @pytest.mark.parametrize("E, bands, digest", [
+        ("0.25", "1e-3", "5dace32aee154d5fac4f8a87b1260c90ee6e6b699c28416110530e71cc3e3d28"),
+        ("0.48", "1e-3", "9980507f77a241a5318132a0ff9e45c086b8b518b1a77571ef013b1f91f7b982"),
+        ("0.3", "0", "0ea26ed94392796ab6298f50b16840a84b8813443856c69b62c8d0b2976872af"),
+        ("0.1", "2", "0069e130032a22b1a197cf44ce814bac944586d74a7208f7fe27c090b790a11a")])
+    def test_bolza_grid_bytes_are_pinned(self, tmp_path, E, bands, digest):
+        rc = cli.main(["density", "--surface", "bolza", "--grid", "40", "--E", E,
+                       "--bands", bands, "--out", str(tmp_path)])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "density_grid.csv").read_bytes()).hexdigest() == digest
+
     def test_chern_violation_fails(self, tmp_path, capsys):
         rc = cli.main(["density", "--surface", "bolza", "--B", "0.7", "--E", "0.1",
                        "--out", str(tmp_path)])
@@ -721,6 +737,16 @@ class TestEquidistCommand:
             assert rc == 2
             assert message in capsys.readouterr().err
         assert not (tmp_path / "equidist.json").exists()
+
+    def test_negative_seed_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the area average ran")
+
+        monkeypatch.setattr(magflow.surface, "area_average", no_work)
+        rc = cli.main(["equidist", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
 
     def test_step_budget(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -3,6 +3,7 @@ surface density, and the critical-energy time average."""
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,22 @@ class TestDescendMany:
         with pytest.raises(ValueError, match="reduction failed"):
             reduce_point(GROUP, far)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [-1j, 2 + 0j, complex(math.nan, 1.0),
+                                     complex(math.inf, 1.0), complex(0.0, math.inf)])
+    def test_refuses_points_off_the_half_plane(self, bad):
+        # the first bad point is named, whatever follows it
+        message = re.escape(f"finite and in the upper half-plane, got {bad!r}")
+        z = np.array([1j, bad, -5j])
+        with pytest.raises(ValueError, match=message):
+            _descend_many(GROUP.generators, z)
+        with pytest.raises(ValueError, match=message):
+            reduce_point(GROUP, bad)
+        with pytest.raises(ValueError, match=message):
+            in_domain_mask(GROUP, z)
+        with pytest.raises(ValueError, match=message):
+            density_surface_many(GROUP, STD, z)
+
 
 def _same_elements(g, h, tol):
     """(len(g), len(h)) mask of entry rows of g and h that are one element
@@ -300,8 +317,12 @@ class TestTranslates:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="disk too large for exact enumeration"):
             translates_meeting_disk(GROUP, ENUM_CAP)
-        with pytest.raises(ValueError):
-            translates_meeting_disk(GROUP, -0.5)
+        with pytest.raises(ValueError, match="disk too large for exact enumeration"):
+            translates_meeting_disk(GROUP, math.inf)
+        for R in (-0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"disk radius must be finite and nonnegative, got {R!r}")):
+                translates_meeting_disk(GROUP, R)
 
 
 def _density_reference(cfg, y, band):
