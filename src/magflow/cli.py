@@ -361,7 +361,7 @@ def cmd_spectrum(args) -> int:
     # an int k past the float range multiplies as an infinite one
     rungs = k * B if abs(k) <= sys.float_info.max else (1 if k > 0 else -1) * math.inf * B
     if rungs > _MAX_RUNGS:
-        raise ValueError(f"k B = {rungs:.6g} rungs; the limit is {_MAX_RUNGS}")
+        raise ValueError(f"k B = {rungs:.17g} rungs; the limit is {_MAX_RUNGS}")
     n = ladder_size(k, B)
 
     gap_top, gap_beyond = (g.item() for g in critical_gaps(k, B))
@@ -442,8 +442,7 @@ def _group_export(group) -> dict:
 
 def cmd_equidist(args) -> int:
     from .flow import MagneticConfig
-    from .surface import (_bump, _equidist_starts, area_average, birkhoff_average, bolza_group,
-                          require_chern)
+    from .surface import _equidistribution, bolza_group, require_chern
 
     B, T, n_steps, res, seed, out = args.B, args.T, args.n, args.grid, args.seed, args.out
 
@@ -458,9 +457,7 @@ def cmd_equidist(args) -> int:
     group = bolza_group()
     require_chern(cfg)
 
-    target = area_average(group, _bump, res)
-    starts = _equidist_starts(cfg, seed)
-    averages = [birkhoff_average(group, cfg, _bump, T, p, n_steps) for p in starts]
+    target, starts, averages = _equidistribution(group, cfg, T, n_steps, res, seed)
 
     rel = [a / target - 1.0 for a in averages]
     report = {
@@ -482,31 +479,19 @@ def cmd_equidist(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _checks() -> tuple:
-    """(name, check) in run order; check_mc_oracle runs as "mc-oracle"."""
-    from . import verify
-
-    return tuple(
-        (fn.__name__.removeprefix("check_").replace("_", "-"), fn)
-        for fn in verify.CHECKS + (verify.check_flow_oracle,)
-    )
-
-
 def cmd_verify(args) -> int:
+    from .verify import CHECKS
+
     j_sign = -1.0 if args.flip_j else 1.0
-    checks = _checks()
-    known = [name for name, _ in checks]
-    if args.only:
-        for name in args.only:
-            if name not in known:
-                raise ValueError(f"unknown check: {name}")
-        selected = [(n, f) for n, f in checks if n in set(args.only)]
-    else:
-        selected = list(checks)
+    for name in args.only or ():
+        if name not in CHECKS:
+            raise ValueError(f"unknown check: {name}")
 
     results = []
-    for name, fn in selected:
-        result = fn(j_sign=j_sign) if name == "flow-oracle" else fn()
+    for name, check in CHECKS.items():
+        if args.only and name not in args.only:
+            continue
+        result = check(j_sign=j_sign) if name == "flow-oracle" else check()
         results.append(result)
         print(("PASS" if result["passed"] else "FAIL") + f" {name}")
 

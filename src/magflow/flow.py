@@ -289,6 +289,9 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
         y = y + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
         vx = vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         vy = vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    # once, after the loop: a step past the boundary leaves y <= 0 or a nan there
+    if not (y > 0.0 and all(map(math.isfinite, (x, y, vx, vy)))):
+        raise _range_error(cfg, dt, "RK4 left the upper half-plane", "dt")
     return NumericFlowResult(Tangent(complex(x, y), complex(vx, vy)), warn)
 
 

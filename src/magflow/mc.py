@@ -171,14 +171,16 @@ def compare_to_closed_form(hist: PushforwardHistogram, cfg: MagneticConfig) -> d
     usable = expected >= 10.0
     chi2 = float(np.sum((hist.counts[usable] - expected[usable]) ** 2 / expected[usable]))
 
-    c_sel = (mid <= 0.2 * R) & (hist.counts > 0)
-    center_slope = float(
-        np.polyfit(np.log(mid[c_sel]), np.log(hist.est_density[c_sel]), 1)[0]
-    )
-    b_sel = (mid >= 0.8 * R) & (mid < R) & (hist.counts > 0)
-    boundary_slope = float(
-        np.polyfit(np.log(R - mid[b_sel]), np.log(hist.est_density[b_sel]), 1)[0]
-    )
+    def slope(window, sel, x):
+        """Log-log slope of the density against x over the window's nonempty rings."""
+        sel &= hist.counts > 0
+        if np.count_nonzero(sel) < 2:
+            raise ValueError(f"the {window} fit window holds {np.count_nonzero(sel)} nonempty "
+                             f"ring(s) at B={cfg.B!r}, E={cfg.E!r}, n={hist.n}; a fit needs 2")
+        return float(np.polyfit(np.log(x[sel]), np.log(hist.est_density[sel]), 1)[0])
+
+    center_slope = slope("center", mid <= 0.2 * R, mid)
+    boundary_slope = slope("boundary", (mid >= 0.8 * R) & (mid < R), R - mid)
 
     body = (mid >= 0.1 * R) & (mid <= 0.9 * R)
     return {

@@ -25,6 +25,8 @@ density and count rule (torus._cover_terms) on each translate's hits, and
 time-average observables along critical energy trajectories (which
 equidistribute toward the area measure) in blocks of closed-form frames
 folded as one array.  reduce_point and density_surface act on one point.
+_equidistribution is the one equidistribution run, which `magflow equidist`
+reports and the verify check gates.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -407,11 +409,14 @@ def _bump(z):
     return np.where(s2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
 
 
-def _equidist_starts(cfg: MagneticConfig, seed: int) -> list:
-    """The three shell tangents the equidistribution runs start from.  Each
-    draws, from default_rng(seed) in this order, its footpoint's distance
-    from i (uniform below 0.5), that footpoint's angle about i and the
-    tangent's direction."""
+def _equidistribution(group: FuchsianGroup, cfg: MagneticConfig, T: float, n_steps: int,
+                      resolution: int, seed: int) -> tuple:
+    """The equidistribution run of _bump at the critical energy: (its area
+    average at resolution, the three shell tangents drawn from seed, each
+    one's birkhoff_average over time T in n_steps steps).  Each tangent draws,
+    from default_rng(seed) in this order, its footpoint's distance from i
+    (uniform below 0.5), that footpoint's angle about i and its direction."""
+    target = area_average(group, _bump, resolution)
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(3):
@@ -420,4 +425,4 @@ def _equidist_starts(cfg: MagneticConfig, seed: int) -> list:
         z = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
         psi_a = rng.uniform(0.0, 2.0 * math.pi)
         starts.append(Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a))))
-    return starts
+    return target, starts, [birkhoff_average(group, cfg, _bump, T, p, n_steps) for p in starts]

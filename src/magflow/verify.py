@@ -3,8 +3,9 @@
 Each check_* function runs one criterion end to end with fixed seeds and
 returns a plain dict (name, passed, measured, tolerance, detail) so the
 pytest suite and the command-line `verify` subcommand share one
-implementation.  CHECKS lists the twelve criteria in order; the CLI runs
-them followed by check_flow_oracle.
+implementation.  CHECKS maps each check's name (its function name without
+check_, with hyphens), which `verify --only` takes and its result carries,
+to the check, in run order: the twelve criteria, then check_flow_oracle.
 
 The flow-oracle check accepts a j_sign argument: flipping the orientation
 of the magnetic term in the numerical integrator must make that check fail,
@@ -30,11 +31,8 @@ from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec
 from .mc import compare_to_closed_form, sample_pushforward
 from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
-    _bump,
     _descend_many,
-    _equidist_starts,
-    area_average,
-    birkhoff_average,
+    _equidistribution,
     bolza_group,
     density_surface_many,
     in_domain_mask,
@@ -45,9 +43,9 @@ from .surface import (
 )
 from .torus import (
     density_mass,
+    jacobian,
     phi_profile,
     preimages_many,
-    psi,
     psi_many,
     radius,
     singular_fits,
@@ -125,29 +123,23 @@ def check_profile_derivatives(seed: int = 1003) -> dict:
 
 def check_jacobian_identity(seed: int = 1004) -> dict:
     """|det dPsi| from finite differences matches 2E|b(t)|."""
-    from .torus import jacobian
-
     rng = np.random.default_rng(seed)
+    h = 1e-6
     worst = 0.0
     for cfg in (_STD, _random_subcritical(rng), _random_subcritical(rng)):
         T = period(cfg)
-        for _ in range(34):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            t = rng.uniform(0.07, 0.93) * T
-            if abs(t - 0.5 * T) < 0.05 * T:
-                t = 0.4 * T
-            y0 = psi(cfg, th, t)
-
-            def disk(w):
-                return (w - y0) / (w - y0.conjugate())
-
-            h = 1e-6
-            c_th = (disk(psi(cfg, th + h, t)) - disk(psi(cfg, th - h, t))) / (2.0 * h)
-            c_t = (disk(psi(cfg, th, t + h)) - disk(psi(cfg, th, t - h))) / (2.0 * h)
-            # metric at the disk center is 2|du|: normal coordinates scale by 2
-            num = 4.0 * abs(c_th.real * c_t.imag - c_th.imag * c_t.real)
-            exact = jacobian(cfg, th, t)
-            worst = max(worst, abs(num / exact - 1.0))
+        th, frac = rng.uniform((0.0, 0.07), (2.0 * math.pi, 0.93), size=(34, 2)).T
+        t = frac * T
+        t = np.where(np.abs(t - 0.5 * T) < 0.05 * T, 0.4 * T, t)
+        y0 = psi_many(cfg, th, t)
+        # rows: psi at (theta + h, t), (theta - h, t), (theta, t + h), (theta, t - h)
+        w = psi_many(cfg, th + [[h], [-h], [0.0], [0.0]], t + [[0.0], [0.0], [h], [-h]])
+        u = (w - y0) / (w - y0.conjugate())  # the disk model centered at y0
+        c_th = (u[0] - u[1]) / (2.0 * h)
+        c_t = (u[2] - u[3]) / (2.0 * h)
+        # metric at the disk center is 2|du|: normal coordinates scale by 2
+        num = 4.0 * np.abs(c_th.real * c_t.imag - c_th.imag * c_t.real)
+        worst = max(worst, float(np.max(np.abs(num / jacobian(cfg, th, t) - 1.0))))
     return _result("jacobian-identity", worst < 1e-4, worst, 1e-4,
                    "max relative error over ~100 random regular torus points")
 
@@ -317,13 +309,9 @@ def check_bolza_integrity(seed: int = 1011) -> dict:
 
 def check_equidistribution(seed: int = 1012) -> dict:
     """Critical-energy Birkhoff averages reach the area average."""
-    group = bolza_group()
-    cfg = MagneticConfig(1.0, 0.5)
-    target = area_average(group, _bump, 800)
-    worst = 0.0
-    for p in _equidist_starts(cfg, seed):
-        avg = birkhoff_average(group, cfg, _bump, 2000.0, p)
-        worst = max(worst, abs(avg / target - 1.0))
+    target, _, averages = _equidistribution(bolza_group(), MagneticConfig(1.0, 0.5),
+                                            2000.0, 100_000, 800, seed)
+    worst = max(abs(avg / target - 1.0) for avg in averages)
     return _result("equidistribution", worst < 0.05,
                    {"max_rel_dev": worst, "area_average": target}, 0.05,
                    "bump observable, T = 2000, 3 random initial conditions")
@@ -345,17 +333,22 @@ def check_flow_oracle(j_sign: float = 1.0) -> dict:
                    "dt = 1e-4 over [0, 2 T_E] at B = 1, E = 0.25")
 
 
-CHECKS = (
-    check_periodicity,
-    check_footpoint_radius,
-    check_profile_derivatives,
-    check_jacobian_identity,
-    check_density_mass,
-    check_singularity_asymptotics,
-    check_mc_oracle,
-    check_preimage_counts,
-    check_lyapunov_trichotomy,
-    check_spectrum_ladder,
-    check_bolza_integrity,
-    check_equidistribution,
-)
+# CLI name -> check, in run order: the twelve criteria, then the flow oracle
+CHECKS = {
+    fn.__name__.removeprefix("check_").replace("_", "-"): fn
+    for fn in (
+        check_periodicity,
+        check_footpoint_radius,
+        check_profile_derivatives,
+        check_jacobian_identity,
+        check_density_mass,
+        check_singularity_asymptotics,
+        check_mc_oracle,
+        check_preimage_counts,
+        check_lyapunov_trichotomy,
+        check_spectrum_ladder,
+        check_bolza_integrity,
+        check_equidistribution,
+        check_flow_oracle,
+    )
+}

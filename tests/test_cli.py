@@ -25,6 +25,7 @@ from magflow import (
 )
 from magflow.halfplane import from_disk
 from magflow.spectrum import critical_gaps, ladder_arrays, select_levels
+from magflow.verify import CHECKS
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -215,6 +216,14 @@ class TestFlowCommand:
     def test_any_flags_exit_cleanly(self, tmp_path, capsys, B, E, grid, dt):
         rc = exit_code(capsys, "flow", fresh_dir(tmp_path), B=B, E=E, grid=grid, dt=dt)
         assert rc in (0, 2)
+
+    def test_rk4_leaving_the_half_plane_fails(self, tmp_path, capsys):
+        # a step of 1 next to E_c carries the integrator across the real axis
+        rc = cli.main(["flow", "--E", "0.4999999", "--dt", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: RK4 left the upper half-plane "
+                                           "at B=1.0, E=0.4999999, dt=1.0\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_dt_fails_before_integrating(self, tmp_path, capsys):
         for dt in ("inf", "nan"):
@@ -605,9 +614,11 @@ class TestSpectrumCommand:
 
     def test_rung_budget(self, tmp_path, capsys):
         start = time.perf_counter()
-        rc = cli.main(["spectrum", "--k", "100000000", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "rungs; the limit is 2000000" in capsys.readouterr().err
+        # the count is printed whole: one rung past the limit is not rounded onto it
+        for k in ("100000000", "2000001"):
+            rc = cli.main(["spectrum", "--k", k, "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: k B = {k} rungs; the limit is 2000000\n"
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "spectrum.csv").exists()
 
@@ -687,7 +698,15 @@ class TestSampleCommand:
         (["sample", "--E", "0"], NO_TORUS + "B=1.0, E=0.0, E_c=0.5"),
         (["density", "--B", "2", "--E", "2"], NO_TORUS + "B=2.0, E=2.0, E_c=2.0"),
         (["sample", "--n", "5"], "need at least 10^4 samples, got n=5"),
-    ], ids=["sample-above-Ec", "sample-zero-E", "density-at-Ec", "sample-few"])
+        # next to E_c the center window (d <= 0.2 R_E) holds too few nonempty rings to fit
+        (["sample", "--E", "0.4999999999", "--n", "10000"],
+         "the center fit window holds 0 nonempty ring(s) at B=1.0, E=0.4999999999, n=10000; "
+         "a fit needs 2"),
+        (["sample", "--E", "0.4999999999", "--n", "50000"],
+         "the center fit window holds 1 nonempty ring(s) at B=1.0, E=0.4999999999, n=50000; "
+         "a fit needs 2"),
+    ], ids=["sample-above-Ec", "sample-zero-E", "density-at-Ec", "sample-few",
+            "sample-empty-center-window", "sample-one-ring-center-window"])
     def test_refusals_name_their_inputs(self, tmp_path, capsys, argv, message):
         rc = cli.main([*argv, "--out", str(tmp_path)])
         assert rc == 2
@@ -710,6 +729,18 @@ class TestEquidistCommand:
         assert len(group["generators"]) == 8
         assert group["relation_residual"] < 1e-9
         assert group["area"] == pytest.approx(4.0 * math.pi, abs=1e-6)
+
+    # sha256 of equidist.json, recorded when the CLI and the verify check each
+    # assembled the run from the surface's bump and start draws
+    @pytest.mark.parametrize("argv, digest", [
+        (["--T", "50", "--n", "2000", "--grid", "60", "--seed", "3"],
+         "c81c3ef862067bbd2a646d0ee332f98a8f8a016370c346963634ae5f0a3ffab0"),
+        (["--B", "1.5", "--T", "50", "--n", "3000", "--grid", "60", "--seed", "7"],
+         "93534927669b0c77a00904216c589d7cb084ec6160912ef9b24a036371eeccea")])
+    def test_report_bytes_are_pinned(self, tmp_path, argv, digest):
+        rc = cli.main(["equidist", *argv, "--out", str(tmp_path)])
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "equidist.json").read_bytes()).hexdigest() == digest
 
     def test_bad_step_count_fails(self, tmp_path, capsys):
         for n in ("0", "-3"):
@@ -823,9 +854,24 @@ class TestVerifyCommand:
         assert rc == 2
         assert "unknown check" in capsys.readouterr().err
 
+    def test_checks_run_in_registry_order(self, tmp_path, capsys):
+        rc = cli.main(["verify", "--only", "density-mass", "--only", "periodicity",
+                       "--only", "density-mass", "--out", str(tmp_path)])
+        assert rc == 0
+        report = read_json(tmp_path / "verify_report.json")
+        assert [c["name"] for c in report["checks"]] == ["periodicity", "density-mass"]
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # sha256 recorded when the Jacobian check called the scalar psi point
+        # by point and the equidistribution check assembled its own run
+        rc = cli.main(["verify", "--only", "jacobian-identity", "--only", "equidistribution",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        digest = "18217f16f5b9fe5325898c4abf119459706b4df9be34b27cae9b5722d8009a93"
+        assert hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest() == digest
+
     # every check but the two slowest, mc-oracle and equidistribution
-    CHEAP_CHECKS = [name for name, _ in cli._checks()
-                    if name not in ("mc-oracle", "equidistribution")]
+    CHEAP_CHECKS = [name for name in CHECKS if name not in ("mc-oracle", "equidistribution")]
 
     @settings(CLEAN_EXIT, max_examples=15)
     @given(only=st.lists(st.one_of(st.sampled_from(CHEAP_CHECKS), st.text(max_size=12)),

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, containment, closed-form agreement."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -236,6 +237,18 @@ class TestClosedFormAgreement:
             e2 = np.sqrt(np.mean((h2.est_density[body] / exact[body] - 1.0) ** 2))
             ratios.append(e2 / e1)
         assert 0.55 < float(np.mean(ratios)) < 0.85
+
+    def test_refuses_a_fit_window_without_two_rings(self):
+        # all but one ring of the boundary window emptied: one point fits no slope
+        hist = sample_pushforward(STD, 50_000, 5)
+        mid = 0.5 * (hist.edges[:-1] + hist.edges[1:])
+        keep = ~((mid >= 0.8 * hist.edges[-1]) & (np.arange(mid.size) < mid.size - 1))
+        thin = dataclasses.replace(hist, counts=hist.counts * keep,
+                                   est_density=hist.est_density * keep)
+        with pytest.raises(ValueError, match=r"^the boundary fit window holds 1 nonempty "
+                                             r"ring\(s\) at B=1.0, E=0.25, n=50000; "
+                                             r"a fit needs 2$"):
+            compare_to_closed_form(thin, STD)
 
     def test_rejects_mismatched_config(self):
         hist = sample_pushforward(STD, 50_000, 5)
