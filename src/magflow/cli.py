@@ -446,7 +446,10 @@ def cmd_equidist(args) -> int:
 
     B, T, n_steps, res, seed, out = args.B, args.T, args.n, args.grid, args.seed, args.out
 
-    cfg = MagneticConfig(B, 0.5 * B * B)  # the critical energy
+    E = 0.5 * B * B  # the critical energy
+    if 0.0 < B < math.inf and E == math.inf:
+        raise ValueError(f"the critical energy B^2/2 overflows at B={B!r}")
+    cfg = MagneticConfig(B, E)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if 3 * n_steps > _MAX_BIRKHOFF_STEPS:

@@ -190,11 +190,11 @@ def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
     return Moebius(*map(float, _flow_entries(cfg, t)))
 
 
-def _framed(frame: Moebius, entries):
-    """Entries of frame @ M from the entries (a, b, c, d) of M, over arrays."""
+def _framed(frame, entries):
+    """Entries of G @ M from those (a, b, c, d) of G, scalars or (n, 1) columns, and of M."""
+    fa, fb, fc, fd = frame
     ea, eb, ec, ed = entries
-    return (frame.a * ea + frame.b * ec, frame.a * eb + frame.b * ed,
-            frame.c * ea + frame.d * ec, frame.c * eb + frame.d * ed)
+    return fa * ea + fb * ec, fa * eb + fb * ed, fc * ea + fd * ec, fc * eb + fd * ed
 
 
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:
@@ -216,7 +216,7 @@ def flow_exact_many(cfg: MagneticConfig, p: Tangent, t):
     if frame is None:
         _require_finite(cfg, t)
         return np.full(np.shape(t), p.z, dtype=complex), np.full(np.shape(t), p.v, dtype=complex)
-    fa, fb, fc, fd = _framed(frame, _flow_entries(cfg, t))
+    fa, fb, fc, fd = _framed(frame.entries(), _flow_entries(cfg, t))
     w = fc * 1j + fd
     return (fa * 1j + fb) / w, (1j / (w * w)) * cfg.lam
 

@@ -23,10 +23,11 @@ a centered disk (the Cayley graph layer by layer, deduplicated on orbit
 points g.i), fold the cover's density onto the surface by running its band,
 density and count rule (torus._cover_terms) on each translate's hits, and
 time-average observables along critical energy trajectories (which
-equidistribute toward the area measure) in blocks of closed-form frames
-folded as one array.  reduce_point and density_surface act on one point.
-_equidistribution is the one equidistribution run, which `magflow equidist`
-reports and the verify check gates.
+equidistribute toward the area measure) from several starts at once, in
+blocks of closed-form frames, all starts' block folded as one array.
+reduce_point and density_surface act on one point.  _equidistribution is
+the one equidistribution run, which `magflow equidist` reports and the
+verify check gates.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -319,18 +320,18 @@ def density_surface(group: FuchsianGroup, cfg: MagneticConfig, y: complex,
 
 
 def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
-                     T: float, p0: Tangent, n_steps: int = 100_000) -> float:
-    """Time average (1/T) int_0^T observable(folded trajectory) dt.
+                     T: float, starts, n_steps: int = 100_000) -> list:
+    """Time averages (1/T) int_0^T observable(folded trajectory) dt, one per start.
 
     Only defined at the critical energy, where the flow is uniquely ergodic
     and the average converges to the area average for every initial
     condition.  The observable must accept complex half-plane points as a
     numpy array.  Midpoint composite rule over n_steps samples, taken in
-    blocks: a block's frames are F_s exp(tau F) in closed form, with F_s the
-    folded frame of the previous block's last sample and tau the time since
-    it (exp(aF) exp(bF) = exp((a+b)F)), so no error accumulates from step to
-    step.  Each block's points are folded at once by _descend_many and the
-    observable runs once per block, so memory is O(block).
+    blocks: a block's frames are F_s exp(tau F) in closed form, with F_s a
+    start's folded frame at the previous block's last sample and tau the time
+    since it (exp(aF) exp(bF) = exp((a+b)F)), so no error accumulates from
+    step to step.  Each block's points are folded at once by _descend_many
+    and the observable runs once per block, so memory is O(starts x block).
     """
     require_chern(cfg)
     if abs(cfg.E - cfg.Ec) > 1e-9:
@@ -339,29 +340,30 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
-    start = _shell_frame(cfg, p0)
+    frames = [_shell_frame(cfg, p) for p in starts]
+    if not frames:
+        raise ValueError("Birkhoff averages need at least one start, got none")
     dt = T / n_steps
     block = max(1, int(min(_BLOCK_STEPS, n_steps, _BLOCK_BT / cfg.B * (n_steps / T))))
+    # exp(tau F) at the first block's midpoints (row 0) and at k dt (row 1)
+    table = np.array(_exp_entries(cfg, *_exp_scalars(
+        cfg, (np.arange(1, block + 1) - [[0.5], [0.0]]) * dt)))
     # cosh d(i, exp(tF) i) over a block; a frame point that far from the
     # block's start carries a rounding error of about 1e-16 cosh d (its Im is
     # a cancelling determinant)
-    reach = _exp_entries(cfg, *_exp_scalars(cfg, block * dt))
-    if not 0.5 * sum(x * x for x in map(float, reach)) <= _MAX_BLOCK_COSH:
+    if not 0.5 * sum(x * x for x in map(float, table[:, 1, -1])) <= _MAX_BLOCK_COSH:
         raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
                          f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
-    total = 0.0
-    done = 0
-    while done < n_steps:
+    totals = np.zeros(len(frames))
+    for done in range(0, n_steps, block):
         m = min(block, n_steps - done)
-        # the first block starts at t = 0, before the first midpoint
-        fa, fb, fc, fd = _framed(start, _exp_entries(
-            cfg, *_exp_scalars(cfg, (np.arange(1, m + 1) - (0.5 if done == 0 else 0.0)) * dt)))
+        columns = np.array([g.entries() for g in frames]).T[:, :, None]
+        fa, fb, fc, fd = framed = np.array(_framed(columns, table[:, 0 if done == 0 else 1, :m]))
         z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))
-        total += float(np.sum(observable(z)))
-        last = words[-1]
-        start = word_element(group, last[last >= 0]) @ Moebius(fa[-1], fb[-1], fc[-1], fd[-1])
-        done += m
-    return total / n_steps
+        totals += np.reshape(observable(z), fa.shape).sum(axis=1)
+        frames = [word_element(group, w[w >= 0]) @ Moebius(*last)
+                  for w, last in zip(words[m - 1::m], framed[:, :, -1].T)]
+    return (totals / n_steps).tolist()
 
 
 def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> float:
@@ -412,8 +414,8 @@ def _bump(z):
 def _equidistribution(group: FuchsianGroup, cfg: MagneticConfig, T: float, n_steps: int,
                       resolution: int, seed: int) -> tuple:
     """The equidistribution run of _bump at the critical energy: (its area
-    average at resolution, the three shell tangents drawn from seed, each
-    one's birkhoff_average over time T in n_steps steps).  Each tangent draws,
+    average at resolution, the three shell tangents drawn from seed, their
+    birkhoff_average over time T in n_steps steps).  Each tangent draws,
     from default_rng(seed) in this order, its footpoint's distance from i
     (uniform below 0.5), that footpoint's angle about i and its direction."""
     target = area_average(group, _bump, resolution)
@@ -425,4 +427,4 @@ def _equidistribution(group: FuchsianGroup, cfg: MagneticConfig, T: float, n_ste
         z = from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang)))
         psi_a = rng.uniform(0.0, 2.0 * math.pi)
         starts.append(Tangent(z, cfg.lam * z.imag * complex(math.cos(psi_a), math.sin(psi_a))))
-    return target, starts, [birkhoff_average(group, cfg, _bump, T, p, n_steps) for p in starts]
+    return target, starts, birkhoff_average(group, cfg, _bump, T, starts, n_steps)

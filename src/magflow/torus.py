@@ -56,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import (MagneticConfig, Regime, _exp_entries, _exp_kernel, _exp_scalars,
-                   _range_error, _require_finite, period, variation_coeffs)
+from .flow import (_REGIME_TOL, MagneticConfig, Regime, _exp_entries, _exp_kernel,
+                   _exp_scalars, _range_error, _require_finite, period, variation_coeffs)
 from .halfplane import hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
@@ -79,7 +79,12 @@ class Flag(str, Enum):
 
 
 def _no_torus(cfg: MagneticConfig) -> ValueError:
-    """The error for an energy outside (0, E_c), naming B, E and E_c."""
+    """The error for an energy outside (0, E_c), naming B, E and E_c, or for
+    one inside it that counts as critical, naming B^2 - 2E and the tolerance."""
+    if 0.0 < cfg.E < cfg.Ec:
+        return ValueError(f"torus undefined at this energy: B={cfg.B!r}, E={cfg.E!r} counts "
+                          f"as critical, since B^2 - 2E = {cfg.discriminant!r} is within "
+                          f"the tolerance {_REGIME_TOL!r}")
     return ValueError(f"torus undefined at this energy: it needs 0 < E < E_c = B^2/2, "
                       f"got B={cfg.B!r}, E={cfg.E!r}, E_c={cfg.Ec!r}")
 

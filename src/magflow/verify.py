@@ -75,9 +75,9 @@ def _result(name, passed, measured, tolerance, detail=""):
     }
 
 
-def check_periodicity(seed: int = 1001) -> dict:
+def check_periodicity() -> dict:
     """All subcritical trajectories close after T_E = 2 pi (B^2-2E)^{-1/2}."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(50):
         cfg = _random_subcritical(rng)
@@ -89,9 +89,9 @@ def check_periodicity(seed: int = 1001) -> dict:
                    "max return residual over 50 random subcritical pairs")
 
 
-def check_footpoint_radius(seed: int = 1002) -> dict:
+def check_footpoint_radius() -> dict:
     """Swept radius max_t d(i, Psi(0, t)) equals arccosh((B^2+2E)/(B^2-2E))."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(20):
         cfg = _random_subcritical(rng)
@@ -101,9 +101,9 @@ def check_footpoint_radius(seed: int = 1002) -> dict:
                    "max |swept radius - closed form| over 20 random pairs")
 
 
-def check_profile_derivatives(seed: int = 1003) -> dict:
+def check_profile_derivatives() -> dict:
     """phi'(T_E/2) = 0 and phi''(T_E/2) = (sqrt(2E)/2B)(2E - B^2)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1003)
     configs = [_STD] + [_random_subcritical(rng) for _ in range(4)]
     worst1 = worst2 = 0.0
     h1, h2 = 1e-5, 1e-4
@@ -121,9 +121,9 @@ def check_profile_derivatives(seed: int = 1003) -> dict:
                    "finite differences at the profile apex; includes B=1, E=0.25")
 
 
-def check_jacobian_identity(seed: int = 1004) -> dict:
+def check_jacobian_identity() -> dict:
     """|det dPsi| from finite differences matches 2E|b(t)|."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1004)
     h = 1e-6
     worst = 0.0
     for cfg in (_STD, _random_subcritical(rng), _random_subcritical(rng)):
@@ -177,8 +177,9 @@ def check_singularity_asymptotics() -> dict:
         f"constants {c_center:.6f} (center), {c_bd:.6f} (boundary)")
 
 
-def check_mc_oracle(seed: int = 777, n: int = 10_000_000) -> dict:
+def check_mc_oracle() -> dict:
     """10^7 pushforward samples agree with exact ring averages off the bands."""
+    n, seed = 10_000_000, 777
     hist = sample_pushforward(_STD, n, seed)
     report = compare_to_closed_form(hist, _STD)
     err = report["max_rel_err_body"]
@@ -190,11 +191,11 @@ def check_mc_oracle(seed: int = 777, n: int = 10_000_000) -> dict:
                    0.05, f"rings with d in [0.1, 0.9] R_E, n = {n}, seed = {seed}")
 
 
-def check_preimage_counts(seed: int = 1008) -> dict:
+def check_preimage_counts() -> dict:
     """2 preimages strictly inside, 1 on the boundary, 0 outside, each
     mapping back onto its point; and the surface count is bounded by twice
     the translate count."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1008)
     cfg = _STD
     R = radius(cfg)
     T = period(cfg)
@@ -238,9 +239,9 @@ def check_preimage_counts(seed: int = 1008) -> dict:
                    "surface: 100x100 grid")
 
 
-def check_lyapunov_trichotomy(seed: int = 1009) -> dict:
+def check_lyapunov_trichotomy() -> dict:
     """Zero exponent through E_c, sqrt(2E - B^2)/2 above."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1009)
     worst_zero = 0.0
     for cfg in [_random_subcritical(rng) for _ in range(3)] + [
         MagneticConfig(1.0, 0.5), MagneticConfig(2.0, 2.0)
@@ -285,9 +286,9 @@ def check_spectrum_ladder() -> dict:
                    "scan k <= 500 on 50-point energy grids; gap bound to k = 10^4")
 
 
-def check_bolza_integrity(seed: int = 1011) -> dict:
+def check_bolza_integrity() -> dict:
     """Relation residual, Gauss-Bonnet area, and reduction round trips."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1011)
     group = bolza_group()
     resid = relation_residual(group)
     area_err = abs(octagon_area(group) - 4.0 * math.pi)
@@ -307,10 +308,10 @@ def check_bolza_integrity(seed: int = 1011) -> dict:
                    "octagon group; 1000 random 5-letter word round trips")
 
 
-def check_equidistribution(seed: int = 1012) -> dict:
+def check_equidistribution() -> dict:
     """Critical-energy Birkhoff averages reach the area average."""
     target, _, averages = _equidistribution(bolza_group(), MagneticConfig(1.0, 0.5),
-                                            2000.0, 100_000, 800, seed)
+                                            2000.0, 100_000, 800, 1012)
     worst = max(abs(avg / target - 1.0) for avg in averages)
     return _result("equidistribution", worst < 0.05,
                    {"max_rel_dev": worst, "area_average": target}, 0.05,

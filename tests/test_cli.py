@@ -692,11 +692,17 @@ class TestSampleCommand:
         assert "need at least 10^4 samples" in capsys.readouterr().err
 
     NO_TORUS = "torus undefined at this energy: it needs 0 < E < E_c = B^2/2, got "
+    NEAR_CRITICAL = ("torus undefined at this energy: B=1.0, E=0.4999999999999 counts as "
+                     "critical, since B^2 - 2E = 1.999511667349907e-13 is within the "
+                     "tolerance 1e-12")
 
     @pytest.mark.parametrize("argv, message", [
         (["sample", "--E", "0.6"], NO_TORUS + "B=1.0, E=0.6, E_c=0.5"),
         (["sample", "--E", "0"], NO_TORUS + "B=1.0, E=0.0, E_c=0.5"),
         (["density", "--B", "2", "--E", "2"], NO_TORUS + "B=2.0, E=2.0, E_c=2.0"),
+        # 0 < E < E_c, but B^2 - 2E lies within the regime tolerance
+        (["density", "--E", "0.4999999999999", "--grid", "10"], NEAR_CRITICAL),
+        (["sample", "--E", "0.4999999999999"], NEAR_CRITICAL),
         (["sample", "--n", "5"], "need at least 10^4 samples, got n=5"),
         # next to E_c the center window (d <= 0.2 R_E) holds too few nonempty rings to fit
         (["sample", "--E", "0.4999999999", "--n", "10000"],
@@ -705,7 +711,8 @@ class TestSampleCommand:
         (["sample", "--E", "0.4999999999", "--n", "50000"],
          "the center fit window holds 1 nonempty ring(s) at B=1.0, E=0.4999999999, n=50000; "
          "a fit needs 2"),
-    ], ids=["sample-above-Ec", "sample-zero-E", "density-at-Ec", "sample-few",
+    ], ids=["sample-above-Ec", "sample-zero-E", "density-at-Ec", "density-near-Ec",
+            "sample-near-Ec", "sample-few",
             "sample-empty-center-window", "sample-one-ring-center-window"])
     def test_refusals_name_their_inputs(self, tmp_path, capsys, argv, message):
         rc = cli.main([*argv, "--out", str(tmp_path)])
@@ -819,6 +826,13 @@ class TestEquidistCommand:
         rc = cli.main(["equidist", "--B", "100000000", "--T", "1e-8", "--n", "100",
                        "--grid", "10", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_overflowing_critical_energy_names_B(self, tmp_path, capsys):
+        rc = cli.main(["equidist", "--B", "1e300", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the critical energy B^2/2 overflows at B=1e+300\n")
+        assert not any(tmp_path.iterdir())
 
     def test_chern_violation_fails(self, tmp_path, capsys):
         # E defaults to the critical energy of B = 0.7, so the run reaches the

@@ -484,16 +484,32 @@ class TestBirkhoffAverage:
         rng = np.random.default_rng(int(T * n_steps))
         z = from_disk(0.4 * np.exp(2j * math.pi * rng.uniform()))
         p0 = Tangent(complex(z), cfg.lam * z.imag * np.exp(2j * math.pi * rng.uniform()))
-        got = birkhoff_average(GROUP, cfg, _radial, T, p0, n_steps)
+        [got] = birkhoff_average(GROUP, cfg, _radial, T, [p0], n_steps)
         want = _oracle_average(cfg, _radial, T, p0, n_steps)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_constant_observable_is_exact(self):
         cfg = MagneticConfig(1.0, 0.5)
         p0 = Tangent(1j, 1j * cfg.lam)
-        got = birkhoff_average(GROUP, cfg, lambda z: np.full(np.shape(z), 2.5),
-                               T=5.0, p0=p0, n_steps=2000)
+        [got] = birkhoff_average(GROUP, cfg, lambda z: np.full(np.shape(z), 2.5),
+                                 T=5.0, starts=[p0], n_steps=2000)
         assert got == pytest.approx(2.5, rel=1e-14)
+
+    def test_several_starts_match_their_one_start_runs(self):
+        # 7777 steps in blocks of 207 (B t <= 8) leave a last block of 118
+        cfg = MagneticConfig(1.0, 0.5)
+        rng = np.random.default_rng(11)
+        z = from_disk(rng.uniform(0.0, 0.5, 4) * np.exp(2j * math.pi * rng.uniform(size=4)))
+        v = cfg.lam * z.imag * np.exp(2j * math.pi * rng.uniform(size=4))
+        starts = [Tangent(complex(a), complex(b)) for a, b in zip(z, v)]
+        got = birkhoff_average(GROUP, cfg, surface._bump, 300.0, starts, 7777)
+        assert got == [birkhoff_average(GROUP, cfg, surface._bump, 300.0, [p], 7777)[0]
+                       for p in starts]
+        assert len(set(got)) == 4
+
+    def test_rejects_empty_starts(self):
+        with pytest.raises(ValueError, match="need at least one start, got none"):
+            birkhoff_average(GROUP, MagneticConfig(1.0, 0.5), _radial, 5.0, [], 100)
 
     def test_area_average_of_constant(self):
         got = area_average(GROUP, lambda z: np.ones(np.shape(z)), resolution=400)
@@ -537,30 +553,30 @@ class TestBirkhoffAverage:
         p0 = Tangent(1j, 1j * math.sqrt(0.6))
         with pytest.raises(ValueError, match="equidistribution test requires critical energy"):
             birkhoff_average(GROUP, MagneticConfig(1.0, 0.3), lambda z: np.ones(np.shape(z)),
-                             T=1.0, p0=p0, n_steps=100)
+                             T=1.0, starts=[p0], n_steps=100)
 
     def test_rejects_bad_horizon_and_shell(self):
         cfg = MagneticConfig(1.0, 0.5)
         with pytest.raises(ValueError):
             birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
-                             T=0.0, p0=Tangent(1j, 1j * cfg.lam), n_steps=100)
+                             T=0.0, starts=[Tangent(1j, 1j * cfg.lam)], n_steps=100)
         with pytest.raises(ValueError, match="off energy shell"):
             birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
-                             T=1.0, p0=Tangent(1j, 0.2j), n_steps=100)
+                             T=1.0, starts=[Tangent(1j, 0.2j)], n_steps=100)
 
     def test_rejects_non_finite_horizon_and_overlong_steps(self):
         cfg = MagneticConfig(1.0, 0.5)
         p0 = Tangent(1j, 1j * cfg.lam)
         for T in (math.inf, math.nan):
             with pytest.raises(ValueError, match="averaging time must be positive and finite"):
-                birkhoff_average(GROUP, cfg, _radial, T=T, p0=p0, n_steps=100)
+                birkhoff_average(GROUP, cfg, _radial, T=T, starts=[p0], n_steps=100)
         for T, n in ((1e300, 50000), (1e12, 3)):
             with pytest.raises(ValueError, match="is too long"):
-                birkhoff_average(GROUP, cfg, _radial, T=T, p0=p0, n_steps=n)
+                birkhoff_average(GROUP, cfg, _radial, T=T, starts=[p0], n_steps=n)
 
     def test_rejects_empty_step_count(self):
         cfg = MagneticConfig(1.0, 0.5)
         for n in (0, -3):
             with pytest.raises(ValueError, match="step count must be at least 1"):
                 birkhoff_average(GROUP, cfg, lambda z: np.ones(np.shape(z)),
-                                 T=1.0, p0=Tangent(1j, 1j * cfg.lam), n_steps=n)
+                                 T=1.0, starts=[Tangent(1j, 1j * cfg.lam)], n_steps=n)
