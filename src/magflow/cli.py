@@ -346,18 +346,29 @@ def cmd_density(args) -> int:
 
 def _ladder_csv(k: int, slices):
     """spectrum.csv one ladder slice at a time, so the whole table is never
-    held as arrays, lines, text or builtin scalars at once."""
+    held as arrays, lines, text or builtin scalars at once.
+
+    A slice whose lambdas are all integral and below 1e17, as every rung is
+    at B = 1 with even k, writes them as int64 with %d, the faster template;
+    any other slice keeps %.17g.  Every rung is at least kB/2 > 0, and an
+    integral float in (0, 1e17) has at most 17 digits, so %.17g prints it
+    whole, with no exponent, point or sign: the bytes are those of %d."""
     yield "k,m,lambda,scaled\n"
-    row = f"{k},%d,%.17g,%.17g\n"
+    row, whole = f"{k},%d,%.17g,%.17g\n", f"{k},%d,%d,%.17g\n"
     for m, lam, scaled in slices:
-        yield _rows(row, m.tolist(), lam.tolist(), scaled.tolist())
+        if (np.trunc(lam) == lam).all() and lam.max() < 1e17:
+            yield _rows(whole, m.tolist(), lam.astype(np.int64).tolist(), scaled.tolist())
+        else:
+            yield _rows(row, m.tolist(), lam.tolist(), scaled.tolist())
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import critical_gaps, ladder_arrays, ladder_size, ladder_slices, select_levels
+    from .spectrum import (
+        _require_field, critical_gaps, ladder_arrays, ladder_size, ladder_slices, select_levels)
 
     k, B, E, out = args.k, args.B, args.E, args.out
 
+    _require_field(B)  # before the budget, which an infinite B would trip
     # an int k past the float range multiplies as an infinite one
     rungs = k * B if abs(k) <= sys.float_info.max else (1 if k > 0 else -1) * math.inf * B
     if rungs > _MAX_RUNGS:

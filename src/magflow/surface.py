@@ -159,11 +159,15 @@ def require_chern(cfg: MagneticConfig) -> None:
 
 def _ranks(gens, z):
     """(8, n) ranks of the generator moves of a flat array z: |g.z - i|^2 Im z / Im g.z,
-    monotone in d(g.z, i), which is |(a - ic) z + b - id|^2 for g = (a, b; c, d)."""
-    rows = np.array([(g.a, g.c, g.b) for g in gens] + [(-g.c, g.a, -g.d) for g in gens])
-    r = rows @ np.array([z.real, z.imag, np.ones(z.size)])
-    r *= r
-    return r[:len(gens)] + r[len(gens):]
+    monotone in d(g.z, i), which is |(a - ic) z + b - id|^2 for g = (a, b; c, d).
+    The real and imaginary parts are two (8, n) products, so no (16, n) is held."""
+    zs =np.array([z.real, z.imag, np.ones(z.size)])
+    re = np.array([(g.a, g.c, g.b) for g in gens]) @ zs
+    im = np.array([(-g.c, g.a, -g.d) for g in gens]) @ zs
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
 def _half_plane(z):

@@ -24,7 +24,7 @@ from magflow import (
     flow_exact_many, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
 )
 from magflow.halfplane import from_disk
-from magflow.spectrum import critical_gaps, ladder_arrays, select_levels
+from magflow.spectrum import critical_gaps, ladder_arrays, ladder_slices, select_levels
 from magflow.verify import CHECKS
 
 STD = MagneticConfig(1.0, 0.25)
@@ -533,9 +533,11 @@ class TestSpectrumCommand:
         return csv, cli._dumps(summary) + "\n"
 
     # 15,000 rungs with a ragged last slice, one rung past a slice, a single
-    # rung, and the resonant top where gap_top is 0
+    # rung, the resonant top where gap_top is 0, and 20,000 integral lambdas
+    # over five slices
     @pytest.mark.parametrize("k, B, E", [
-        (10000, 1.5, 0.3), (4097, 1.0, 0.25), (3, 0.5, None), (10, 1.0, None)])
+        (10000, 1.5, 0.3), (4097, 1.0, 0.25), (3, 0.5, None), (10, 1.0, None),
+        (20000, 1.0, None)])
     def test_writer_matches_per_line_oracle(self, tmp_path, k, B, E):
         argv = ["spectrum", "--k", str(k), "--B", repr(B), "--out", str(tmp_path)]
         assert cli.main(argv + ([] if E is None else ["--E", repr(E)])) == 0
@@ -574,6 +576,38 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").read_text() == csv
         assert (tmp_path / "spectrum_summary.json").read_text() == summary
 
+    def test_slices_mixing_integral_and_fractional_lambdas(self, tmp_path):
+        # 2kB = 16386.4, so lambda is integral only where 5 divides 2m + 1: the
+        # two full slices keep %.17g and the one-rung last slice (m = 8192)
+        # takes %d
+        k, B = 81932, 0.1
+        integral = [bool((np.trunc(lam) == lam).all()) for _, lam, _ in ladder_slices(k, B)]
+        assert integral == [False, False, True]
+        assert cli.main(["spectrum", "--k", str(k), "--B", repr(B), "--out", str(tmp_path)]) == 0
+        csv, summary = self.per_line_outputs(k, B, None)
+        assert (tmp_path / "spectrum.csv").read_text() == csv
+        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+
+    def test_writer_keeps_exponents_past_1e17(self):
+        # near m = 2e8 at k = 1e9 the rungs are integral floats near 1.8e17,
+        # which %.17g writes with an exponent; the writer must not take %d there
+        k, B = 10**9, 1.0
+        slices = [ladder_arrays(k, B, 0, 5), ladder_arrays(k, B, 2 * 10**8, 2 * 10**8 + 5)]
+        want = "k,m,lambda,scaled\n" + "".join(
+            f"{k},{mi},{li:.17g},{si:.17g}\n"
+            for m, lam, scaled in slices
+            for mi, li, si in zip(m.tolist(), lam.tolist(), scaled.tolist()))
+        assert "e+17" in want
+        assert "".join(cli._ladder_csv(k, slices)) == want
+
+    # sha256 of spectrum.csv of spectrum --k 200000 --E 0.25 (the benchmark's
+    # trajectory-ladder run), recorded when every lambda was written with %.17g
+    def test_integral_ladder_bytes_are_pinned(self, tmp_path):
+        assert cli.main(["spectrum", "--k", "200000", "--E", "0.25",
+                         "--out", str(tmp_path)]) == 0
+        digest = "80ea8b5315aac6c8914e5871c2b09bd332f9b24d396969692cf9e9462c116259"
+        assert hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest() == digest
+
     def test_traced_peak_does_not_grow_with_k(self, tmp_path, capsys):
         # the whole ladder as arrays would be 1.6 MB per column at k = 200,000
         peaks = []
@@ -589,6 +623,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--B", "nan"], "field strength B must be positive and finite, got nan"),
         (["--B", "1", "--E", "nan"], "energy E must be finite and nonnegative, got nan"),
+        (["--B", "inf"], "field strength B must be positive and finite, got inf"),
     ])
     def test_non_finite_values_fail(self, tmp_path, capsys, flags, message):
         rc = cli.main(["spectrum", "--k", "10", *flags, "--out", str(tmp_path)])

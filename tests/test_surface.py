@@ -202,6 +202,28 @@ class TestDescendMany:
         # seen from across a side pairing too
         self._assert_matches_scalar(GROUP.generators[2].apply(z))
 
+    @staticmethod
+    def _ranks_16(gens, z):
+        """The rank matrix as the library built it before the two (8, n)
+        products, kept as its oracle: one (16, 3) @ (3, n) product."""
+        rows = np.array([(g.a, g.c, g.b) for g in gens] + [(-g.c, g.a, -g.d) for g in gens])
+        r = rows @ np.array([z.real, z.imag, np.ones(z.size)])
+        r *= r
+        return r[:len(gens)] + r[len(gens):]
+
+    # one point, a ragged count, and the sizes of a Birkhoff block's fold
+    # (1024 and 3 x 1024 points)
+    @pytest.mark.parametrize("n", [1, 7, 1024, 3072, 5000])
+    def test_ranks_match_the_sixteen_row_product_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        reach = np.arccosh(rng.uniform(1.0, 1e4, n))
+        z = from_disk(np.tanh(0.5 * reach) * np.exp(2j * math.pi * rng.uniform(size=n)))
+        sides = _side_points(rng, 4, (-1e-9, 0.0, 1e-9))
+        for points in (z, np.concatenate([sides, z])[:n]):
+            got = surface._ranks(GROUP.generators, points)
+            assert got.shape == (8, n)
+            assert got.tobytes() == self._ranks_16(GROUP.generators, points).tobytes()
+
     def test_step_limit_raises(self, monkeypatch):
         far = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
         monkeypatch.setattr(surface, "_MAX_STEPS", 1)
