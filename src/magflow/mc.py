@@ -1,29 +1,26 @@
 """Monte Carlo verification of the pushforward density.
 
-Samples (theta, t) uniformly on the torus [0, 2pi) x [0, T_E) and histograms
-the hyperbolic distance of their footpoints to the center in geodesic-polar
-rings.  The distance comes from the real entries of the footpoint matrix
-P = R(theta/2) exp(tF) (the kernel of torus.psi_distance_many, without its
-input checks): det P = 1 makes
-d(i, P.i) = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2) exact, with no
-complex division and no cancellation at small distances.  Ring densities
-are scaled to the raw normalization (total mass 2 pi T_E) so they compare
+Samples the torus [0, 2pi) x [0, T_E) uniformly and histograms the
+hyperbolic distance of the footpoints to the center in geodesic-polar
+rings.  R(theta/2) fixes i, so that distance is 2 asinh(lam |S(t)| / 2)
+whatever theta (the kernel of torus.psi_distance_many, without its input
+checks), and the sampler draws and maps t alone.  Ring densities are
+scaled to the raw normalization (total mass 2 pi T_E) so they compare
 directly with the closed-form density, whose exact ring averages follow
 from the analytic radial mass M(r) = 4 pi t1(r) (t1 = first passage time of
 the distance profile).
 
 The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
-Philox keyed by the 64-bit words (seed, j): its m theta draws come from
-the key's stream, and its m t draws from a second generator of the same key
-advanced by m draws.  Each chunk draws, maps and bins its samples in
-cache-sized blocks of 2^14, one block slice of each stream at a time, into
-a buffer that the chunk owns and that the block's theta and t overwrite, so
-no step holds a chunk-sized array, no buffer is shared between workers, and
-sampling memory does not grow with n.  Histograms are therefore
-bit-identical for a given (seed, n) regardless of how many workers evaluate
-the chunks.  worker_count() sets that number: one worker per usable CPU,
-capped by the environment variable MAGFLOW_THREADS.
+Philox keyed by the 64-bit words (seed, j): the key's first m draws are the
+chunk's theta block, which is skipped, not drawn, and its m t draws follow
+them.  Each chunk draws, maps and bins its samples in cache-sized blocks of
+2^14, into a one-row buffer that the chunk owns and that each block's t
+overwrites, so no step holds a chunk-sized array, no buffer is shared
+between workers, and sampling memory does not grow with n.  Histograms are
+therefore bit-identical for a given (seed, n) regardless of how many
+workers evaluate the chunks.  worker_count() sets that number: one worker
+per usable CPU, capped by the environment variable MAGFLOW_THREADS.
 """
 
 from __future__ import annotations
@@ -113,24 +110,22 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
         m = min(_CHUNK, n - j * _CHUNK)
         # A list key would pass through float64 from seed 2^63 on.
         key = np.array([seed, j], dtype=np.uint64)
-        theta_rng = np.random.Generator(np.random.Philox(key=key))
-        # the t stream starts m draws in; Philox makes 4 draws a counter step
+        # the t stream starts m draws in, past the chunk's theta block, which
+        # the distance ignores; Philox makes 4 draws a counter step
         bits = np.random.Philox(key=key)
         bits.advance(m // 4)
         bits.random_raw(m % 4)
         t_rng = np.random.Generator(bits)
-        # one row per stream, owned by this chunk: no two workers share one
-        buf = np.empty((2, _BLOCK))
+        # one row, owned by this chunk: no two workers share it
+        buf = np.empty(_BLOCK)
         counts = np.zeros(_RINGS, dtype=np.int64)
         for lo in range(0, m, _BLOCK):
-            theta, t = buf[:, :min(_BLOCK, m - lo)]
-            theta_rng.random(out=theta)
+            t = buf[:min(_BLOCK, m - lo)]
             t_rng.random(out=t)
-            # theta and t take the place of their draws; both are finite, and
-            # the torus exists, so the unchecked kernel serves
-            theta *= 2.0 * math.pi
+            # t takes the place of its draws; it is finite, and the torus
+            # exists, so the unchecked kernel serves
             t *= T
-            counts += _bin_counts(_psi_distance(cfg, theta, t), R)
+            counts += _bin_counts(_psi_distance(cfg, t), R)
         return counts
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(chunks))) as pool:

@@ -6,8 +6,10 @@ of the spectrum of the k-th twisted Laplacian is an explicit finite ladder
     lambda_{k,m} = k B (m + 1/2) - m (m + 1) / 2,      m = 0 .. N_k - 1,
 
 with N_k = floor(k B) rungs.  The scaled values lambda/k^2 accumulate on
-[0, E_c]: the rung nearest k^2 E is the natural quantization of energy E,
-and the top of the ladder approaches E_c = B^2/2 at rate O(1/k).
+[0, E_c]: the rung nearest k^2 E is the natural quantization of energy E.
+The top rung m = N_k - 1 sits at or just below E_c = B^2/2: with f the
+fractional part of kB, its scaled value is E_c - f (1 + f) / (2 k^2).  So
+for integral kB it is E_c exactly, and otherwise it lies within O(1/k^2).
 
 Level selection and the gap to E_c are array kernels over energies and
 tensor powers (select_levels, critical_gaps).  Long ladders are built in

@@ -31,21 +31,29 @@ times t_1 = t_of_distance(d) and T_E - t_1); boundary points one; exterior
 points none.
 
 Every formula here is an array kernel: the footpoint distance
-d(i, Psi(theta, t)) from the real entries of R(theta/2) exp(tF)
-(psi_distance_many, whose theta = 0 slice is the profile phi_profile), the
-density, preimage count and two band masks of the distance to the center
-(one rule, _cover_terms, with one relative band width; density_cover_many
-adds the flags, and the Bolza surface runs it on each translate's hits),
-the preimages' torus coordinates (preimages_many; preimages_cover is its
-one-point wrapper), and the fits of both singular blowups (singular_fits).
+d(i, Psi(theta, t)), which reads t alone (psi_distance_many, whose theta = 0
+slice is the profile phi_profile), the density, preimage count and two
+band masks of the distance to the center (one rule, _cover_terms, with one
+relative band width; density_cover_many adds the flags, and the Bolza
+surface runs it on each translate's hits), the preimages' torus coordinates
+(preimages_many; preimages_cover is its one-point wrapper), and the fits of
+both singular blowups (singular_fits).
 
-psi_many and psi_distance_many share one unchecked kernel for P's entries:
-R(theta/2) takes cos and sin of theta/2 from one tangent of theta/4, and
-exp(tF) takes (C, S) from the flow module's half-angle kernel, so neither
-runs a libm cosine or sine on its arrays.  The two refuse a non-finite
-angle or time once, before the kernel; the Monte Carlo sampler, whose
-angles and times are finite by construction, calls the kernel directly on
-each block.
+psi_many takes the entries of P = R(theta/2) exp(tF): R(theta/2) takes cos
+and sin of theta/2 from one tangent of theta/4, and exp(tF) takes (C, S)
+from the flow module's half-angle kernel, so neither runs a libm cosine or
+sine on its arrays.  The distance needs no entry of P: R(theta/2) fixes i,
+and exp(tF) = (m_jk) has determinant 1, m11 - m22 = lam S and
+m12 + m21 = 0, so cosh d - 1 = ((m11 - m22)^2 + (m12 + m21)^2) / 2
+= (lam S)^2 / 2 and
+
+    d(i, Psi(theta, t)) = 2 asinh(lam |S(t)| / 2),
+
+whose unchecked kernel takes S alone, with no difference of entries that
+would cancel at small d.  psi_many and psi_distance_many refuse a
+non-finite angle or time once, before their kernels; the Monte Carlo
+sampler, whose times are finite by construction, calls the distance kernel
+directly on each block.
 """
 
 from __future__ import annotations
@@ -123,36 +131,30 @@ def _half_turn(theta):
     return (1.0 - x2) * w, (x + x) * w
 
 
-def _psi_entries(cfg: MagneticConfig, theta, t):
-    """Entries (p11, p12, p21, p22) of P = R(theta/2) exp(tF), whose Moebius
-    action takes i to psi(theta, t), over broadcastable float arrays of
-    finite angles and times; unchecked."""
+def psi_many(cfg: MagneticConfig, theta, t):
+    """psi over broadcastable arrays of angles and times: P.i for the
+    entries of P = R(theta/2) exp(tF)."""
+    theta, t = _torus_inputs(cfg, theta, t)
     rc, rs = _half_turn(theta)
     m11, m12, m21, m22 = _exp_entries(cfg, *_exp_kernel(cfg, t))
-    return rc * m11 + rs * m21, rc * m12 + rs * m22, rc * m21 - rs * m11, rc * m22 - rs * m12
-
-
-def psi_many(cfg: MagneticConfig, theta, t):
-    """psi over broadcastable arrays of angles and times."""
-    p11, p12, p21, p22 = _psi_entries(cfg, *_torus_inputs(cfg, theta, t))
+    p11, p12 = rc * m11 + rs * m21, rc * m12 + rs * m22
+    p21, p22 = rc * m21 - rs * m11, rc * m22 - rs * m12
     return (p11 * 1j + p12) / (p21 * 1j + p22)
 
 
-def _psi_distance(cfg: MagneticConfig, theta, t):
-    """psi_distance_many over float arrays of finite angles and times;
-    unchecked."""
-    p11, p12, p21, p22 = _psi_entries(cfg, theta, t)
-    a = p11 - p22
-    b = p12 + p21
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(a * a + b * b))
+def _psi_distance(cfg: MagneticConfig, t):
+    """psi_distance_many over a float array of finite times; unchecked."""
+    S = _exp_kernel(cfg, t)[1]
+    return 2.0 * np.arcsinh((0.5 * cfg.lam) * np.abs(S))
 
 
 def psi_distance_many(cfg: MagneticConfig, theta, t):
-    """d(i, psi(theta, t)) over broadcastable arrays, from the real entries of
-    P: det P = 1 makes cosh d - 1 = ((p11 - p22)^2 + (p12 + p21)^2) / 2, so
-    d = 2 asinh(sqrt((p11 - p22)^2 + (p12 + p21)^2) / 2), with no complex
-    division and no cancellation at small d."""
-    return _psi_distance(cfg, *_torus_inputs(cfg, theta, t))
+    """d(i, psi(theta, t)) over broadcastable arrays, shaped like their
+    broadcast.  R(theta/2) fixes i, so the distance is d(i, exp(tF).i)
+    whatever theta; det exp(tF) = 1 makes cosh d - 1 = (lam S)^2 / 2, so
+    d = 2 asinh(lam |S| / 2), from S alone."""
+    theta, t = _torus_inputs(cfg, theta, t)
+    return _psi_distance(cfg, np.broadcast_to(t, np.broadcast_shapes(theta.shape, t.shape)))
 
 
 def radius(cfg: MagneticConfig) -> float:

@@ -40,6 +40,19 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def assert_same_text(got, want):
+    """got == want; a mismatch fails with the first differing line, by
+    number, instead of a diff of texts that run to hundreds of KB, which
+    pytest can take minutes to build."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (x, y) in enumerate(zip(a, b), 1):
+        if x != y:
+            pytest.fail(f"line {i} differs:\n got  {x!r}\n want {y!r}")
+    pytest.fail(f"{len(a)} lines, want {len(b)}; the first {min(len(a), len(b))} agree")
+
+
 def wild(lo, hi):
     """Float flag values: in range, anywhere nearby, or special."""
     return st.one_of(st.floats(lo, hi), st.floats(-10.0, 10.0),
@@ -507,7 +520,7 @@ class TestSpectrumCommand:
         want = ["k,m,lambda,scaled"] + [
             f"{e.k},{e.m},{cli._fmt(e.lam)},{cli._fmt(e.scaled)}" for e in ladder(10000, 1.5)
         ]
-        assert (tmp_path / "spectrum.csv").read_text() == "\n".join(want) + "\n"
+        assert_same_text((tmp_path / "spectrum.csv").read_text(), "\n".join(want) + "\n")
 
     @staticmethod
     def per_line_outputs(k, B, E):
@@ -542,8 +555,8 @@ class TestSpectrumCommand:
         argv = ["spectrum", "--k", str(k), "--B", repr(B), "--out", str(tmp_path)]
         assert cli.main(argv + ([] if E is None else ["--E", repr(E)])) == 0
         csv, summary = self.per_line_outputs(k, B, E)
-        assert (tmp_path / "spectrum.csv").read_text() == csv
-        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+        assert_same_text((tmp_path / "spectrum.csv").read_text(), csv)
+        assert_same_text((tmp_path / "spectrum_summary.json").read_text(), summary)
 
     @staticmethod
     def whole_array_outputs(k, B):
@@ -573,8 +586,8 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path)]) == 0
         csv, summary, line = self.whole_array_outputs(k, B)
         assert capsys.readouterr().out.splitlines()[0] == line
-        assert (tmp_path / "spectrum.csv").read_text() == csv
-        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+        assert_same_text((tmp_path / "spectrum.csv").read_text(), csv)
+        assert_same_text((tmp_path / "spectrum_summary.json").read_text(), summary)
 
     def test_slices_mixing_integral_and_fractional_lambdas(self, tmp_path):
         # 2kB = 16386.4, so lambda is integral only where 5 divides 2m + 1: the
@@ -585,8 +598,8 @@ class TestSpectrumCommand:
         assert integral == [False, False, True]
         assert cli.main(["spectrum", "--k", str(k), "--B", repr(B), "--out", str(tmp_path)]) == 0
         csv, summary = self.per_line_outputs(k, B, None)
-        assert (tmp_path / "spectrum.csv").read_text() == csv
-        assert (tmp_path / "spectrum_summary.json").read_text() == summary
+        assert_same_text((tmp_path / "spectrum.csv").read_text(), csv)
+        assert_same_text((tmp_path / "spectrum_summary.json").read_text(), summary)
 
     def test_writer_keeps_exponents_past_1e17(self):
         # near m = 2e8 at k = 1e9 the rungs are integral floats near 1.8e17,
@@ -676,7 +689,7 @@ class TestSampleCommand:
                       str(int(report["count"][i])), cli._fmt(report["est_density"][i]),
                       cli._fmt(report["exact_ring_avg"][i]), cli._fmt(report["rel_err"][i])))
             for i in range(report["rings"])]
-        assert (tmp_path / "histogram.csv").read_text() == "\n".join(want) + "\n"
+        assert_same_text((tmp_path / "histogram.csv").read_text(), "\n".join(want) + "\n")
 
     def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
         a, b = tmp_path / "t1", tmp_path / "t4"
@@ -1163,8 +1176,8 @@ class TestBenchmarkTracer:
 
     def test_traced_sample_counts_blocks(self, tmp_path):
         # the tracer counts mc.chunks as psi_many calls under
-        # sample_pushforward; the sampler takes its radii from
-        # psi_distance_many, which calls no psi_many, so the counter reads 0
+        # sample_pushforward; the sampler takes its radii from the torus's
+        # distance kernel, which calls no psi_many, so the counter reads 0
         # for the 3 blocks (16,384, 16,384 and 7,232 samples) until the
         # benchmark counts sample blocks itself
         result = self.trace(tmp_path, "sample", "--n", "40000")

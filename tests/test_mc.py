@@ -136,14 +136,21 @@ class TestBlockedSampling:
     N = 2_040_007
 
     @staticmethod
-    def assert_matches_one_shot(monkeypatch, n):
-        want = one_shot_counts(STD, n, 31, pushforward_chunk(STD))
+    def assert_matches_one_shot(monkeypatch, n, cfg=STD):
+        want = one_shot_counts(cfg, n, 31, pushforward_chunk(cfg))
         for workers in (1, 2):
             use_workers(monkeypatch, workers)
-            assert np.array_equal(sample_pushforward(STD, n, 31).counts, want)
+            assert np.array_equal(sample_pushforward(cfg, n, 31).counts, want)
 
     def test_pushforward_matches_one_shot_chunks(self, monkeypatch):
         self.assert_matches_one_shot(monkeypatch, self.N)
+
+    # the sampler draws no theta and maps t alone; the reference draws theta
+    # then t and maps both through psi_many, so every count pins the
+    # theta-free distance, here at energies other than STD's too
+    @pytest.mark.parametrize("B,E", [(1.3, 0.3), (2.0, 0.5), (1.0, 0.49)])
+    def test_other_energies_match_one_shot_chunks(self, monkeypatch, B, E):
+        self.assert_matches_one_shot(monkeypatch, 1_010_001, MagneticConfig(B, E))
 
     # The t stream starts m draws into its chunk's Philox stream, 4 draws a
     # counter step, so single ragged chunks of m = 0, 1, 2 and 3 mod 4 each

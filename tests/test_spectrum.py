@@ -236,6 +236,15 @@ class TestCriticalGap:
         assert gap_top > 0.0
         assert gap_beyond > 0.0
 
+    def test_top_gap_is_closed_form(self):
+        # the top rung sits f (1 + f) / (2 k^2) below E_c, f the fractional
+        # part of kB: 0 for integral kB, O(1/k^2) otherwise
+        ks = np.arange(3, 2001)
+        for B in (0.5, 1.0, 1.5, 2.0, 0.37, 1.05):
+            f = ks * B - np.floor(ks * B + 1e-9)
+            top, _ = critical_gaps(ks, B)
+            assert np.max(np.abs(top - f * (1.0 + f) / (2.0 * ks * ks))) < 1e-15
+
     def test_k_gap_stays_bounded(self):
         worst = 0.0
         for k in range(1, 10001):

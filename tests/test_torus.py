@@ -166,14 +166,23 @@ class TestPsiDistance:
         want = hyp_dist_vec(psi_many(cfg, th, t), 1j)
         assert np.max(np.abs(psi_distance_many(cfg, th, t) / want - 1.0)) < 1e-12
 
-    # largest relative error over the 2000 draws, against 60 digits: 2.9e-13,
-    # 2.0e-13, 1.3e-13, 1.9e-11 and 3.0e-9; arccosh(1 + |z - i|^2 / (2 Im z))
+    def test_matches_distance_of_psi_at_any_time(self):
+        # S changes sign below t = 0 and past T_E; the distance takes |S|.
+        # Absolute: the arccosh reference loses digits where d is near 0
+        t = np.linspace(-2.0 * T_STD, 2.0 * T_STD, 401)
+        want = hyp_dist_vec(psi_many(STD, 1.0, t), 1j)
+        assert np.max(np.abs(psi_distance_many(STD, 1.0, t) - want)) < 1e-7
+
+    # largest relative error over the 2000 draws, against 60 digits: 3.1e-13,
+    # 1.7e-13, 1.4e-13, 2.4e-13 and 1.4e-13; arccosh(1 + |z - i|^2 / (2 Im z))
     # after the complex division of psi_many gives 1.6e-11, 9.5e-11,
-    # 3.8e-13, 2.2e-5 and 8.6e-2.  The error is a few ulps absolute, so it
-    # grows like 1/d relative at small distances.
+    # 3.8e-13, 2.2e-5 and 8.6e-2, and asinh of the rotated entries of
+    # R(theta/2) exp(tF) gave 3.2e-13, 1.2e-13, 1.4e-13, 4.3e-11 and 3.0e-9.
+    # Those errors are a few ulps absolute, so they grow like 1/d relative at
+    # small distances; asinh(lam |S| / 2) takes no difference of entries.
     @pytest.mark.parametrize("B,E,tol", [
         (1.0, 0.25, 1e-12), (2.0, 0.5, 1e-12), (1.0, 0.4999, 1e-12),
-        (1.0, 1e-6, 1e-10), (1.0, 1e-10, 1e-8),
+        (1.0, 1e-6, 1e-12), (1.0, 1e-10, 1e-12),
     ])
     def test_matches_high_precision_reference(self, B, E, tol):
         cfg = MagneticConfig(B, E)
@@ -182,11 +191,14 @@ class TestPsiDistance:
         assert np.max(np.abs(psi_distance_many(cfg, th, t) / want - 1.0)) < tol
 
     def test_theta_independent(self):
-        # R(theta/2) fixes i, so only rounding may separate the angles
+        # R(theta/2) fixes i, so the kernel reads t alone
         t = np.linspace(0.05, T_STD - 0.05, 101)
         at_zero = psi_distance_many(STD, 0.0, t)
         for th in np.linspace(0.0, 2.0 * math.pi, 33):
-            assert np.max(np.abs(psi_distance_many(STD, th, t) / at_zero - 1.0)) < 2e-14
+            assert psi_distance_many(STD, th, t).tolist() == at_zero.tolist()
+        grid = psi_distance_many(STD, np.linspace(0.0, 6.0, 7)[:, None], t)
+        assert grid.shape == (7, 101)
+        assert (grid == at_zero).all()
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_time(self, t):
