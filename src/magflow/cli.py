@@ -439,9 +439,9 @@ def _group_export(group) -> dict:
     return {
         "genus": group.genus,
         "generators": [
-            {"a": g.a, "b": g.b, "c": g.c, "d": g.d} for g in group.generators
+            {"a": a, "b": b, "c": c, "d": d} for a, b, c, d in group.generators.tolist()
         ],
-        "traces": [g.trace for g in group.generators],
+        "traces": [a + d for a, _, _, d in group.generators.tolist()],
         "relation_word": list(group.relation_word),
         "relation_residual": relation_residual(group),
         "inradius": group.inradius,

@@ -12,22 +12,23 @@ translation of length 2 rho,
     g_k = r(k pi/4) diag(e^rho, e^-rho) r(-k pi/4),      k = 0..7,
 
 so g_{k+4} = g_k^{-1} and all traces equal 2(1 + sqrt 2).  They satisfy the
-single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = 1, encoded by
-the index word (0, 3, 6, 1, 4, 7, 2, 5).
+single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = +I, encoded by
+the index word (0, 3, 6, 1, 4, 7, 2, 5): their entries, signs kept, lift the
+group to SL(2, R), and the one product, _compose, flips no sign.
 
 Operations, each an array kernel: fold points into the fundamental domain
 (greedy distance descent; a point is a local minimum of d(., i) over the
 generator orbit exactly when it lies in the Dirichlet domain), enumerate as
-one (n, 4) entry array the group elements whose translated domain can meet
-a centered disk (the Cayley graph layer by layer, deduplicated on orbit
-points g.i), fold the cover's density onto the surface by running its band,
-density and count rule (torus._cover_terms) on each translate's hits, and
-time-average observables along critical energy trajectories (which
-equidistribute toward the area measure) from several starts at once, in
-blocks of closed-form frames, all starts' block folded as one array.
-reduce_point and density_surface act on one point.  _equidistribution is
-the one equidistribution run, which `magflow equidist` reports and the
-verify check gates.
+one (n, 4) entry array the group elements whose translated domain can meet a
+centered disk (the Cayley graph layer by layer, deduplicated on orbit points
+g.i, sorted by a key free of the sign), fold the cover's density onto the
+surface by running its band, density and count rule (torus._cover_terms) on
+each translate's hits, and time-average observables along critical energy
+trajectories (which equidistribute toward the area measure) from several
+starts at once, in blocks of closed-form frames, all starts' block folded as
+one array.  reduce_point and density_surface act on one point.
+_equidistribution is the one equidistribution run, which `magflow equidist`
+reports and the verify check gates.
 
 All magnetic configurations used with the surface must satisfy the
 integrality constraint 2B(genus - 1) = 2B in Z.
@@ -42,15 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import MagneticConfig, _exp_entries, _exp_scalars, _framed, _shell_frame
-from .halfplane import (
-    Moebius,
-    Tangent,
-    from_disk,
-    hyp_dist,
-    hyp_dist_vec,
-    rotation_about_i,
-    to_disk,
-)
+from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, to_disk
 from .torus import _cover_terms, _flags, radius
 
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
@@ -67,12 +60,13 @@ _MAX_BLOCK_COSH = 1e8
 _AREA_ROWS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuchsianGroup:
-    """Side-pairing generators of a compact Fuchsian group with central
-    Dirichlet domain; generators[k + 4] = generators[k]^{-1}."""
+    """Side-pairing generators of a compact Fuchsian group with central Dirichlet
+    domain, a read-only (8, 4) array of entries (a, b, c, d) of an SL(2, R)
+    lift, generators[k + 4] = generators[k]^{-1}; hashed by identity."""
 
-    generators: tuple
+    generators: np.ndarray
     relation_word: tuple
     inradius: float
     circumradius: float
@@ -86,23 +80,40 @@ class DomainReduction:
     word: tuple
 
 
+def _unit(g):
+    """Entries (a, b, c, d) along the first axis of g times 1/sqrt(a d - b c),
+    a factor of exactly 1.0 where det is 1.0; the sign is kept."""
+    a, b, c, d = g
+    return g * (1.0 / np.sqrt(a * d - b * c))
+
+
+def _compose(g, h):
+    """Entries of g h from those of g and h along their first axes (broadcast),
+    in _framed's operation order, then _unit: the one group product."""
+    g, h = np.asarray(g), np.asarray(h)
+    g, h = g.reshape((2, 2) + g.shape[1:]), h.reshape((2, 2) + h.shape[1:])
+    p = g[:, :1] * h[:1] + g[:, 1:] * h[1:]
+    return _unit(p.reshape((4,) + p.shape[2:]))
+
+
+@lru_cache(maxsize=None)
 def bolza_group() -> FuchsianGroup:
-    """Construct the Bolza octagon group from its geometry."""
+    """The Bolza octagon group from its geometry, built once a process."""
     cot8 = 1.0 / math.tan(math.pi / 8.0)
     rho = math.acosh(cot8)
     circ = math.acosh(cot8 * cot8)
-    along = Moebius(math.exp(rho), 0.0, 0.0, math.exp(-rho))
-    gens = []
-    for k in range(8):
-        r = rotation_about_i(k * math.pi / 4.0)
-        gens.append(r @ along @ r.inv())
+    along = _unit(np.array([[math.exp(rho)], [0.0], [0.0], [math.exp(-rho)]]))
+    # r(k pi/4), columns k = 0..7; each determinant is exactly 1.0
+    cos, sin = np.array([(math.cos(h), math.sin(h)) for h in np.arange(8) * (math.pi / 8.0)]).T
+    gens = _compose(_compose([cos, sin, -sin, cos], along), [cos, -sin, sin, cos]).T.copy()
+    gens.flags.writeable = False
     vr = math.tanh(0.5 * circ)
     verts = tuple(
         complex(from_disk(vr * complex(math.cos(a), math.sin(a))))
         for a in ((2 * k + 1) * math.pi / 8.0 for k in range(8))
     )
     return FuchsianGroup(
-        generators=tuple(gens),
+        generators=gens,
         relation_word=(0, 3, 6, 1, 4, 7, 2, 5),
         inradius=rho,
         circumradius=circ,
@@ -110,23 +121,22 @@ def bolza_group() -> FuchsianGroup:
     )
 
 
-def word_element(group: FuchsianGroup, word) -> Moebius:
-    """Product of generators realizing a reduction word (word[0] acts first)."""
-    m = Moebius.identity()
-    for k in word:
-        m = group.generators[k] @ m
-    return m
+def word_element(group: FuchsianGroup, words):
+    """Entries (n, 4), in the generators' lift, of the products realizing the
+    rows of an (n, L) word array padded with -1 (word[0] acts first)."""
+    words = np.atleast_2d(words)
+    m = np.array([[1.0], [0.0], [0.0], [1.0]]).repeat(len(words), axis=1)
+    for k in words.T[:(words >= 0).sum(axis=1).max(initial=0)]:
+        m = np.where(k >= 0, _compose(group.generators.T[:, k], m), m)
+    return m.T
 
 
 def relation_residual(group: FuchsianGroup) -> float:
-    """Sup-norm distance of the defining relation's product from +-identity."""
-    p = Moebius.identity()
+    """Sup-norm distance from +I of the relator's product in the generators' lift."""
+    p = np.array([1.0, 0.0, 0.0, 1.0])
     for k in group.relation_word:
-        p = p @ group.generators[k]
-    ident = Moebius.identity()
-    dp = max(abs(x - y) for x, y in zip(p.entries(), ident.entries()))
-    dm = max(abs(x + y) for x, y in zip(p.entries(), ident.entries()))
-    return min(dp, dm)
+        p = _compose(p, group.generators[k])
+    return float(np.abs(p - [1.0, 0.0, 0.0, 1.0]).max())
 
 
 def octagon_area(group: FuchsianGroup) -> float:
@@ -161,9 +171,9 @@ def _ranks(gens, z):
     """(8, n) ranks of the generator moves of a flat array z: |g.z - i|^2 Im z / Im g.z,
     monotone in d(g.z, i), which is |(a - ic) z + b - id|^2 for g = (a, b; c, d).
     The real and imaginary parts are two (8, n) products, so no (16, n) is held."""
-    zs =np.array([z.real, z.imag, np.ones(z.size)])
-    re = np.array([(g.a, g.c, g.b) for g in gens]) @ zs
-    im = np.array([(-g.c, g.a, -g.d) for g in gens]) @ zs
+    zs = np.array([z.real, z.imag, np.ones(z.size)])
+    re = gens[:, [0, 2, 1]] @ zs
+    im = (gens[:, [2, 0, 3]] * [-1.0, 1.0, -1.0]) @ zs
     re *= re
     im *= im
     re += im
@@ -192,7 +202,7 @@ def _descend_many(generators, z):
     holds the generator indices applied to z[j] in order, padded with -1.
     """
     z = _half_plane(z)
-    ga, gb, gc, gd = np.array([g.entries() for g in generators]).T
+    ga, gb, gc, gd = generators.T
     d0 = hyp_dist_vec(z, 1j)
     live = np.arange(z.size)
     moves = []
@@ -255,36 +265,33 @@ def _first_orbit_points(g, rho: float):
 @lru_cache(maxsize=16)
 def translates_meeting_disk(group: FuchsianGroup, R: float):
     """Entries (a, b, c, d) of the group elements whose translated domain
-    can meet the closed disk of radius R about the center, as a read-only
-    (n, 4) array sorted by (cosh d(i, g.i), a, b, c, d).
+    can meet the closed disk of radius R about the center, in the
+    generators' lift, as a read-only (n, 4) array sorted by cosh d(i, g.i),
+    then by the entries signed so that a > 0 (or a = 0 < b).
 
     gF meets the disk only if d(i, g.i) <= R + circumradius, and the Cayley
     graph with an exploration margin of two circumradii reaches every such g
     (the geodesic to g.i crosses a side-adjacent chain of translates).  Layer n + 1 is layer
-    n times the generators in (element, generator) order, normalized as
-    Moebius normalizes a matrix, kept within that radius and where the orbit
-    point is new.  Every relator has even length, so a product is new or in
-    layer n - 1, the one layer it is checked against."""
+    n times the generators by _compose in (element, generator) order, kept
+    within that radius and where the orbit point is new.  Every relator has
+    even length, so a product is new or in layer n - 1, the one layer it is
+    checked against."""
     if R >= ENUM_CAP:
         raise ValueError("disk too large for exact enumeration")
     if not R >= 0.0:
         raise ValueError(f"disk radius must be finite and nonnegative, got {R!r}")
     include = math.cosh(R + group.circumradius)
     explore = math.cosh(R + 2.0 * group.circumradius + 0.5)
-    gen = np.array([g.entries() for g in group.generators]).reshape(-1, 2, 2)
     layers = [np.empty((0, 4)), np.array([[1.0, 0.0, 0.0, 1.0]])]
     while len(layers[-1]):
-        m = layers[-1].reshape(-1, 1, 2, 2)
-        h = (m[..., :1] * gen[:, :1] + m[..., 1:] * gen[:, 1:]).reshape(-1, 4)
-        det = h[:, 0] * h[:, 3] - h[:, 1] * h[:, 2]
-        h *= (1.0 / np.sqrt(det))[:, None]  # exactly 1.0 where det is 1.0
-        h[(h[:, 0] < 0.0) | ((h[:, 0] == 0.0) & (h[:, 1] < 0.0))] *= -1.0
+        h = _compose(layers[-1].T[:, :, None], group.generators.T[:, None, :]).reshape(4, -1).T
         h = h[_cosh_displacement(h) <= explore]
         new = _first_orbit_points(np.concatenate([layers[-2], h]), group.inradius)
         layers.append(h[new[len(layers[-2]):]])
     found = np.concatenate(layers)
     found = found[_cosh_displacement(found) <= include]
-    found = found[np.lexsort(np.vstack([found.T[::-1], _cosh_displacement(found)]))]
+    key = found * np.copysign(1.0, np.where(found[:, 0] == 0.0, found[:, 1], found[:, 0]))[:, None]
+    found = found[np.lexsort(np.vstack([key.T[::-1], _cosh_displacement(found)]))]
     found.flags.writeable = False
     return found
 
@@ -344,8 +351,8 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
-    frames = [_shell_frame(cfg, p) for p in starts]
-    if not frames:
+    frames = np.array([_shell_frame(cfg, p).entries() for p in starts]).T
+    if not frames.size:
         raise ValueError("Birkhoff averages need at least one start, got none")
     dt = T / n_steps
     block = max(1, int(min(_BLOCK_STEPS, n_steps, _BLOCK_BT / cfg.B * (n_steps / T))))
@@ -358,15 +365,14 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     if not 0.5 * sum(x * x for x in map(float, table[:, 1, -1])) <= _MAX_BLOCK_COSH:
         raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
                          f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
-    totals = np.zeros(len(frames))
+    totals = np.zeros(frames.shape[1])
     for done in range(0, n_steps, block):
         m = min(block, n_steps - done)
-        columns = np.array([g.entries() for g in frames]).T[:, :, None]
-        fa, fb, fc, fd = framed = np.array(_framed(columns, table[:, 0 if done == 0 else 1, :m]))
+        fa, fb, fc, fd = framed = np.array(_framed(frames[:, :, None],
+                                                   table[:, 0 if done == 0 else 1, :m]))
         z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))
         totals += np.reshape(observable(z), fa.shape).sum(axis=1)
-        frames = [word_element(group, w[w >= 0]) @ Moebius(*last)
-                  for w, last in zip(words[m - 1::m], framed[:, :, -1].T)]
+        frames = _compose(word_element(group, words[m - 1::m]).T, _unit(framed[:, :, -1]))
     return (totals / n_steps).tolist()
 
 

@@ -292,12 +292,14 @@ def check_bolza_integrity() -> dict:
     group = bolza_group()
     resid = relation_residual(group)
     area_err = abs(octagon_area(group) - 4.0 * math.pi)
-    starts, moved = [], []
+    starts, words = [], []
     for _ in range(1000):
         r = rng.uniform(0.0, 0.98 * group.inradius)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         starts.append(from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang))))
-        moved.append(word_element(group, rng.integers(0, 8, size=5)).apply(starts[-1]))
+        words.append(rng.integers(0, 8, size=5))
+    moved = [(a * z + b) / (c * z + d)
+             for (a, b, c, d), z in zip(word_element(group, words).tolist(), starts)]
     folded, _ = _descend_many(group.generators, moved)
     worst = float(np.max(hyp_dist_vec(folded, np.array(starts))))
     passed = resid < 1e-9 and area_err < 1e-6 and worst < 1e-8

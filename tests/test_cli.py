@@ -784,6 +784,9 @@ class TestEquidistCommand:
         assert len(group["generators"]) == 8
         assert group["relation_residual"] < 1e-9
         assert group["area"] == pytest.approx(4.0 * math.pi, abs=1e-6)
+        # recorded when the generators were Moebius objects, each stored with a > 0
+        digest = "e06f59e9be1390a5e423803753c845328840a3ded79e86e4607360b9cfb7cd05"
+        assert hashlib.sha256((tmp_path / "group.json").read_bytes()).hexdigest() == digest
 
     # sha256 of equidist.json, recorded when the CLI and the verify check each
     # assembled the run from the surface's bump and start draws
@@ -930,6 +933,15 @@ class TestVerifyCommand:
                        "--out", str(tmp_path)])
         assert rc == 0
         digest = "18217f16f5b9fe5325898c4abf119459706b4df9be34b27cae9b5722d8009a93"
+        assert hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest() == digest
+
+    def test_bolza_integrity_report_bytes_are_pinned(self, tmp_path):
+        # sha256 recorded when the relation residual was the Moebius chain's
+        # distance from +-I and each word was a Moebius chain applied to its
+        # start one at a time
+        rc = cli.main(["verify", "--only", "bolza-integrity", "--out", str(tmp_path)])
+        assert rc == 0
+        digest = "3357c49fea78ed10c2acacf6a2a61bb0d0c6716de1c2999a118fc3e04f83f366"
         assert hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest() == digest
 
     # every check but the two slowest, mc-oracle and equidistribution

@@ -30,7 +30,8 @@ from magflow import (
     translates_meeting_disk,
 )
 from magflow import surface
-from magflow.halfplane import frame_of, from_disk, hyp_dist_vec
+from magflow.flow import _exp_entries, _exp_scalars, _framed, _shell_frame
+from magflow.halfplane import Moebius, frame_of, from_disk, hyp_dist_vec, rotation_about_i
 from magflow.surface import (
     ENUM_CAP,
     _descend_many,
@@ -41,6 +42,14 @@ from magflow.surface import (
 
 STD = MagneticConfig(1.0, 0.25)
 GROUP = bolza_group()
+IDENTITY = [1.0, 0.0, 0.0, 1.0]
+
+
+def _apply(g, z):
+    """The action z -> (a z + b) / (c z + d) of an entry row (a, b, c, d),
+    in Python floats, so on a complex scalar it rounds as Moebius.apply did."""
+    a, b, c, d = np.asarray(g, dtype=float).tolist()
+    return (a * z + b) / (c * z + d)
 
 
 def _descend(generators, z):
@@ -54,16 +63,42 @@ def _descend(generators, z):
         best = -1
         best_d = d0 - surface._DESCENT_EPS
         for idx, g in enumerate(generators):
-            dd = hyp_dist(g.apply(z), 1j)
+            dd = hyp_dist(_apply(g, z), 1j)
             if dd < best_d:
                 best = idx
                 best_d = dd
         if best < 0:
             return z, word
-        z = generators[best].apply(z)
+        z = _apply(generators[best], z)
         d0 = hyp_dist(z, 1j)
         word.append(best)
     raise ValueError("reduction failed")
+
+
+def _moebius_word(word):
+    """The product word_element formed before the entry arrays, kept as its
+    oracle: a Moebius chain from the identity, each product of a generator
+    row and the chain renormalized and sign-flipped by the Moebius
+    constructor (word[0] acts first)."""
+    m = Moebius.identity()
+    for k in word:
+        ga, gb, gc, gd = GROUP.generators[k].tolist()
+        m = Moebius(ga * m.a + gb * m.c, ga * m.b + gb * m.d,
+                    gc * m.a + gd * m.c, gc * m.b + gd * m.d)
+    return m
+
+
+def _old_sign(rows):
+    """Entry rows with the sign the Moebius constructor chose: a > 0, or
+    a = 0 < b."""
+    a, b = rows[:, 0], rows[:, 1]
+    return np.where(((a < 0.0) | ((a == 0.0) & (b < 0.0)))[:, None], -rows, rows)
+
+
+def _same_up_to_sign(g, h):
+    """Rows of g and h are equal bit for bit, or equal after negating the row."""
+    g, h = np.asarray(g), np.asarray(h)
+    return bool(np.all((g == h).all(axis=-1) | (g == -h).all(axis=-1)))
 
 
 class TestGroupConstruction:
@@ -71,19 +106,20 @@ class TestGroupConstruction:
         assert relation_residual(GROUP) < 1e-9
 
     def test_generators_unimodular(self):
-        for g in GROUP.generators:
-            assert abs(g.det - 1.0) < 1e-12
+        for a, b, c, d in GROUP.generators:
+            assert abs(a * d - b * c - 1.0) < 1e-12
 
     def test_traces_all_equal(self):
         want = 2.0 * (1.0 + math.sqrt(2.0))
-        for g in GROUP.generators:
-            assert abs(g.trace) == pytest.approx(want, abs=1e-12)
+        for a, _, _, d in GROUP.generators:
+            assert abs(a + d) == pytest.approx(want, abs=1e-12)
 
     def test_inverse_pairing(self):
         gens = GROUP.generators
-        assert len(gens) == 8
+        assert gens.shape == (8, 4)
         for k in range(8):
-            assert gens[(k + 4) % 8].close_to(gens[k].inv(), 1e-12)
+            inverse = gens[k][[3, 1, 2, 0]] * [1.0, -1.0, -1.0, 1.0]
+            np.testing.assert_allclose(gens[(k + 4) % 8], inverse, rtol=0.0, atol=1e-12)
 
     def test_area_is_gauss_bonnet(self):
         assert octagon_area(GROUP) == pytest.approx(4.0 * math.pi, abs=1e-6)
@@ -101,7 +137,18 @@ class TestGroupConstruction:
             for _ in range(20):
                 z = complex(rng.uniform(-1, 1), math.exp(rng.uniform(-1, 1)))
                 w = complex(rng.uniform(-1, 1), math.exp(rng.uniform(-1, 1)))
-                assert abs(hyp_dist(g.apply(z), g.apply(w)) - hyp_dist(z, w)) < 1e-10
+                assert abs(hyp_dist(_apply(g, z), _apply(g, w)) - hyp_dist(z, w)) < 1e-10
+
+    def test_generators_are_read_only_and_built_once(self):
+        assert GROUP.generators.dtype == np.float64
+        assert not GROUP.generators.flags.writeable
+        with pytest.raises(ValueError):
+            GROUP.generators[0, 0] = 2.0
+        # translates_meeting_disk caches on the group object, and verify
+        # builds the group three times
+        assert bolza_group() is GROUP
+        R = radius(MagneticConfig(1.0, 0.3))
+        assert translates_meeting_disk(bolza_group(), R) is translates_meeting_disk(GROUP, R)
 
     def test_chern_constraint(self):
         for B in (0.5, 1.0, 1.5, 2.0):
@@ -109,6 +156,80 @@ class TestGroupConstruction:
         for B in (0.7, 1e-12):  # 2B is no integer, or rounds to 0
             with pytest.raises(ValueError, match="Chern constraint violated"):
                 require_chern(MagneticConfig(B, 0.1))
+
+
+class TestLift:
+    def test_generators_are_the_moebius_construction_bit_for_bit(self):
+        # r(k pi/4) diag(e^rho, e^-rho) r(-k pi/4) as Moebius products, the
+        # construction before the entry arrays: every a > 0, so no sign moves
+        rho = GROUP.inradius
+        along = Moebius(math.exp(rho), 0.0, 0.0, math.exp(-rho))
+        for k, row in enumerate(GROUP.generators.tolist()):
+            r = rotation_about_i(k * math.pi / 4.0)
+            assert row == list((r @ along @ r.inv()).entries())
+
+    def test_opposite_generators_multiply_to_plus_identity(self):
+        for k in range(8):
+            got = surface._compose(GROUP.generators[k], GROUP.generators[(k + 4) % 8])
+            np.testing.assert_allclose(got, IDENTITY, rtol=0.0, atol=1e-14)
+
+    def test_relator_product_is_plus_identity(self):
+        # measured 2.1e-14 from +I; the Moebius partial products took the
+        # other sign at 3 of the relator's 8 prefixes
+        assert relation_residual(GROUP) < 1e-13
+        p = np.eye(2)
+        for k in GROUP.relation_word:
+            p = p @ GROUP.generators[k].reshape(2, 2)
+        np.testing.assert_allclose(p, np.eye(2), rtol=0.0, atol=1e-13)
+
+    def test_word_element_is_the_moebius_chain_up_to_sign(self):
+        rng = np.random.default_rng(27)
+        words = rng.integers(0, 8, size=(400, 9)).astype(np.int8)
+        # ragged rows padded with -1, as _descend_many returns them
+        lengths = rng.integers(0, 10, size=400)
+        words[np.arange(9) >= lengths[:, None]] = -1
+        got = word_element(GROUP, words)
+        assert got.shape == (400, 4)
+        want = [_moebius_word(w[w >= 0]).entries() for w in words]
+        assert _same_up_to_sign(got, want)
+        # with the lift's sign: the plain 2x2 products, up to the
+        # renormalization by a cancelling determinant (5.2e-8 of the largest
+        # entry measured here; a flipped sign is off by twice that entry)
+        for row, w in zip(got, words):
+            p = np.eye(2)
+            for k in w[w >= 0]:
+                p = GROUP.generators[k].reshape(2, 2) @ p
+            assert np.abs(row - p.ravel()).max() <= 1e-6 * np.abs(p).max()
+        assert (got[lengths == 0] == IDENTITY).all()
+
+    def test_frame_update_matches_the_per_start_moebius_path(self):
+        # two blocks of 160 steps (B t <= 8); the second block's folded
+        # points come from the first block's frame update alone
+        cfg = MagneticConfig(1.0, 0.5)
+        rng = np.random.default_rng(28)
+        z = from_disk(rng.uniform(0.0, 0.5, 3) * np.exp(2j * math.pi * rng.uniform(size=3)))
+        v = cfg.lam * z.imag * np.exp(2j * math.pi * rng.uniform(size=3))
+        starts = [Tangent(complex(a), complex(b)) for a, b in zip(z, v)]
+        seen = []
+
+        def record(w):
+            seen.append(w.copy())
+            return np.zeros(w.shape)
+
+        birkhoff_average(GROUP, cfg, record, 20.0, starts, 400)
+        # the loop before the entry arrays: a start's frame is the Moebius
+        # product of its fold's word and of its last frame
+        dt, block = 20.0 / 400, 160
+        table = np.array(_exp_entries(cfg, *_exp_scalars(
+            cfg, (np.arange(1, block + 1) - [[0.5], [0.0]]) * dt)))
+        frames = [_shell_frame(cfg, p) for p in starts]
+        for j in (0, 1):
+            columns = np.array([g.entries() for g in frames]).T[:, :, None]
+            fa, fb, fc, fd = framed = np.array(_framed(columns, table[:, j, :]))
+            want, words = _descend_many(GROUP.generators, (fa * 1j + fb) / (fc * 1j + fd))
+            assert seen[j].tobytes() == want.tobytes()
+            frames = [_moebius_word(w[w >= 0]) @ Moebius(*last)
+                      for w, last in zip(words[block - 1::block], framed[:, :, -1].T)]
 
 
 class TestReduce:
@@ -119,28 +240,28 @@ class TestReduce:
         assert red.representative == z
 
     def test_idempotent(self):
-        z = GROUP.generators[3].apply(from_disk(0.4 - 0.2j))
+        z = _apply(GROUP.generators[3], from_disk(0.4 - 0.2j))
         red = reduce_point(GROUP, z)
         again = reduce_point(GROUP, red.representative)
         assert again.word == ()
         assert again.representative == red.representative
 
     def test_word_maps_input_to_representative(self):
-        z = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
+        z = _apply(surface._compose(GROUP.generators[1], GROUP.generators[6]), from_disk(0.3 + 0.3j))
         red = reduce_point(GROUP, z)
-        assert abs(word_element(GROUP, red.word).apply(z) - red.representative) < 1e-9
+        assert abs(_apply(word_element(GROUP, red.word)[0], z) - red.representative) < 1e-9
 
     def test_random_word_round_trips(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             w0 = from_disk(rng.uniform(0.05, 0.55) * np.exp(2j * math.pi * rng.uniform()))
             word = tuple(int(i) for i in rng.integers(0, 8, size=5))
-            z = word_element(GROUP, word).apply(complex(w0))
+            z = _apply(word_element(GROUP, word)[0], complex(w0))
             red = reduce_point(GROUP, z)
             assert abs(red.representative - w0) < 1e-8
 
     def test_returns_builtin_types(self):
-        z = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
+        z = _apply(surface._compose(GROUP.generators[1], GROUP.generators[6]), from_disk(0.3 + 0.3j))
         red = reduce_point(GROUP, z)
         assert type(red.representative) is complex
         assert type(red.word) is tuple and len(red.word) > 0
@@ -167,7 +288,7 @@ def _side_points(rng, count, offsets):
 
         def excess(r):
             z = from_disk(math.tanh(0.5 * r) * ray)
-            return min(hyp_dist(g.apply(z), 1j) for g in GROUP.generators) - hyp_dist(z, 1j)
+            return min(hyp_dist(_apply(g, z), 1j) for g in GROUP.generators) - hyp_dist(z, 1j)
 
         lo, hi = GROUP.inradius - 1e-3, GROUP.circumradius + 1e-3
         for _ in range(200):
@@ -200,13 +321,14 @@ class TestDescendMany:
         z = _side_points(rng, 60, (-1e-9, 0.0, 1e-9))
         self._assert_matches_scalar(z)
         # seen from across a side pairing too
-        self._assert_matches_scalar(GROUP.generators[2].apply(z))
+        self._assert_matches_scalar(_apply(GROUP.generators[2], z))
 
     @staticmethod
     def _ranks_16(gens, z):
         """The rank matrix as the library built it before the two (8, n)
         products, kept as its oracle: one (16, 3) @ (3, n) product."""
-        rows = np.array([(g.a, g.c, g.b) for g in gens] + [(-g.c, g.a, -g.d) for g in gens])
+        gens = gens.tolist()
+        rows = np.array([(a, c, b) for a, b, c, d in gens] + [(-c, a, -d) for a, b, c, d in gens])
         r = rows @ np.array([z.real, z.imag, np.ones(z.size)])
         r *= r
         return r[:len(gens)] + r[len(gens):]
@@ -225,7 +347,7 @@ class TestDescendMany:
             assert got.tobytes() == self._ranks_16(GROUP.generators, points).tobytes()
 
     def test_step_limit_raises(self, monkeypatch):
-        far = (GROUP.generators[1] @ GROUP.generators[6]).apply(from_disk(0.3 + 0.3j))
+        far = _apply(surface._compose(GROUP.generators[1], GROUP.generators[6]), from_disk(0.3 + 0.3j))
         monkeypatch.setattr(surface, "_MAX_STEPS", 1)
         for descend in (_descend, _descend_many):
             with pytest.raises(ValueError, match="reduction failed"):
@@ -283,7 +405,8 @@ class TestTranslates:
             got[0, 0] = 2.0
 
     # sha256 prefixes of the entry bytes that the earlier enumeration (a
-    # queue of Moebius products deduplicated by orbit point) produced
+    # queue of Moebius products deduplicated by orbit point) produced, each
+    # row stored with the Moebius sign: a > 0, or a = 0 < b
     @pytest.mark.parametrize("R, n, digest", [
         (0.1, 1, "7b38b86d9a7e6237"),
         (radius(STD), 9, "e138ed38bcce428a"),
@@ -294,6 +417,19 @@ class TestTranslates:
     def test_entry_bytes_are_pinned(self, R, n, digest):
         got = translates_meeting_disk(GROUP, R)
         assert got.shape == (n, 4)
+        assert hashlib.sha256(_old_sign(got).tobytes()).hexdigest()[:16] == digest
+
+    # the same rows as returned, in the generators' lift: 0, 0, 40, 120 and
+    # 462 of them take the other sign
+    @pytest.mark.parametrize("R, digest", [
+        (0.1, "7b38b86d9a7e6237"),
+        (radius(STD), "e138ed38bcce428a"),
+        (4.0, "e32932eab0087e04"),
+        (radius(MagneticConfig(1.0, 0.48)), "bd538f7468ab1014"),
+        (5.9, "ca346d796a627f3a"),
+    ])
+    def test_lift_entry_bytes_are_pinned(self, R, digest):
+        got = translates_meeting_disk(GROUP, R)
         assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
     def test_closed_under_inverses(self):
@@ -311,7 +447,8 @@ class TestTranslates:
         got = translates_meeting_disk(GROUP, 4.0)
         assert len(got) == 137
         a, b, c, d = got.T
-        keys = np.stack([0.5 * (a * a + b * b + c * c + d * d), a, b, c, d])
+        # sorted by cosh d(i, g.i), then by the entries of the Moebius sign
+        keys = np.vstack([0.5 * (a * a + b * b + c * c + d * d), _old_sign(got).T])
         np.testing.assert_array_equal(np.lexsort(keys[::-1]), np.arange(len(got)))
         # the Dirichlet domain about i holds the disk of radius rho, so
         # distinct elements move i to points at least 2 rho apart
@@ -483,7 +620,7 @@ def _oracle_average(cfg, observable, T, p0, n_steps):
     z = (((g0.a * a + g0.b * c) * 1j + (g0.a * b + g0.b * d))
          / ((g0.c * a + g0.d * c) * 1j + (g0.c * b + g0.d * d)))
     while True:
-        cand = np.stack([g.apply(z) for g in GROUP.generators])
+        cand = np.stack([_apply(g, z) for g in GROUP.generators])
         u = np.abs(cand - 1j) ** 2 / cand.imag
         pick = np.argmin(u, axis=0)
         cols = np.arange(z.size)
