@@ -191,7 +191,8 @@ def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
 
 
 def _framed(frame, entries):
-    """Entries of G @ M from those (a, b, c, d) of G, scalars or (n, 1) columns, and of M."""
+    """Entries of G @ M from those (a, b, c, d) of G and of M, broadcast: the
+    one 2x2 product of entry arrays (torus.psi_many and surface._compose)."""
     fa, fb, fc, fd = frame
     ea, eb, ec, ed = entries
     return fa * ea + fb * ec, fa * eb + fb * ed, fc * ea + fd * ec, fc * eb + fd * ed

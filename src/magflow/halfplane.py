@@ -120,12 +120,6 @@ def hyp_norm(p: Tangent) -> float:
     return abs(p.v) / p.z.imag
 
 
-def mobius_apply(g: Moebius, p: Tangent) -> Tangent:
-    """Action of g on a tangent: ((az+b)/(cz+d), v/(cz+d)^2)."""
-    w = g.c * p.z + g.d
-    return Tangent((g.a * p.z + g.b) / w, p.v / (w * w))
-
-
 def hyp_dist(z: complex, w: complex) -> float:
     """Hyperbolic distance, 2 arcsinh(|z-w| / (2 sqrt(Im z Im w))).
 

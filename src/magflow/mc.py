@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import MagneticConfig, period
-from .torus import _psi_distance, _require_torus, radius, t_of_distance
+from .torus import _psi_distance, _require_torus, t_of_distance
 
 _CHUNK = 1_000_000
 # equal-width distance rings on [0, R_E]
@@ -100,9 +100,8 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
     # Philox keys are 64-bit words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer from 0 to 2^64 - 1, got {seed}")
-    _require_torus(cfg)
+    R = _require_torus(cfg)
     T = period(cfg)
-    R = radius(cfg)
     edges = np.linspace(0.0, R, _RINGS + 1)
     chunks = range((n + _CHUNK - 1) // _CHUNK)
 
@@ -142,9 +141,12 @@ def exact_ring_averages(cfg: MagneticConfig, edges: np.ndarray) -> np.ndarray:
     The mass inside radius r is 4 pi t1(r), so a ring's average density is
     4 pi (t1(r_hi) - t1(r_lo)) / ring area.
     """
-    t1 = t_of_distance(cfg, edges)
-    mass = 4.0 * math.pi * np.diff(t1)
-    return mass / _ring_areas(edges)
+    return _ring_averages(edges, np.diff(t_of_distance(cfg, edges)))
+
+
+def _ring_averages(edges: np.ndarray, dt1: np.ndarray) -> np.ndarray:
+    # each ring's closed-form mass 4 pi (t1(r_hi) - t1(r_lo)) over its area
+    return 4.0 * math.pi * dt1 / _ring_areas(edges)
 
 
 def compare_to_closed_form(hist: PushforwardHistogram, cfg: MagneticConfig) -> dict:
@@ -155,14 +157,13 @@ def compare_to_closed_form(hist: PushforwardHistogram, cfg: MagneticConfig) -> d
         raise ValueError("histogram configuration does not match")
     edges = hist.edges
     R = float(edges[-1])
-    exact = exact_ring_averages(cfg, edges)
+    dt1 = np.diff(t_of_distance(cfg, edges))
+    exact = _ring_averages(edges, dt1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(exact > 0.0, hist.est_density / exact - 1.0, 0.0)
 
-    expected = hist.n * 4.0 * math.pi * np.diff(t_of_distance(cfg, edges)) / (
-        2.0 * math.pi * period(cfg)
-    )
+    expected = hist.n * 4.0 * math.pi * dt1 / (2.0 * math.pi * period(cfg))
     usable = expected >= 10.0
     chi2 = float(np.sum((hist.counts[usable] - expected[usable]) ** 2 / expected[usable]))
 

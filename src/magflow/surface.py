@@ -88,12 +88,9 @@ def _unit(g):
 
 
 def _compose(g, h):
-    """Entries of g h from those of g and h along their first axes (broadcast),
-    in _framed's operation order, then _unit: the one group product."""
-    g, h = np.asarray(g), np.asarray(h)
-    g, h = g.reshape((2, 2) + g.shape[1:]), h.reshape((2, 2) + h.shape[1:])
-    p = g[:, :1] * h[:1] + g[:, 1:] * h[1:]
-    return _unit(p.reshape((4,) + p.shape[2:]))
+    """Entries of g h from those of g and h along their first axes (broadcast):
+    _framed's product, then _unit; the one group product."""
+    return _unit(np.array(_framed(g, h)))
 
 
 @lru_cache(maxsize=None)

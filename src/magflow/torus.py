@@ -32,20 +32,23 @@ points none.
 
 Every formula here is an array kernel: the footpoint distance
 d(i, Psi(theta, t)), which reads t alone (psi_distance_many, whose theta = 0
-slice is the profile phi_profile), the density, preimage count and two
-band masks of the distance to the center (one rule, _cover_terms, with one
-relative band width; density_cover_many adds the flags, and the Bolza
-surface runs it on each translate's hits), the preimages' torus coordinates
-(preimages_many; preimages_cover is its one-point wrapper), and the fits of
-both singular blowups (singular_fits).
+slice is the profile phi_profile); the density, preimage count and first
+passage time t_1 at a distance d to the center, all from one
+S^2 = sin^2(gamma t_1 / 2) = gamma^2 (cosh d - 1) / (4E) with one rim band
+(_radial, whose wrappers are alpha_radial, preimage_count and
+t_of_distance); two band masks of d next to that density and count (one
+rule, _cover_terms, with one relative band width; density_cover_many adds
+the flags, and the Bolza surface runs it on each translate's hits); the
+preimages' torus coordinates (preimages_many; preimages_cover is its
+one-point wrapper); and the fits of both singular blowups (singular_fits).
 
-psi_many takes the entries of P = R(theta/2) exp(tF): R(theta/2) takes cos
-and sin of theta/2 from one tangent of theta/4, and exp(tF) takes (C, S)
-from the flow module's half-angle kernel, so neither runs a libm cosine or
-sine on its arrays.  The distance needs no entry of P: R(theta/2) fixes i,
-and exp(tF) = (m_jk) has determinant 1, m11 - m22 = lam S and
-m12 + m21 = 0, so cosh d - 1 = ((m11 - m22)^2 + (m12 + m21)^2) / 2
-= (lam S)^2 / 2 and
+psi_many forms P = R(theta/2) exp(tF) with the flow module's 2x2 product,
+_framed: R(theta/2) takes cos and sin of theta/2 from one tangent of
+theta/4, and exp(tF) takes (C, S) from the flow module's half-angle kernel,
+so neither runs a libm cosine or sine on its arrays.  The distance needs
+no entry of P: R(theta/2) fixes i, and exp(tF) = (m_jk) has determinant 1,
+m11 - m22 = lam S and m12 + m21 = 0, so
+cosh d - 1 = ((m11 - m22)^2 + (m12 + m21)^2) / 2 = (lam S)^2 / 2 and
 
     d(i, Psi(theta, t)) = 2 asinh(lam |S(t)| / 2),
 
@@ -65,7 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (_REGIME_TOL, MagneticConfig, Regime, _exp_entries, _exp_kernel,
-                   _exp_scalars, _range_error, _require_finite, period, variation_coeffs)
+                   _exp_scalars, _framed, _range_error, _require_finite, period,
+                   variation_coeffs)
 from .halfplane import hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
@@ -97,12 +101,15 @@ def _no_torus(cfg: MagneticConfig) -> ValueError:
                       f"got B={cfg.B!r}, E={cfg.E!r}, E_c={cfg.Ec!r}")
 
 
-def _require_torus(cfg: MagneticConfig) -> None:
+def _require_torus(cfg: MagneticConfig) -> float:
+    """R_E, once the torus exists at cfg; raises ValueError naming why not."""
     if cfg.E <= 0.0 or cfg.regime is not Regime.SUBCRITICAL:
         raise _no_torus(cfg)
-    if radius(cfg) == 0.0:
+    R = radius(cfg)
+    if R == 0.0:
         raise ValueError(f"torus radius rounds to 0 at B={cfg.B!r}, E={cfg.E!r}: "
                          "E is below double precision against B^2")
+    return R
 
 
 def psi(cfg: MagneticConfig, theta: float, t: float) -> complex:
@@ -136,9 +143,7 @@ def psi_many(cfg: MagneticConfig, theta, t):
     entries of P = R(theta/2) exp(tF)."""
     theta, t = _torus_inputs(cfg, theta, t)
     rc, rs = _half_turn(theta)
-    m11, m12, m21, m22 = _exp_entries(cfg, *_exp_kernel(cfg, t))
-    p11, p12 = rc * m11 + rs * m21, rc * m12 + rs * m22
-    p21, p22 = rc * m21 - rs * m11, rc * m22 - rs * m12
+    p11, p12, p21, p22 = _framed((rc, rs, -rs, rc), _exp_entries(cfg, *_exp_kernel(cfg, t)))
     return (p11 * 1j + p12) / (p21 * 1j + p22)
 
 
@@ -170,9 +175,28 @@ def phi_profile(cfg: MagneticConfig, t):
     return psi_distance_many(cfg, 0.0, t)
 
 
-def _sin2_half(cfg: MagneticConfig, d):
-    # sin^2(gamma t_1 / 2) = gamma^2 (cosh d - 1) / (4E) at distance d
-    return cfg.gamma * cfg.gamma * (np.cosh(d) - 1.0) / (4.0 * cfg.E)
+def _radial(cfg: MagneticConfig, d):
+    """(alpha, n, t1) at distances d to the center, arrays shaped like d,
+    from one S^2 = sin^2(gamma t_1 / 2) = gamma^2 (cosh d - 1) / (4E) read at
+    min(d, R_E + 1), which keeps cosh finite and moves no value (past R_E,
+    S^2 > 1 either way).  Summing 1/(2E|b|) over the two preimage branches
+    collapses alpha to (gamma/E) / |sin(gamma t_1)| = (gamma/E) / (2 S sqrt(1 - S^2))."""
+    R = _require_torus(cfg)
+    d = np.asarray(d, dtype=float)
+    s2 = cfg.gamma * cfg.gamma * (np.cosh(np.minimum(d, R + 1.0)) - 1.0) / (4.0 * cfg.E)
+    t1 = (2.0 / cfg.gamma) * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
+    # the boundary circle is a band of one part in 10^12 on both sides:
+    # points constructed to lie on it land within float noise of R_E, on
+    # either side; phi is flat at T/2, so that noise alone would split the
+    # branch times t_1, T - t_1 by more than the merge window, or leave no
+    # preimage past R_E.  On the band there is one preimage, at T/2.
+    rim = np.abs(d - R) <= 1e-12 * max(1.0, R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (cfg.gamma / cfg.E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
+    alpha = np.where(s2 > 1.0, 0.0, alpha)
+    alpha = np.where(np.isnan(alpha) | rim, np.inf, alpha)
+    n = np.where(d > R, 0, np.where(0.5 * period(cfg) - t1 < 0.5 * _MERGE_T, 1, 2))
+    return alpha, np.where(d < _CENTER_TOL, 0, np.where(rim, 1, n)), t1
 
 
 def t_of_distance(cfg: MagneticConfig, d):
@@ -181,38 +205,15 @@ def t_of_distance(cfg: MagneticConfig, d):
     Inverts cosh phi(t) = 1 + (4E/gamma^2) sin^2(gamma t / 2); vectorized.
     Values of d beyond R_E are clipped to the boundary time T_E/2.
     """
-    _require_torus(cfg)
-    s = np.sqrt(np.clip(_sin2_half(cfg, d), 0.0, 1.0))
-    return (2.0 / cfg.gamma) * np.arcsin(s)
-
-
-def _on_rim(cfg: MagneticConfig, d):
-    # the boundary circle is a band of one part in 10^12 on both sides:
-    # points constructed to lie on it land within float noise of R_E, on
-    # either side; phi is flat at T/2, so that noise alone would split the
-    # branch times t_1, T - t_1 by more than the merge window, or leave no
-    # preimage past R_E.  On the band there is one preimage, at T/2.
-    R = radius(cfg)
-    return np.abs(d - R) <= 1e-12 * max(1.0, R)
+    return _radial(cfg, d)[2]
 
 
 def alpha_radial(cfg: MagneticConfig, d):
-    """Closed-form raw density as a function of distance to the center.
-
-    Summing 1/(2E|b|) over the two preimage branches collapses to
-    (gamma/E) / |sin(gamma t_1)| = (gamma/E) / (2 S sqrt(1 - S^2)) with
-    S^2 = gamma^2 (cosh d - 1) / (4E).  Returns inf on the singular set
-    (d = 0 and the boundary circle, as banded by _on_rim) and 0 outside;
-    vectorized.
-    """
-    _require_torus(cfg)
-    d = np.asarray(d, dtype=float)
-    s2 = _sin2_half(cfg, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (cfg.gamma / cfg.E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
-    out = np.where(s2 > 1.0, 0.0, val)
-    out = np.where(np.isnan(out) | _on_rim(cfg, d), np.inf, out)
-    return float(out) if out.ndim == 0 else out
+    """Closed-form raw density as a function of distance to the center:
+    (gamma/E) / |sin(gamma t_1)|, inf on the singular set (d = 0 and the
+    boundary circle) and 0 outside; a float at a scalar d, else an array."""
+    alpha = _radial(cfg, d)[0]
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def singular_constants(cfg: MagneticConfig) -> tuple:
@@ -261,13 +262,7 @@ def preimage_count(cfg: MagneticConfig, d):
     center; vectorized.  The center itself, whose fiber is a full circle,
     counts 0.
     """
-    d = np.asarray(d, dtype=float)
-    R = radius(cfg)
-    T = period(cfg)
-    t1 = t_of_distance(cfg, np.minimum(d, R))
-    n = np.where(d > R, 0, np.where(0.5 * T - t1 < 0.5 * _MERGE_T, 1, 2))
-    n = np.where(_on_rim(cfg, d), 1, n)
-    return np.where(d < _CENTER_TOL, 0, n)
+    return _radial(cfg, d)[1]
 
 
 def preimages_many(cfg: MagneticConfig, y):
@@ -283,10 +278,9 @@ def preimages_many(cfg: MagneticConfig, y):
     if bad.any():
         raise _range_error(cfg, complex(y[bad][0]),
                            "preimages need a finite point in the upper half-plane", "y")
-    d = hyp_dist_vec(y, 1j)
-    n = preimage_count(cfg, d)
+    _, n, t1 = _radial(cfg, hyp_dist_vec(y, 1j))
     T = period(cfg)
-    t1 = np.where(n == 1, 0.5 * T, t_of_distance(cfg, np.minimum(d, radius(cfg))))
+    t1 = np.where(n == 1, 0.5 * T, t1)
     t = np.stack([t1, T - t1], axis=-1)
     # the launch-angle rotation acts on the disk centered at i as
     # w -> e^{i theta} w; psi(0, t) sits at to_disk = i S lam / (2i C - S B),
@@ -320,10 +314,9 @@ def _flags(near_center, near_boundary, outside):
 def _cover_terms(cfg: MagneticConfig, d, band: float):
     """The band, density and count rule at float distances d: alpha_radial(d),
     preimage_count(d), and d within band R_E of the center and of the boundary."""
+    alpha, n, _ = _radial(cfg, d)
     R = radius(cfg)
-    # alpha is 0 past R_E; clipping there keeps cosh(d) finite
-    return (alpha_radial(cfg, np.minimum(d, R + 1.0)), preimage_count(cfg, d),
-            d <= band * R, np.abs(d - R) < band * R)
+    return alpha, n, d <= band * R, np.abs(d - R) < band * R
 
 
 def density_cover_many(cfg: MagneticConfig, d, band: float = 1e-3):

@@ -261,7 +261,9 @@ def check_lyapunov_trichotomy() -> dict:
 
 def check_spectrum_ladder() -> dict:
     """select_levels equals the brute-force argmin; the scaled ladder top
-    approaches E_c at rate O(1/k)."""
+    lies f (1 + f) / (2 k^2) below E_c and the formal rung m = N_k lies
+    f (1 - f) / (2 k^2) above it (f the fractional part of kB), so k times
+    either gap stays below 1."""
     ok = True
     for B in (0.5, 1.0, 1.5, 2.0):
         ec = 0.5 * B * B

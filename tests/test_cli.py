@@ -457,6 +457,19 @@ class TestDensityCommand:
         assert rc == 0
         assert hashlib.sha256((tmp_path / "density_grid.csv").read_bytes()).hexdigest() == digest
 
+    def test_cover_grid_bytes_are_pinned(self, tmp_path):
+        # sha256 of the benchmark's cover-sample density run, recorded when
+        # alpha, the preimage count and t_1 each evaluated their own S^2
+        rc = cli.main(["density", "--grid", "300", "--B", "1", "--E", "0.25",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        for name, digest in (
+                ("density_grid.csv",
+                 "33877142f5ac5d870a0b60f65e56d9e05664ac6b9a1066aef4c048f5729c8856"),
+                ("density_summary.json",
+                 "26bace5d4744c6989914dc0a7f4bbf6b838ede5fe89c27e7544b4694487ebce2")):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     def test_chern_violation_fails(self, tmp_path, capsys):
         rc = cli.main(["density", "--surface", "bolza", "--B", "0.7", "--E", "0.1",
                        "--out", str(tmp_path)])
@@ -679,6 +692,20 @@ class TestSampleCommand:
             assert rc == 0
         assert (a / "histogram.csv").read_bytes() == (b / "histogram.csv").read_bytes()
         assert (a / "sample_report.json").read_bytes() == (b / "sample_report.json").read_bytes()
+
+    def test_benchmark_run_bytes_are_pinned(self, tmp_path):
+        # sha256 of the benchmark's cover-sample sample run, recorded when
+        # the exact ring averages and the chi-square expectation each read
+        # t_1 at the ring edges
+        rc = cli.main(["sample", "--n", "4000000", "--seed", "1", "--B", "1", "--E", "0.25",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        for name, digest in (
+                ("histogram.csv",
+                 "6a8030403e705b962cf441880de1d4a6157aff3321c653ce693be06b160f63aa"),
+                ("sample_report.json",
+                 "3beda5f83dce1874f3453cfb431d2637bfbb9a308d049cfd7889c45a72e9538f")):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_histogram_matches_fmt_oracle(self, tmp_path):
         # the row-template table against one _fmt join per ring
@@ -1214,7 +1241,7 @@ PUBLIC_NAMES = {
     "density_surface", "density_surface_many", "exact_ring_averages", "flow", "flow_exact",
     "flow_exact_many", "flow_matrix", "flow_numeric", "flow_numeric_rows", "frame_of",
     "from_disk", "halfplane",
-    "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc", "mobius_apply",
+    "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
     "preimages_many", "psi", "radius", "reduce_point", "relation_residual",
     "rotation_about_i", "sample_pushforward", "singular_constants", "singular_fits",

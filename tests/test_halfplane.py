@@ -13,11 +13,16 @@ from magflow import (
     from_disk,
     hyp_dist,
     hyp_norm,
-    mobius_apply,
     rotation_about_i,
     to_disk,
 )
 from magflow.halfplane import hyp_dist_vec
+
+
+def mobius_apply(g, p):
+    """The reference action of g on a tangent: ((az+b)/(cz+d), v/(cz+d)^2)."""
+    w = g.c * p.z + g.d
+    return Tangent((g.a * p.z + g.b) / w, p.v / (w * w))
 
 
 def random_moebius(rng, scale=1.0):

@@ -173,6 +173,29 @@ class TestLift:
             got = surface._compose(GROUP.generators[k], GROUP.generators[(k + 4) % 8])
             np.testing.assert_allclose(got, IDENTITY, rtol=0.0, atol=1e-14)
 
+    def test_compose_is_the_reshape_product_bit_for_bit(self):
+        # the product _compose formed before it ran flow._framed: entries
+        # reshaped to 2x2 blocks and multiplied by broadcasting, then _unit
+        def by_reshape(g, h):
+            g, h = np.asarray(g), np.asarray(h)
+            g, h = g.reshape((2, 2) + g.shape[1:]), h.reshape((2, 2) + h.shape[1:])
+            p = g[:, :1] * h[:1] + g[:, 1:] * h[1:]
+            return surface._unit(p.reshape((4,) + p.shape[2:]))
+
+        rng = np.random.default_rng(31)
+
+        def entries(*shape):
+            # determinant 1 up to rounding, so _unit rescales some of them
+            a, b, c = np.exp(rng.uniform(-2.0, 2.0, shape)), *rng.uniform(-3.0, 3.0, (2, *shape))
+            return np.array([a, b, c, (1.0 + b * c) / a])
+
+        cases = [(GROUP.generators[3], GROUP.generators[6]), (entries(50), entries(50)),
+                 (entries(7, 1), entries(1, 9)), (entries(20), entries(1)),
+                 (list(entries(5)), entries(1)), (entries(), entries())]
+        for g, h in cases:
+            got, want = surface._compose(g, h), by_reshape(g, h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_relator_product_is_plus_identity(self):
         # measured 2.1e-14 from +I; the Moebius partial products took the
         # other sign at 3 of the relator's 8 prefixes

@@ -34,7 +34,8 @@ from magflow import (
 from magflow import cli
 from magflow.halfplane import from_disk
 from magflow.halfplane import hyp_dist_vec
-from magflow.torus import _half_turn, psi_distance_many, psi_many
+from magflow.flow import _exp_entries, _exp_kernel
+from magflow.torus import _CENTER_TOL, _MERGE_T, _half_turn, psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
 T_STD = period(STD)
@@ -123,6 +124,22 @@ class TestPsi:
         eps = np.finfo(float).eps
         assert np.max(np.abs(rc - want_c)) <= 2.0 * eps
         assert np.max(np.abs(rs - want_s)) <= 2.0 * eps
+
+    @pytest.mark.parametrize("B, E", [(1.0, 0.25), (1.3, 0.3), (2.0, 0.5)])
+    def test_product_is_the_inline_one_bit_for_bit(self, B, E):
+        # P = R(theta/2) exp(tF) as psi_many formed it entry by entry before
+        # it ran flow._framed: negating rs and swapping the sum are exact
+        cfg = MagneticConfig(B, E)
+        rng = np.random.default_rng(9)
+        theta = rng.uniform(-10.0, 10.0, (300, 1))
+        t = rng.uniform(-3.0, 3.0, 200) * period(cfg)
+        rc, rs = _half_turn(theta)
+        m11, m12, m21, m22 = _exp_entries(cfg, *_exp_kernel(cfg, t))
+        p11, p12 = rc * m11 + rs * m21, rc * m12 + rs * m22
+        p21, p22 = rc * m21 - rs * m11, rc * m22 - rs * m12
+        want = (p11 * 1j + p12) / (p21 * 1j + p22)
+        got = psi_many(cfg, theta, t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_stays_on_energy_shell(self):
         # Lagrangian check, tangential part: the t-flow lines of the torus
@@ -435,6 +452,103 @@ class TestPreimageCount:
                       R_STD + 0.3 * band, R_STD + 1e-6, np.inf])
         assert preimage_count(STD, d).tolist() == [0, 0, 2, 2, 1, 1, 1, 0, 0]
         assert int(preimage_count(STD, 0.3)) == 2
+
+
+def _parent_sin2_half(cfg, d):
+    # sin^2(gamma t_1 / 2) at distance d, with no clip of d
+    with np.errstate(over="ignore"):
+        return cfg.gamma * cfg.gamma * (np.cosh(d) - 1.0) / (4.0 * cfg.E)
+
+
+def _parent_on_rim(cfg, d):
+    R = radius(cfg)
+    return np.abs(d - R) <= 1e-12 * max(1.0, R)
+
+
+def _parent_t_of_distance(cfg, d):
+    s = np.sqrt(np.clip(_parent_sin2_half(cfg, d), 0.0, 1.0))
+    return (2.0 / cfg.gamma) * np.arcsin(s)
+
+
+def _parent_preimage_count(cfg, d):
+    d = np.asarray(d, dtype=float)
+    R = radius(cfg)
+    t1 = _parent_t_of_distance(cfg, np.minimum(d, R))
+    n = np.where(d > R, 0, np.where(0.5 * period(cfg) - t1 < 0.5 * _MERGE_T, 1, 2))
+    n = np.where(_parent_on_rim(cfg, d), 1, n)
+    return np.where(d < _CENTER_TOL, 0, n)
+
+
+def _parent_alpha_radial(cfg, d):
+    d = np.asarray(d, dtype=float)
+    s2 = _parent_sin2_half(cfg, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (cfg.gamma / cfg.E) / (2.0 * np.sqrt(s2) * np.sqrt(1.0 - s2))
+    out = np.where(s2 > 1.0, 0.0, val)
+    out = np.where(np.isnan(out) | _parent_on_rim(cfg, d), np.inf, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _kernel_distances(cfg):
+    """Distances where the radial kernel's branches meet: the center and
+    its tolerance, the rim band's edges, R_E + 1, cosh's overflow, and
+    inputs no distance takes."""
+    R = radius(cfg)
+    return np.array([0.0, 1e-300, np.nextafter(_CENTER_TOL, 0.0), _CENTER_TOL,
+                     np.nextafter(_CENTER_TOL, 1.0), R * (1.0 - 1e-12), R * (1.0 + 1e-12),
+                     R - 1e-13, R, R + 1e-13, R + 1.0, 710.0, 800.0, np.inf, np.nan, -1.0])
+
+
+class TestRadialKernel:
+    """alpha_radial, t_of_distance and preimage_count read one _radial pass;
+    the compositions they were before it are kept here as oracles."""
+
+    CONFIGS = [(1.0, 0.25), (1.3, 0.3), (2.0, 0.5), (1.0, 1e-6), (1.0, 0.4999)]
+
+    @pytest.mark.parametrize("B, E", CONFIGS)
+    def test_wrappers_match_the_parent_composition_bit_for_bit(self, B, E):
+        cfg = MagneticConfig(B, E)
+        d = _kernel_distances(cfg)
+        pairs = [(alpha_radial, _parent_alpha_radial), (t_of_distance, _parent_t_of_distance),
+                 (preimage_count, _parent_preimage_count)]
+        for new, old in pairs:
+            got, want = new(cfg, d), old(cfg, d)
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+            for dj in d.tolist():  # scalar calls keep their types too
+                got, want = new(cfg, dj), old(cfg, dj)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("B, E", CONFIGS)
+    def test_cover_terms_and_preimage_times_match_the_parent_bit_for_bit(self, B, E):
+        cfg = MagneticConfig(B, E)
+        d = _kernel_distances(cfg)
+        R = radius(cfg)
+        alpha, n, _ = density_cover_many(cfg, d)
+        want = _parent_alpha_radial(cfg, np.minimum(d, R + 1.0))
+        assert np.array_equal(alpha, want, equal_nan=True)
+        assert np.array_equal(n, _parent_preimage_count(cfg, d))
+        # points on the imaginary axis at the kernel's finite nonnegative distances
+        d = d[np.isfinite(d) & (d >= 0.0) & (d < 700.0)]
+        y = 1j * np.exp(d)
+        _, t, n = preimages_many(cfg, y)
+        dy = hyp_dist_vec(y, 1j)
+        t1 = np.where(n == 1, 0.5 * period(cfg), _parent_t_of_distance(cfg, np.minimum(dy, R)))
+        want = np.stack([t1, period(cfg) - t1], axis=-1)
+        want[np.arange(2) >= n[:, None]] = np.nan
+        assert np.array_equal(n, _parent_preimage_count(cfg, dy))
+        assert np.array_equal(t, want, equal_nan=True)
+
+    def test_far_distances_raise_no_warning(self):
+        # cosh overflows from d = 710 on; the kernel reads S^2 at
+        # min(d, R_E + 1), where alpha is already 0 and t_1 is T_E/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (800.0, np.array([710.0, 800.0, 1e308, np.inf])):
+                assert np.all(alpha_radial(STD, d) == 0.0)
+                assert np.all(t_of_distance(STD, d) == t_of_distance(STD, R_STD + 1.0))
+                assert np.all(preimage_count(STD, d) == 0)
+                assert np.all(density_cover_many(STD, np.atleast_1d(d))[0] == 0.0)
 
 
 class TestDensityCover:
