@@ -240,20 +240,29 @@ def _disk_grid(xs: np.ndarray):
 
 
 def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
-    """Cover grid columns (d_to_center, alpha_raw, n_preimages, flag) as
-    grid-shaped arrays, from one density_cover_many call; d is inf off the
-    disk model."""
+    """Cover grid as (index, columns): columns (d_to_center, alpha_raw,
+    n_preimages, flag) hold one entry per distinct grid distance, from one
+    density_cover_many call, and the grid-shaped index picks each cell's
+    entry; d is inf off the disk model.
+
+    Every column is a function of d alone, and the grid's symmetry repeats
+    distances: grid 300's 90,000 cells take 30,103.  np.unique merges -0.0
+    with 0.0 and NaN with NaN, which would change bytes; no grid distance
+    is either: d = 2 asinh(|z - i| / ...) is +0.0 or positive at every
+    point inside the disk, and inf off it."""
     from .halfplane import hyp_dist_vec
     from .torus import density_cover_many
 
     valid, z = _disk_grid(xs)
-    d = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
-    return (d, *density_cover_many(cfg, d, band))
+    d, index = np.unique(np.where(valid, hyp_dist_vec(z, 1j), np.inf), return_inverse=True)
+    return index.reshape(z.shape), (d, *density_cover_many(cfg, d, band))
 
 
 def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
-    """Surface grid columns, as _cover_rows, from one density_surface_many
-    call over the points inside the disk; d_to_center is the folded point's."""
+    """Surface grid as _cover_rows gives the cover grid, from one
+    density_surface_many call over the points inside the disk; the columns
+    hold one entry per cell, and the index is the identity.  d_to_center is
+    the folded point's."""
     from .halfplane import hyp_dist_vec
     from .surface import density_surface_many
     from .torus import Flag
@@ -267,25 +276,45 @@ def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
     y0, alpha[valid], n_pre[valid], flags[valid] = density_surface_many(
         group, cfg, z[valid], band)
     d[valid] = hyp_dist_vec(y0, 1j)
-    return d, alpha, n_pre, flags
+    return np.arange(z.size).reshape(z.shape), tuple(c.ravel() for c in (d, alpha, n_pre, flags))
 
 
-def _density_csv(cfg: MagneticConfig, xs: np.ndarray, columns):
-    """density_grid.csv one grid row at a time, so the table is never held
-    as lines or text."""
+# column entries whose row tails are formatted into one text; a chunk's
+# text, about 35 kB, comes from the heap, not from a fresh mapping
+_TAIL_CHUNK = 512
+
+
+def _density_csv(cfg: MagneticConfig, xs: np.ndarray, grid):
+    """density_grid.csv one grid row at a time, from the (index, columns) of
+    _cover_rows or _surface_rows.
+
+    Each column entry's row tail d,alpha_raw,alpha_normalized,n_preimages,flag
+    is formatted once: entries k of chunk k // _TAIL_CHUNK share one text, in
+    which tail k spans [starts[k], ends[k]).  Cell (iy, ix) writes x,y, and
+    tail index[iy, ix], so neither the grid's lines nor one string per tail
+    is ever held."""
     from .flow import period
     from .torus import Flag
 
-    d, alpha, n_pre, flags = columns
+    index, (d, alpha, n_pre, flags) = grid
     norm = 2.0 * math.pi * period(cfg)
     text = {f: f.value for f in Flag}.__getitem__  # a dict lookup beats Flag.value per cell
-    coords = ["%.17g" % v for v in xs.tolist()]
+    chunks, starts, ends = [], np.empty(len(d), dtype=np.int64), np.empty(len(d), dtype=np.int64)
+    for lo in range(0, len(d), _TAIL_CHUNK):
+        part = slice(lo, lo + _TAIL_CHUNK)
+        chunks.append(_rows("%.17g,%.17g,%.17g,%d,%s\n", d[part].tolist(), alpha[part].tolist(),
+                            (alpha[part] / norm).tolist(), n_pre[part].tolist(),
+                            map(text, flags[part].tolist())))
+        # the text is ASCII: its byte offsets are its character offsets
+        end = 1 + np.flatnonzero(np.frombuffer(chunks[-1].encode(), np.uint8) == ord("\n"))
+        starts[part], ends[part] = np.append(0, end[:-1]), end
+    coords = ["%.17g," % v for v in xs.tolist()]
     yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
     for iy, y in enumerate(coords):
-        yield _rows("%s,%s,%.17g,%.17g,%.17g,%d,%s\n",
-                    coords, repeat(y), d[iy].tolist(), alpha[iy].tolist(),
-                    (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
-                    map(text, flags[iy].tolist()))
+        k = index[iy]
+        cells = map(str.__getitem__, map(chunks.__getitem__, (k // _TAIL_CHUNK).tolist()),
+                    map(slice, starts[k].tolist(), ends[k].tolist()))
+        yield "".join(chain.from_iterable(zip(coords, repeat(y), cells)))
 
 
 def cmd_density(args) -> int:
@@ -321,10 +350,10 @@ def cmd_density(args) -> int:
         sidecar["translates"] = len(translates_meeting_disk(group, R))
         extent = math.tanh(0.5 * group.circumradius)
         xs = np.linspace(-extent, extent, n)
-        columns = _surface_rows(group, cfg, xs, band)
+        grid = _surface_rows(group, cfg, xs, band)
     else:
         xs = np.linspace(-math.tanh(0.5 * R), math.tanh(0.5 * R), n)
-        columns = _cover_rows(cfg, xs, band)
+        grid = _cover_rows(cfg, xs, band)
 
     mass = density_mass(cfg)
     sidecar.update(singular_fits(cfg))
@@ -336,7 +365,7 @@ def cmd_density(args) -> int:
 
     print(f"R_E {_fmt(R)}")
     print(f"mass {_fmt(mass)} expected {_fmt(expected)}")
-    _write(out, "density_grid.csv", _density_csv(cfg, xs, columns))
+    _write(out, "density_grid.csv", _density_csv(cfg, xs, grid))
     _write(out, "density_summary.json", summary)
     return 0
 

@@ -15,7 +15,7 @@ chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
 Philox keyed by the 64-bit words (seed, j): the key's first m draws are the
 chunk's theta block, which is skipped, not drawn, and its m t draws follow
 them.  Each chunk draws, maps and bins its samples in cache-sized blocks of
-2^14, into a one-row buffer that the chunk owns and that each block's t
+2^13, into a one-row buffer that the chunk owns and that each block's t
 overwrites, so no step holds a chunk-sized array, no buffer is shared
 between workers, and sampling memory does not grow with n.  Histograms are
 therefore bit-identical for a given (seed, n) regardless of how many
@@ -38,8 +38,10 @@ from .torus import _psi_distance, _require_torus, t_of_distance
 _CHUNK = 1_000_000
 # equal-width distance rings on [0, R_E]
 _RINGS = 256
-# samples mapped and binned at a time; the block's temporaries stay in cache
-_BLOCK = 1 << 14
+# samples mapped and binned at a time; the block's temporaries stay in cache,
+# and at 64 KiB each they stay below glibc's 128 KiB mmap threshold, so they
+# are reused from the heap, not mapped and unmapped (and faulted in) per block
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,14 @@ def _radial(cfg: MagneticConfig, d):
     from one S^2 = sin^2(gamma t_1 / 2) = gamma^2 (cosh d - 1) / (4E) read at
     min(d, R_E + 1), which keeps cosh finite and moves no value (past R_E,
     S^2 > 1 either way).  Summing 1/(2E|b|) over the two preimage branches
-    collapses alpha to (gamma/E) / |sin(gamma t_1)| = (gamma/E) / (2 S sqrt(1 - S^2))."""
+    collapses alpha to (gamma/E) / |sin(gamma t_1)| = (gamma/E) / (2 S sqrt(1 - S^2)).
+    Raises ValueError naming the first negative distance."""
     R = _require_torus(cfg)
     d = np.asarray(d, dtype=float)
+    negative = d < 0.0
+    if negative.any():
+        raise _range_error(cfg, float(d[negative][0]),
+                           "a distance to the center must be nonnegative", "d")
     s2 = cfg.gamma * cfg.gamma * (np.cosh(np.minimum(d, R + 1.0)) - 1.0) / (4.0 * cfg.E)
     t1 = (2.0 / cfg.gamma) * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
     # the boundary circle is a band of one part in 10^12 on both sides:
@@ -342,11 +347,16 @@ def density_mass(cfg: MagneticConfig) -> float:
     the center and the boundary excised; the excised contributions are added
     back from the integrable leading asymptotics.  Each of the two radial
     pieces takes 128 Gauss-Legendre nodes.  Returns a value close to 2 pi T_E;
-    divide by that for the normalized (probability) mass.
+    divide by that for the normalized (probability) mass.  Raises ValueError
+    on a disk narrower than the two bands, R_E < 2e-4, where the pieces'
+    intervals turn over and reach negative distances.
     """
-    _require_torus(cfg)
-    R = radius(cfg)
+    R = _require_torus(cfg)
     delta = 1e-4
+    if R < 2.0 * delta:
+        raise ValueError(f"the mass quadrature excises bands of {delta!r} at the center and "
+                         f"the boundary, which need R_E >= {2.0 * delta!r}; R_E is {R!r} at "
+                         f"B={cfg.B!r}, E={cfg.E!r}")
 
     # excised bands, integrated from the leading singular behavior:
     # alpha ~ c_center / r near 0 and alpha ~ c_bd / sqrt(R - r) inside the boundary

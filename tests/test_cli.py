@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 import magflow
 from magflow import (
     MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
+    density_cover_many,
     flow_exact_many, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
 )
-from magflow.halfplane import from_disk
+from magflow.halfplane import from_disk, hyp_dist_vec
 from magflow.spectrum import critical_gaps, ladder_arrays, ladder_slices, select_levels
 from magflow.verify import CHECKS
 
@@ -51,6 +52,13 @@ def assert_same_text(got, want):
         if x != y:
             pytest.fail(f"line {i} differs:\n got  {x!r}\n want {y!r}")
     pytest.fail(f"{len(a)} lines, want {len(b)}; the first {min(len(a), len(b))} agree")
+
+
+def grid_columns(grid):
+    """The (index, columns) of cli._cover_rows or cli._surface_rows as
+    grid-shaped columns."""
+    index, columns = grid
+    return [c[index] for c in columns]
 
 
 def wild(lo, hi):
@@ -306,7 +314,7 @@ class TestDensityCommand:
         # rim band and inside it; the grid is xs x xs, so (x, 0) has |u| = x
         xs = np.array([0.0, 0.3, rim * (1.0 - 1e-3), rim * (1.0 - 1e-11), rim * (1.0 - 1e-13),
                        rim, rim * (1.0 + 1e-13), rim * (1.0 + 1e-11), rim * (1.0 + 1e-3), 0.9])
-        dist, _, n_pre, flags = cli._cover_rows(STD, xs, 1e-3)
+        dist, _, n_pre, flags = grid_columns(cli._cover_rows(STD, xs, 1e-3))
         near_band = on_rim = 0
         for (iy, ix), d in np.ndenumerate(dist):
             if not math.isfinite(d) or d < 1e-9:
@@ -339,7 +347,7 @@ class TestDensityCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["density", "--E", "1e-8", "--grid", "8"], "center_constant is inf"),
-        (["density", "--E", "1e-16", "--grid", "8"], "boundary_slope is nan"),
+        (["sample", "--E", "1e-14", "--n", "10000"], "boundary_slope is nan"),
         (["sample", "--E", "1e-12", "--n", "10000"], "center_slope is nan"),
     ])
     def test_non_finite_summary_fails_before_writing(self, tmp_path, capsys, argv, message):
@@ -348,6 +356,19 @@ class TestDensityCommand:
             rc = cli.main([*argv, "--B", "1", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"error: {message}, which JSON cannot hold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("E", ["1e-9", "1e-16"])
+    def test_disk_narrower_than_the_mass_bands_fails(self, tmp_path, capsys, E):
+        # R_E is 8.9e-5 and 2.8e-8: the quadrature's pieces would run past the
+        # center, at negative distances
+        rc = cli.main(["density", "--B", "1", "--E", E, "--grid", "8",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the mass quadrature excises bands of 0.0001 at the center "
+                              "and the boundary, which need R_E >= 0.0002; R_E is ")
+        assert err.endswith(f" at B=1.0, E={float(E)!r}\n")
         assert not (tmp_path / "out").exists()
 
     def test_grid_budget(self, tmp_path, capsys):
@@ -406,23 +427,68 @@ class TestDensityCommand:
                                           flags[iy].tolist()):
                 yield f"{x:.17g},{y:.17g},{dd:.17g},{a:.17g},{an:.17g},{k},{f.value}\n"
 
-    @pytest.mark.parametrize("surface, grid, band", [
-        ("cover", 300, 1e-3), ("cover", 33, 0.0), ("bolza", 61, 1e-3)])
-    def test_row_writer_matches_per_line_oracle(self, surface, grid, band):
+    @staticmethod
+    def grid_of(surface, cfg, n, band):
+        """The CLI's xs and its (index, columns) for one density run."""
         if surface == "bolza":
             group = bolza_group()
             extent = math.tanh(0.5 * group.circumradius)
-            xs = np.linspace(-extent, extent, grid)
-            columns = cli._surface_rows(group, STD, xs, band)
-        else:
-            extent = math.tanh(0.5 * radius(STD))
-            xs = np.linspace(-extent, extent, grid)
-            columns = cli._cover_rows(STD, xs, band)
-        got = "".join(cli._density_csv(STD, xs, columns)).splitlines(keepends=True)
-        want = list(self.per_line_csv(STD, xs, columns))
+            xs = np.linspace(-extent, extent, n)
+            return xs, cli._surface_rows(group, cfg, xs, band)
+        extent = math.tanh(0.5 * radius(cfg))
+        xs = np.linspace(-extent, extent, n)
+        return xs, cli._cover_rows(cfg, xs, band)
+
+    # grid 301 has a cell at the center, d = 0 exactly; E = 1e-6 is a disk
+    # of radius 2.8e-3, where every distance is small
+    @pytest.mark.parametrize("surface, B, E, grid, band", [
+        pytest.param("cover", 1.0, 0.25, 300, 1e-3, id="cover-300-0.001"),
+        pytest.param("cover", 1.0, 0.25, 301, 1e-3, id="cover-301-0.001"),
+        pytest.param("cover", 1.0, 0.25, 33, 0.0, id="cover-33-0.0"),
+        pytest.param("cover", 1.0, 1e-6, 50, 0.0, id="cover-E1e-06-50-0.0"),
+        pytest.param("bolza", 1.0, 0.25, 61, 1e-3, id="bolza-61-0.001")])
+    def test_row_writer_matches_per_line_oracle(self, surface, B, E, grid, band):
+        # the writer's tails, looked up through the index, against one
+        # f-string per cell of the columns the index expands
+        cfg = MagneticConfig(B, E)
+        xs, rows = self.grid_of(surface, cfg, grid, band)
+        got = "".join(cli._density_csv(cfg, xs, rows)).splitlines(keepends=True)
+        want = list(self.per_line_csv(cfg, xs, grid_columns(rows)))
         assert len(got) == len(want) == grid * grid + 1
         # the first differing line, not a diff of the whole table
         assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None) is None
+
+    @pytest.mark.parametrize("B, E, grid, band", [
+        (1.0, 0.25, 300, 1e-3), (1.0, 0.25, 301, 1e-3), (1.0, 1e-6, 50, 0.0),
+        (1.3, 0.3, 60, 1e-3)])
+    def test_cover_rows_match_the_full_grid_kernel_bit_for_bit(self, B, E, grid, band):
+        # the kernel runs once per distinct distance; through the index its
+        # columns are those of one density_cover_many call on every cell
+        cfg = MagneticConfig(B, E)
+        xs, rows = self.grid_of("cover", cfg, grid, band)
+        index, (d, *_) = rows
+        assert len(d) < grid * grid and np.all(np.diff(d) > 0.0)
+        valid, z = cli._disk_grid(xs)
+        full = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
+        want = (full, *density_cover_many(cfg, full, band))
+        for got, w in zip(grid_columns(rows), want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        # np.unique would merge a -0.0 with 0.0: no grid distance is one
+        assert not np.signbit(d).any()
+
+    def test_writer_traced_peak_is_the_distinct_tails(self):
+        # grid 300 has 30,103 distinct distances, whose tails take 2.1 MB as
+        # text; the writer peaked at 2.4 MB, and at 7.7 MB when it split that
+        # text into one str per tail
+        xs, rows = self.grid_of("cover", STD, 300, 1e-3)
+        assert len(rows[1][0]) == 30_103
+        tracemalloc.start()
+        try:
+            size = sum(map(len, cli._density_csv(STD, xs, rows)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 9e6 and peak < 3e6
 
     def test_bolza_single_translate_regime_matches_cover(self, tmp_path):
         cfg = MagneticConfig(1.0, 0.15)
@@ -1217,8 +1283,8 @@ class TestBenchmarkTracer:
         # the tracer counts mc.chunks as psi_many calls under
         # sample_pushforward; the sampler takes its radii from the torus's
         # distance kernel, which calls no psi_many, so the counter reads 0
-        # for the 3 blocks (16,384, 16,384 and 7,232 samples) until the
-        # benchmark counts sample blocks itself
+        # for the 5 blocks (four of 8,192 samples and one of 7,232) until
+        # the benchmark counts sample blocks itself
         result = self.trace(tmp_path, "sample", "--n", "40000")
         assert result["exit_code"] == 0
         assert result["counters"]["mc.samples"] == 40000

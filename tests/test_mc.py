@@ -154,15 +154,16 @@ class TestBlockedSampling:
 
     # The t stream starts m draws into its chunk's Philox stream, 4 draws a
     # counter step, so single ragged chunks of m = 0, 1, 2 and 3 mod 4 each
-    # take a different skip; 1,010,001 ends in a ragged chunk shorter than
-    # one block.
-    @pytest.mark.parametrize("n", [40_000, 40_001, 40_002, 40_003, 1_010_001])
+    # take a different skip; 1,005,001 ends in a ragged chunk shorter than
+    # one block, and 1,010,001 in one of a full block and a ragged one.
+    @pytest.mark.parametrize("n", [40_000, 40_001, 40_002, 40_003, 1_005_001, 1_010_001])
     def test_ragged_chunks_match_one_shot_chunks(self, monkeypatch, n):
         self.assert_matches_one_shot(monkeypatch, n)
 
     def test_block_is_shorter_than_the_short_chunk(self):
-        # the 10,001-sample chunk above is shorter than one block
-        assert 10_001 < mc._BLOCK < mc._CHUNK
+        # the 5,001-sample chunk above is shorter than one block, and the
+        # 10,001-sample chunk longer
+        assert 5_001 < mc._BLOCK < 10_001 < mc._CHUNK
 
 
 class TestSamplingMemory:

@@ -496,7 +496,7 @@ def _kernel_distances(cfg):
     R = radius(cfg)
     return np.array([0.0, 1e-300, np.nextafter(_CENTER_TOL, 0.0), _CENTER_TOL,
                      np.nextafter(_CENTER_TOL, 1.0), R * (1.0 - 1e-12), R * (1.0 + 1e-12),
-                     R - 1e-13, R, R + 1e-13, R + 1.0, 710.0, 800.0, np.inf, np.nan, -1.0])
+                     R - 1e-13, R, R + 1e-13, R + 1.0, 710.0, 800.0, np.inf, np.nan])
 
 
 class TestRadialKernel:
@@ -538,6 +538,17 @@ class TestRadialKernel:
         want[np.arange(2) >= n[:, None]] = np.nan
         assert np.array_equal(n, _parent_preimage_count(cfg, dy))
         assert np.array_equal(t, want, equal_nan=True)
+
+    @pytest.mark.parametrize("d", [-1.0, -5e-324, -np.inf, [0.5, np.nan, -2.0, -1.0]])
+    def test_negative_distances_are_refused(self, d):
+        # alpha and t_1 would read |d| and the count 0; the first negative
+        # distance is named
+        first = -2.0 if isinstance(d, list) else d
+        message = ("^a distance to the center must be nonnegative at B=1.0, E=0.25, "
+                   f"d={re.escape(repr(first))}$")
+        for call in (alpha_radial, t_of_distance, preimage_count, density_cover_many):
+            with pytest.raises(ValueError, match=message):
+                call(STD, d)
 
     def test_far_distances_raise_no_warning(self):
         # cosh overflows from d = 710 on; the kernel reads S^2 at
