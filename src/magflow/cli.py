@@ -19,9 +19,7 @@ section ([flow], [density], ...); the command's section beats [magflow] and
 explicit flags beat both.  `magflow COMMAND --help` lists each default.
 Numbers are written with 17 significant digits and no run metadata, so a
 command rerun with the same configuration produces byte-identical files.
-Sampling runs one worker per usable CPU; MAGFLOW_THREADS, an integer of at
-least 1, caps that count.  BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS is set.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification failure.
 """

@@ -14,20 +14,16 @@ The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
 Philox keyed by the 64-bit words (seed, j): the key's first m draws are the
 chunk's theta block, which is skipped, not drawn, and its m t draws follow
-them.  Each chunk draws, maps and bins its samples in cache-sized blocks of
-2^13, into a one-row buffer that the chunk owns and that each block's t
-overwrites, so no step holds a chunk-sized array, no buffer is shared
-between workers, and sampling memory does not grow with n.  Histograms are
-therefore bit-identical for a given (seed, n) regardless of how many
-workers evaluate the chunks.  worker_count() sets that number: one worker
-per usable CPU, capped by the environment variable MAGFLOW_THREADS.
+them.  The chunks run in turn in the calling thread, each drawing, mapping
+and binning its samples in cache-sized blocks of 2^13 into a single block
+buffer that each block's t overwrites, so no step holds a chunk-sized array
+and sampling memory does not grow with n.  The stream layout fixes every
+draw, so histograms are bit-identical for a given (seed, n).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +56,6 @@ class PushforwardHistogram:
         self.est_density.setflags(write=False)
 
 
-def worker_count() -> int:
-    """Sampling workers: the usable CPUs, capped by MAGFLOW_THREADS when set.
-
-    Raises ValueError when MAGFLOW_THREADS is not an integer of at least 1;
-    a value above the usable CPUs is clamped to them."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("MAGFLOW_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}")
-    return min(cap, cpus)
-
-
 def _ring_areas(edges: np.ndarray) -> np.ndarray:
     # hyperbolic area of the ring r_lo < d < r_hi about a point
     return 2.0 * math.pi * (np.cosh(edges[1:]) - np.cosh(edges[:-1]))
@@ -94,8 +69,8 @@ def _bin_counts(d: np.ndarray, R: float) -> np.ndarray:
 def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHistogram:
     """Histogram of distances of n pushed-forward torus samples.
 
-    Deterministic for fixed (cfg, n, seed), whatever the worker count; see
-    the module docstring for the stream layout.
+    Deterministic for fixed (cfg, n, seed); see the module docstring for
+    the stream layout.
     """
     if n < 10_000:
         raise ValueError(f"need at least 10^4 samples, got n={n}")
@@ -105,9 +80,9 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
     R = _require_torus(cfg)
     T = period(cfg)
     edges = np.linspace(0.0, R, _RINGS + 1)
-    chunks = range((n + _CHUNK - 1) // _CHUNK)
-
-    def one(j):
+    buf = np.empty(_BLOCK)
+    counts = np.zeros(_RINGS, dtype=np.int64)
+    for j in range((n + _CHUNK - 1) // _CHUNK):
         m = min(_CHUNK, n - j * _CHUNK)
         # A list key would pass through float64 from seed 2^63 on.
         key = np.array([seed, j], dtype=np.uint64)
@@ -117,9 +92,6 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
         bits.advance(m // 4)
         bits.random_raw(m % 4)
         t_rng = np.random.Generator(bits)
-        # one row, owned by this chunk: no two workers share it
-        buf = np.empty(_BLOCK)
-        counts = np.zeros(_RINGS, dtype=np.int64)
         for lo in range(0, m, _BLOCK):
             t = buf[:min(_BLOCK, m - lo)]
             t_rng.random(out=t)
@@ -127,10 +99,6 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
             # exists, so the unchecked kernel serves
             t *= T
             counts += _bin_counts(_psi_distance(cfg, t), R)
-        return counts
-
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(chunks))) as pool:
-        counts = np.sum(list(pool.map(one, chunks)), axis=0)
     est = counts / (n * _ring_areas(edges)) * (2.0 * math.pi * T)
     return PushforwardHistogram(
         B=cfg.B, E=cfg.E, n=n, seed=seed, edges=edges, counts=counts, est_density=est,

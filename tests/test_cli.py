@@ -784,23 +784,6 @@ class TestSampleCommand:
             for i in range(report["rings"])]
         assert_same_text((tmp_path / "histogram.csv").read_text(), "\n".join(want) + "\n")
 
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "t1", tmp_path / "t4"
-        monkeypatch.setenv("MAGFLOW_THREADS", "1")
-        cli.main(["sample", "--n", "2500000", "--seed", "5", "--out", str(a)])
-        monkeypatch.setenv("MAGFLOW_THREADS", "4")
-        cli.main(["sample", "--n", "2500000", "--seed", "5", "--out", str(b)])
-        assert (a / "histogram.csv").read_bytes() == (b / "histogram.csv").read_bytes()
-
-    def test_bad_thread_env_fails(self, tmp_path, monkeypatch, capsys):
-        for raw in ("two", "0"):
-            monkeypatch.setenv("MAGFLOW_THREADS", raw)
-            rc = cli.main(["sample", "--n", "10000", "--out", str(tmp_path)])
-            assert rc == 2
-            assert f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}" in (
-                capsys.readouterr().err)
-        assert not (tmp_path / "histogram.csv").exists()
-
     def test_report_contents(self, tmp_path):
         cli.main(["sample", "--n", "200000", "--seed", "11", "--out", str(tmp_path)])
         report = read_json(tmp_path / "sample_report.json")

@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-import os
+import threading
 import tracemalloc
 import warnings
 
@@ -19,18 +19,9 @@ from magflow import (
     sample_pushforward,
 )
 from magflow import mc
-from magflow.mc import worker_count
 from magflow.torus import psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
-
-
-def use_workers(monkeypatch, k):
-    # k usable CPUs, capped at k: worker_count() gives k on any machine, and
-    # the sampler's pool k threads, or one per chunk when there are fewer
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-    monkeypatch.setenv("MAGFLOW_THREADS", str(k))
-    assert worker_count() == k
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +38,6 @@ class TestSampling:
         assert a.est_density.tobytes() == b.est_density.tobytes()
         c = sample_pushforward(STD, 200_000, 43)
         assert a.counts.tobytes() != c.counts.tobytes()
-
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        use_workers(monkeypatch, 1)
-        a = sample_pushforward(STD, 3_500_000, 7)
-        use_workers(monkeypatch, 4)
-        b = sample_pushforward(STD, 3_500_000, 7)
-        assert np.array_equal(a.counts, b.counts)
 
     def test_counts_sum_to_n(self):
         hist = sample_pushforward(STD, 150_000, 3)
@@ -138,9 +122,12 @@ class TestBlockedSampling:
     @staticmethod
     def assert_matches_one_shot(monkeypatch, n, cfg=STD):
         want = one_shot_counts(cfg, n, 31, pushforward_chunk(cfg))
-        for workers in (1, 2):
-            use_workers(monkeypatch, workers)
-            assert np.array_equal(sample_pushforward(cfg, n, 31).counts, want)
+
+        # the sampler runs its chunks in the calling thread
+        def start(thread):
+            raise AssertionError("sample_pushforward started a thread")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert np.array_equal(sample_pushforward(cfg, n, 31).counts, want)
 
     def test_pushforward_matches_one_shot_chunks(self, monkeypatch):
         self.assert_matches_one_shot(monkeypatch, self.N)
@@ -170,8 +157,7 @@ class TestSamplingMemory:
     # numpy reports its buffers to tracemalloc; a chunk-sized draw would be
     # 8 MB per stream at any n past one chunk
     @pytest.mark.parametrize("n", [2_000_000, 4_000_000])
-    def test_traced_peak_does_not_grow_with_n(self, monkeypatch, n):
-        use_workers(monkeypatch, 1)
+    def test_traced_peak_does_not_grow_with_n(self, n):
         sample_pushforward(STD, 10_000, 5)  # first-call allocations
         tracemalloc.start()
         try:
@@ -181,36 +167,6 @@ class TestSamplingMemory:
             tracemalloc.stop()
         assert int(hist.counts.sum()) == n
         assert peak < 8e6
-
-
-class TestWorkerCount:
-    # worker_count() only reads the environment; no pool is started here
-    def usable(self):
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:
-            return os.cpu_count() or 1
-
-    def test_defaults_to_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("MAGFLOW_THREADS", raising=False)
-        assert worker_count() == self.usable()
-
-    def test_env_caps_the_count(self, monkeypatch):
-        monkeypatch.setenv("MAGFLOW_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("MAGFLOW_THREADS", str(self.usable()))
-        assert worker_count() == self.usable()
-
-    def test_large_values_clamp_to_usable_cpus(self, monkeypatch):
-        for raw in ("1000000", str(10 ** 30)):
-            monkeypatch.setenv("MAGFLOW_THREADS", raw)
-            assert worker_count() == self.usable()
-
-    def test_bad_values_name_the_value(self, monkeypatch):
-        for raw in ("abc", "0", "-2", "1.5", ""):
-            monkeypatch.setenv("MAGFLOW_THREADS", raw)
-            with pytest.raises(ValueError, match=f"MAGFLOW_THREADS must be an integer of at least 1, got {raw!r}"):
-                worker_count()
 
 
 class TestClosedFormAgreement:
