@@ -31,10 +31,11 @@ the trajectories (frame of the start times exp(tF)), the Jacobi coefficients
 and the torus map all read it.  Below E_c it takes cos and sin of g t/2 from
 one tangent of g t/4 (the half-angle form), which numpy evaluates several
 times faster than a cosine and a sine.  The entry points refuse a non-finite
-time once, and the kernel itself checks nothing, so the torus sampler's
-blocks skip that pass.  An independent 4th-order integrator for the second-order
-equation on the half-plane provides the verification oracle for the closed
-form; it and the Lyapunov cocycle refuse more than _MAX_STEPS steps.
+time once, and the kernel itself checks nothing, so the torus sampler,
+whose times are finite by construction, skips that pass.  An independent
+4th-order integrator for the second-order equation on the half-plane
+provides the verification oracle for the closed form; it and the Lyapunov
+cocycle refuse more than _MAX_STEPS steps.
 """
 
 from __future__ import annotations

@@ -14,11 +14,25 @@ The random stream is numpy's Philox counter-based generator.  Sampling is
 chunked with a fixed chunk size of 10^6; chunk j of m samples draws from
 Philox keyed by the 64-bit words (seed, j): the key's first m draws are the
 chunk's theta block, which is skipped, not drawn, and its m t draws follow
-them.  The chunks run in turn in the calling thread, each drawing, mapping
-and binning its samples in cache-sized blocks of 2^13 into a single block
-buffer that each block's t overwrites, so no step holds a chunk-sized array
-and sampling memory does not grow with n.  The stream layout fixes every
+them.  The chunks run in turn in the calling thread, each drawing and
+binning its samples in cache-sized blocks of 2^13 into a single block
+buffer that each block's draws overwrite.  The stream layout fixes every
 draw, so histograms are bit-identical for a given (seed, n).
+
+A draw's ring is a function of its uniform draw u alone, through
+d(fl(u T)), and d rises on the first half of [0, 1) and falls on the
+second.  So the sampler reads rings from an int16 table over _CELLS = 2^16
+equal cells of u, built from the kernel at the cell edges j (T / _CELLS),
+which are the times fl(u T) of the draws u = j / _CELLS (the scaling is by a
+power of two); u = 1/2, the peak of d, is an edge.  A cell whose two edge
+distances, widened by _MARGIN = 1e-6 rings (far above the kernel's rounding
+error), floor and clip to one ring holds that ring, since fl(u T) is
+monotone in u; the others, under 1% of cells, hold the sentinel _RINGS.
+The draws in those, the edge draws, are binned by the kernel at their times
+fl(u T), about _EDGES at a time, so every draw lands in the ring the kernel
+gives it.  Beyond the block's arrays, sampling holds the 128 KiB table and
+the edge buffer; no step holds a chunk-sized array, so sampling memory does
+not grow with n.
 """
 
 from __future__ import annotations
@@ -34,10 +48,19 @@ from .torus import _psi_distance, _require_torus, t_of_distance
 _CHUNK = 1_000_000
 # equal-width distance rings on [0, R_E]
 _RINGS = 256
-# samples mapped and binned at a time; the block's temporaries stay in cache,
+# samples drawn and binned at a time; the block's temporaries stay in cache,
 # and at 64 KiB each they stay below glibc's 128 KiB mmap threshold, so they
 # are reused from the heap, not mapped and unmapped (and faulted in) per block
 _BLOCK = 1 << 13
+# equal cells of the uniform draw in the ring table; a power of two, so
+# u * _CELLS and the cell edges' times are exact
+_CELLS = 1 << 16
+# rings by which a cell's edge distances are widened before they must agree;
+# against mpmath the kernel is off by 1e-12 rings at most (B = 1, E = 0.4999)
+_MARGIN = 1e-6
+# edge draws gathered before the kernel bins them, those of about 32
+# blocks; its temporaries then stay near 16 KiB, a quarter of a block's
+_EDGES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -66,6 +89,27 @@ def _bin_counts(d: np.ndarray, R: float) -> np.ndarray:
     return np.bincount(idx, minlength=_RINGS)
 
 
+def _ring_table(cfg: MagneticConfig, R: float, T: float) -> np.ndarray:
+    """int16 ring of each of the _CELLS cells of u, or _RINGS where the
+    cell's edge distances, widened by _MARGIN, fall in different rings."""
+    table = np.empty(_CELLS, dtype=np.int16)
+    # built a block of cells at a time and in place, so its temporaries stay
+    # at 64 KiB and fewer of them are alive than while the kernel runs
+    for lo in range(0, _CELLS, _BLOCK):
+        x = _psi_distance(cfg, np.arange(lo, lo + _BLOCK + 1) * (T / _CELLS))
+        x *= _RINGS / R
+        a, b = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+        a -= _MARGIN
+        b += _MARGIN
+        for r in (a, b):
+            np.floor(r, out=r)
+            np.clip(r, 0, _RINGS - 1, out=r)
+        table[lo:lo + _BLOCK] = np.where(a == b, a, _RINGS)
+        # freed before the next piece's kernel runs
+        del x, a, b
+    return table
+
+
 def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHistogram:
     """Histogram of distances of n pushed-forward torus samples.
 
@@ -80,8 +124,21 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
     R = _require_torus(cfg)
     T = period(cfg)
     edges = np.linspace(0.0, R, _RINGS + 1)
+    table = _ring_table(cfg, R, T)
     buf = np.empty(_BLOCK)
-    counts = np.zeros(_RINGS, dtype=np.int64)
+    # edge draws wait here until _EDGES or more go through the kernel
+    # together; one block's always fit behind the _EDGES - 1 that may wait
+    edge = np.empty(_EDGES + _BLOCK)
+    kept = 0
+    # the last slot counts the edge draws, which the kernel then bins
+    counts = np.zeros(_RINGS + 1, dtype=np.int64)
+
+    def bin_edge_draws(t):
+        # (u _CELLS)(T / _CELLS) rounds once, to the time fl(u T) of the draw;
+        # it is finite, and the torus exists, so the unchecked kernel serves
+        t *= T / _CELLS
+        counts[:_RINGS] += _bin_counts(_psi_distance(cfg, t), R)
+
     for j in range((n + _CHUNK - 1) // _CHUNK):
         m = min(_CHUNK, n - j * _CHUNK)
         # A list key would pass through float64 from seed 2^63 on.
@@ -93,12 +150,19 @@ def sample_pushforward(cfg: MagneticConfig, n: int, seed: int) -> PushforwardHis
         bits.random_raw(m % 4)
         t_rng = np.random.Generator(bits)
         for lo in range(0, m, _BLOCK):
-            t = buf[:min(_BLOCK, m - lo)]
-            t_rng.random(out=t)
-            # t takes the place of its draws; it is finite, and the torus
-            # exists, so the unchecked kernel serves
-            t *= T
-            counts += _bin_counts(_psi_distance(cfg, t), R)
+            u = buf[:min(_BLOCK, m - lo)]
+            t_rng.random(out=u)
+            u *= _CELLS
+            ring = table[u.astype(np.intp)]
+            counts += np.bincount(ring, minlength=_RINGS + 1)
+            near = u[ring == _RINGS]
+            edge[kept:kept + near.size] = near
+            kept += near.size
+            if kept >= _EDGES:
+                bin_edge_draws(edge[:kept])
+                kept = 0
+    bin_edge_draws(edge[:kept])
+    counts = counts[:_RINGS]
     est = counts / (n * _ring_areas(edges)) * (2.0 * math.pi * T)
     return PushforwardHistogram(
         B=cfg.B, E=cfg.E, n=n, seed=seed, edges=edges, counts=counts, est_density=est,

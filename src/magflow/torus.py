@@ -56,7 +56,8 @@ whose unchecked kernel takes S alone, with no difference of entries that
 would cancel at small d.  psi_many and psi_distance_many refuse a
 non-finite angle or time once, before their kernels; the Monte Carlo
 sampler, whose times are finite by construction, calls the distance kernel
-directly on each block.
+directly, on its ring table's cell edges and on the draws next to a ring
+edge.
 """
 
 from __future__ import annotations

@@ -147,10 +147,57 @@ class TestBlockedSampling:
     def test_ragged_chunks_match_one_shot_chunks(self, monkeypatch, n):
         self.assert_matches_one_shot(monkeypatch, n)
 
+    # the ring table against the kernel binning each draw, where the
+    # one-shot reference's arccosh cancels (E = 1e-6, 1e-10) and next to E_c
+    @pytest.mark.parametrize("n", [40_003, 1_010_001])
+    @pytest.mark.parametrize("E", [1e-6, 1e-10, 0.4999])
+    def test_table_matches_the_kernel_per_draw(self, E, n):
+        cfg = MagneticConfig(1.0, E)
+        assert np.array_equal(sample_pushforward(cfg, n, 31).counts, kernel_counts(cfg, n, 31))
+
     def test_block_is_shorter_than_the_short_chunk(self):
         # the 5,001-sample chunk above is shorter than one block, and the
         # 10,001-sample chunk longer
         assert 5_001 < mc._BLOCK < 10_001 < mc._CHUNK
+
+
+def kernel_counts(cfg, n, seed):
+    # the sampler without its ring table: every t draw of each chunk, past
+    # its theta block, mapped through the distance kernel and binned
+    R, T = radius(cfg), period(cfg)
+    counts = np.zeros(mc._RINGS, dtype=np.int64)
+    for j in range((n + 999_999) // 1_000_000):
+        m = min(1_000_000, n - j * 1_000_000)
+        rng = np.random.Generator(np.random.Philox(key=[seed, j]))
+        rng.random(m)
+        counts += mc._bin_counts(psi_distance_many(cfg, 0.0, rng.random(m) * T), R)
+    return counts
+
+
+# STD, a larger field, two tiny disks and an energy next to E_c
+TABLE_CONFIGS = [(1.0, 0.25), (2.0, 0.5), (1.0, 1e-6), (1.0, 1e-10), (1.0, 0.4999)]
+
+
+class TestRingTable:
+    @pytest.mark.parametrize("B,E", TABLE_CONFIGS)
+    def test_every_draw_in_a_cell_lands_in_its_ring(self, B, E):
+        cfg = MagneticConfig(B, E)
+        R, T = radius(cfg), period(cfg)
+        table = mc._ring_table(cfg, R, T)
+        assert table.dtype == np.int16 and table.shape == (mc._CELLS,)
+        assert np.count_nonzero(table == mc._RINGS) <= 0.01 * mc._CELLS
+        cell = np.flatnonzero(table != mc._RINGS)
+        lo, hi = cell / mc._CELLS, (cell + 1) / mc._CELLS
+        # each cell's left end, both its ends nudged inward, and a draw
+        # inside it on the 2^-53 grid of Philox's doubles
+        inside = (cell << 37) + np.random.default_rng(7).integers(0, 2**37, cell.size)
+        u = np.concatenate([lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), inside * 2.0**-53])
+        ring = np.tile(table[cell], 4)
+        assert np.all(u * mc._CELLS // 1 == np.tile(cell, 4))
+        d = psi_distance_many(cfg, 0.0, u * T)
+        for k in np.unique(ring):
+            sel = ring == k
+            assert mc._bin_counts(d[sel], R)[k] == np.count_nonzero(sel), f"ring {k}"
 
 
 class TestSamplingMemory:
