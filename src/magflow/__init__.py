@@ -32,7 +32,6 @@ _EXPORTS = {
         "from_disk",
         "hyp_dist",
         "hyp_norm",
-        "rotation_about_i",
         "to_disk",
     ),
     "mc": (

@@ -29,13 +29,13 @@ as g -> 0 and the energies next to E_c need no form of their own.  One array
 kernel evaluates (C, S) with exp(tF) = C I + S F, a float t as a 0-d array;
 the trajectories (frame of the start times exp(tF)), the Jacobi coefficients
 and the torus map all read it.  Below E_c it takes cos and sin of g t/2 from
-one tangent of g t/4 (the half-angle form), which numpy evaluates several
-times faster than a cosine and a sine.  The entry points refuse a non-finite
-time once, and the kernel itself checks nothing, so the torus sampler,
-whose times are finite by construction, skips that pass.  An independent
-4th-order integrator for the second-order equation on the half-plane
-provides the verification oracle for the closed form; it and the Lyapunov
-cocycle refuse more than _MAX_STEPS steps.
+one tangent of g t/4 by _tan_half, the one half-angle form, which numpy
+evaluates several times faster than a cosine and a sine.  The entry points
+refuse a non-finite time once, and the kernel itself checks nothing, so the
+torus sampler, whose times are finite by construction, skips that pass.  An
+independent 4th-order integrator for the second-order equation on the
+half-plane provides the verification oracle for the closed form; it and the
+Lyapunov cocycle refuse more than _MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfplane import Moebius, Tangent, frame_of, hyp_norm
+from .halfplane import Moebius, Tangent, _framed, frame_of, hyp_norm
 
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
@@ -139,7 +139,7 @@ def _exp_scalars(cfg: MagneticConfig, t):
 
 def _exp_kernel(cfg: MagneticConfig, t):
     """(C, S) over an array t (0-d for one time) of finite times, unchecked; below
-    E_c from u = tan(g t / 4), finite since no float g t / 4 is pi/2 + k pi."""
+    E_c by _tan_half of tan(g t / 4), finite since no float g t / 4 is pi/2 + k pi."""
     w = cfg.discriminant
     if w == 0.0:
         return 1.0 + 0.0 * t, 1.0 * t  # shaped and typed like the closed forms
@@ -147,10 +147,15 @@ def _exp_kernel(cfg: MagneticConfig, t):
     if w < 0.0:
         h = 0.5 * g * t
         return np.cosh(h), np.sinh(h) * (2.0 / g)
-    u = np.tan(0.25 * g * t)
-    u2 = u * u
-    v = 1.0 / (1.0 + u2)
-    return (1.0 - u2) * v, u * v * (4.0 / g)
+    C, s = _tan_half(np.tan(0.25 * g * t))
+    return C, s * (2.0 / g)
+
+
+def _tan_half(x):
+    """(cos 2a, sin 2a) as (1 - x^2, 2x) / (1 + x^2) from x = tan a: the one half-angle form."""
+    x2 = x * x
+    w = 1.0 / (1.0 + x2)
+    return (1.0 - x2) * w, (x + x) * w
 
 
 def _require_finite(cfg: MagneticConfig, x, what: str = "exp(tF) needs a finite time",
@@ -191,21 +196,13 @@ def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
     return Moebius(*map(float, _flow_entries(cfg, t)))
 
 
-def _framed(frame, entries):
-    """Entries of G @ M from those (a, b, c, d) of G and of M, broadcast: the
-    one 2x2 product of entry arrays (torus.psi_many and surface._compose)."""
-    fa, fb, fc, fd = frame
-    ea, eb, ec, ed = entries
-    return fa * ea + fb * ec, fa * eb + fb * ed, fc * ea + fd * ec, fc * eb + fd * ed
-
-
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:
     if abs(hyp_norm(p) - cfg.lam) > 1e-8 * max(1.0, cfg.lam):
         raise _range_error(cfg, hyp_norm(p), "off energy shell", "|v|/Im z")
 
 
 def _shell_frame(cfg: MagneticConfig, p: Tangent):
-    """The frame g with g.(i, i) = p / lam of a shell tangent p; None at E = 0."""
+    """Entries of the frame g with g.(i, i) = p / lam of a shell tangent p; None at E = 0."""
     _check_shell(cfg, p)
     if cfg.E == 0.0:
         return None
@@ -218,7 +215,7 @@ def flow_exact_many(cfg: MagneticConfig, p: Tangent, t):
     if frame is None:
         _require_finite(cfg, t)
         return np.full(np.shape(t), p.z, dtype=complex), np.full(np.shape(t), p.v, dtype=complex)
-    fa, fb, fc, fd = _framed(frame.entries(), _flow_entries(cfg, t))
+    fa, fb, fc, fd = _framed(frame, _flow_entries(cfg, t))
     w = fc * 1j + fd
     return (fa * 1j + fb) / w, (1j / (w * w)) * cfg.lam
 

@@ -7,12 +7,14 @@ maps
     z -> (a z + b) / (c z + d),        a d - b c = 1,
 
 acting on tangent vectors through the derivative, v -> v / (c z + d)^2.
-A matrix and its negative act identically, so elements live in PSL(2, R):
-every matrix is renormalized to determinant one and stored with a
-deterministic global sign.
+A matrix and its negative act identically, so elements live in PSL(2, R).
+This module holds the one arithmetic of entries (a, b, c, d), floats or
+arrays along a first axis: the 2x2 product _framed, _unit's renormalization
+by 1/sqrt(det) and _compose, the two in turn; none of them fixes a sign.
 
-The unit tangent bundle is identified with PSL(2, R) through the orbit of
-the reference tangent (i, i); ``frame_of`` inverts that identification.
+The unit tangent bundle is PSL(2, R) through the orbit of the reference
+tangent (i, i); ``frame_of`` inverts that map and returns entries.
+``Moebius``, stored with a deterministic sign, is flow.flow_matrix's type.
 """
 
 from __future__ import annotations
@@ -136,25 +138,38 @@ def hyp_dist_vec(z, w):
     return 2.0 * np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
 
 
-def rotation_about_i(angle: float) -> Moebius:
-    """The isometry fixing i whose derivative at i is multiplication by e^{i angle}."""
-    h = 0.5 * angle
-    return Moebius(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
+def _framed(frame, entries):
+    """Entries of G @ M from those (a, b, c, d) of G and of M, broadcast: the one 2x2 product."""
+    fa, fb, fc, fd = frame
+    ea, eb, ec, ed = entries
+    return fa * ea + fb * ec, fa * eb + fb * ed, fc * ea + fd * ec, fc * eb + fd * ed
 
 
-def frame_of(p: Tangent) -> Moebius:
-    """The element g with g.(i, i) = p, inverse of the orbit map.
+def _unit(g):
+    """Entries (a, b, c, d) along the first axis of g times 1/sqrt(a d - b c),
+    a factor of exactly 1.0 where det is 1.0; the sign is kept."""
+    a, b, c, d = g
+    return g * (1.0 / np.sqrt(a * d - b * c))
 
-    Unique up to sign; p must be a unit tangent (hyperbolic norm 1 within
-    1e-10).
-    """
-    y = p.z.imag
+
+def _compose(g, h):
+    """Entries of g h along the first axes, by _framed then _unit: the one group product."""
+    return _unit(np.array(_framed(g, h)))
+
+
+def frame_of(p: Tangent) -> tuple:
+    """Entries (a, b, c, d) of a g with g.(i, i) = p, unique up to the sign that _compose
+    keeps: the translate to p.z times the rotation about i by phase(p.v) - pi/2.  p must
+    be a finite unit tangent (hyperbolic norm 1 within 1e-10)."""
     if abs(hyp_norm(p) - 1.0) > 1e-10:
         raise ValueError("non-unit tangent")
-    psi = cmath.phase(p.v) - 0.5 * math.pi
-    ry = math.sqrt(y)
-    translate = Moebius(ry, p.z.real / ry, 0.0, 1.0 / ry)
-    return translate @ rotation_about_i(psi)
+    h = 0.5 * (cmath.phase(p.v) - 0.5 * math.pi)
+    ry = math.sqrt(p.z.imag)
+    g = _compose(_unit(np.array([ry, p.z.real / ry, 0.0, 1.0 / ry])),
+                 _unit(np.array([math.cos(h), math.sin(h), -math.sin(h), math.cos(h)])))
+    if not np.isfinite(g).all():
+        raise ValueError(f"tangent is not finite: {p!r}")
+    return tuple(g.tolist())
 
 
 def to_disk(z):

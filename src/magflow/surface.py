@@ -14,7 +14,7 @@ translation of length 2 rho,
 so g_{k+4} = g_k^{-1} and all traces equal 2(1 + sqrt 2).  They satisfy the
 single octagon relation g0 g3 g2^-1 g1 g0^-1 g3^-1 g2 g1^-1 = +I, encoded by
 the index word (0, 3, 6, 1, 4, 7, 2, 5): their entries, signs kept, lift the
-group to SL(2, R), and the one product, _compose, flips no sign.
+group to SL(2, R), and the one product, halfplane._compose, flips no sign.
 
 Operations, each an array kernel: fold points into the fundamental domain
 (greedy distance descent; a point is a local minimum of d(., i) over the
@@ -42,8 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .flow import MagneticConfig, _exp_entries, _exp_scalars, _framed, _shell_frame
-from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec, to_disk
+from .flow import MagneticConfig, _exp_entries, _exp_scalars, _shell_frame
+from .halfplane import (Tangent, _compose, _framed, _unit, from_disk, hyp_dist, hyp_dist_vec,
+                        to_disk)
 from .torus import _cover_terms, _flags, radius
 
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
@@ -78,19 +79,6 @@ class FuchsianGroup:
 class DomainReduction:
     representative: complex
     word: tuple
-
-
-def _unit(g):
-    """Entries (a, b, c, d) along the first axis of g times 1/sqrt(a d - b c),
-    a factor of exactly 1.0 where det is 1.0; the sign is kept."""
-    a, b, c, d = g
-    return g * (1.0 / np.sqrt(a * d - b * c))
-
-
-def _compose(g, h):
-    """Entries of g h from those of g and h along their first axes (broadcast):
-    _framed's product, then _unit; the one group product."""
-    return _unit(np.array(_framed(g, h)))
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +336,7 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
         raise ValueError(f"averaging time must be positive and finite, got {T!r}")
     if n_steps < 1:
         raise ValueError(f"step count must be at least 1, got {n_steps}")
-    frames = np.array([_shell_frame(cfg, p).entries() for p in starts]).T
+    frames = np.array([_shell_frame(cfg, p) for p in starts]).T
     if not frames.size:
         raise ValueError("Birkhoff averages need at least one start, got none")
     dt = T / n_steps
@@ -359,9 +347,10 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     # cosh d(i, exp(tF) i) over a block; a frame point that far from the
     # block's start carries a rounding error of about 1e-16 cosh d (its Im is
     # a cancelling determinant)
-    if not 0.5 * sum(x * x for x in map(float, table[:, 1, -1])) <= _MAX_BLOCK_COSH:
-        raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
-                         f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
+    with np.errstate(over="ignore"):  # an infinite cosh d is refused as well
+        if not _cosh_displacement(table[:, 1, -1][None]) <= _MAX_BLOCK_COSH:
+            raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
+                             f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
     totals = np.zeros(frames.shape[1])
     for done in range(0, n_steps, block):
         m = min(block, n_steps - done)

@@ -42,9 +42,9 @@ the flags, and the Bolza surface runs it on each translate's hits); the
 preimages' torus coordinates (preimages_many; preimages_cover is its
 one-point wrapper); and the fits of both singular blowups (singular_fits).
 
-psi_many forms P = R(theta/2) exp(tF) with the flow module's 2x2 product,
-_framed: R(theta/2) takes cos and sin of theta/2 from one tangent of
-theta/4, and exp(tF) takes (C, S) from the flow module's half-angle kernel,
+psi_many forms P = R(theta/2) exp(tF) with halfplane's 2x2 product, _framed:
+R(theta/2) takes cos and sin of theta/2 from one tangent of theta/4, and
+exp(tF) takes (C, S) from the flow module's kernel, both by flow._tan_half,
 so neither runs a libm cosine or sine on its arrays.  The distance needs
 no entry of P: R(theta/2) fixes i, and exp(tF) = (m_jk) has determinant 1,
 m11 - m22 = lam S and m12 + m21 = 0, so
@@ -69,9 +69,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import (_REGIME_TOL, MagneticConfig, Regime, _exp_entries, _exp_kernel,
-                   _exp_scalars, _framed, _range_error, _require_finite, period,
+                   _exp_scalars, _range_error, _require_finite, _tan_half, period,
                    variation_coeffs)
-from .halfplane import hyp_dist_vec, to_disk
+from .halfplane import _framed, hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
 _MERGE_T = 1e-7
@@ -129,21 +129,11 @@ def _torus_inputs(cfg: MagneticConfig, theta, t):
     return theta, t
 
 
-def _half_turn(theta):
-    """(cos(theta/2), sin(theta/2)), the entries of R(theta/2), as
-    (1 - x^2, 2x) / (1 + x^2) from one tangent x = tan(theta/4), which costs
-    less than a cosine and a sine."""
-    x = np.tan(0.25 * theta)
-    x2 = x * x
-    w = 1.0 / (1.0 + x2)
-    return (1.0 - x2) * w, (x + x) * w
-
-
 def psi_many(cfg: MagneticConfig, theta, t):
     """psi over broadcastable arrays of angles and times: P.i for the
     entries of P = R(theta/2) exp(tF)."""
     theta, t = _torus_inputs(cfg, theta, t)
-    rc, rs = _half_turn(theta)
+    rc, rs = _tan_half(np.tan(0.25 * theta))
     p11, p12, p21, p22 = _framed((rc, rs, -rs, rc), _exp_entries(cfg, *_exp_kernel(cfg, t)))
     return (p11 * 1j + p12) / (p21 * 1j + p22)
 

@@ -1275,10 +1275,20 @@ class TestBenchmarkTracer:
 
     def test_traced_flow_counts_rk4_steps(self, tmp_path):
         # the tracer reads cfg, t and dt from flow_numeric's signature and
-        # repeats its step rule: 2 rows of 889 steps at dt = 1e-2
+        # repeats its step rule: 2 rows of 889 steps at dt = 1e-2.  The
+        # start frames are entry tuples, so no Moebius product runs
         result = self.trace(tmp_path, "flow", "--grid", "3", "--dt", "1e-2")
         assert result["exit_code"] == 0
         assert result["counters"]["flow.rk4_steps"] == 1778
+        assert result["counters"]["halfplane.matmul_calls"] == 0
+
+    def test_traced_equidist_counts_birkhoff_calls(self, tmp_path):
+        # the tracer adds n_steps once per birkhoff_average call, for all
+        # three starts together; their frames run no Moebius product
+        result = self.trace(tmp_path, "equidist", "--T", "10", "--n", "100", "--grid", "20")
+        assert result["exit_code"] == 0
+        assert result["counters"]["surface.birkhoff_steps"] == 100
+        assert result["counters"]["halfplane.matmul_calls"] == 0
 
 
 # the package's public names
@@ -1293,7 +1303,7 @@ PUBLIC_NAMES = {
     "hyp_dist", "hyp_norm", "jacobian", "ladder", "lyapunov_exponent", "mc",
     "octagon_area", "period", "phi_profile", "preimage_count", "preimages_cover",
     "preimages_many", "psi", "radius", "reduce_point", "relation_residual",
-    "rotation_about_i", "sample_pushforward", "singular_constants", "singular_fits",
+    "sample_pushforward", "singular_constants", "singular_fits",
     "spectrum", "surface", "t_of_distance", "to_disk", "torus", "translates_meeting_disk",
     "variation_coeffs",
 }

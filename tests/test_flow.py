@@ -10,6 +10,7 @@ import pytest
 
 from magflow import (
     MagneticConfig,
+    Moebius,
     Regime,
     Tangent,
     flow_exact,
@@ -26,7 +27,7 @@ from magflow import (
 )
 
 from magflow import flow
-from magflow.flow import _exp_entries, _exp_scalars
+from magflow.flow import _exp_entries, _exp_kernel, _exp_scalars
 
 STD = MagneticConfig(1.0, 0.25)
 
@@ -162,7 +163,7 @@ class TestFlowExact:
                 tol = 8.0 * eps * (0.5 * (a * a + b * b + c * c + d * d)) ** 2
             for k, tk in enumerate(t.tolist()):
                 # the frame's action on the base tangent (i, i)
-                g = frame_of(unit) @ flow_matrix(cfg, tk)
+                g = Moebius(*frame_of(unit)) @ flow_matrix(cfg, tk)
                 w = g.c * 1j + g.d
                 qz, qv = (g.a * 1j + g.b) / w, 1j / (w * w)
                 assert abs(z[k] - qz) <= tol[k] * abs(qz)
@@ -644,6 +645,25 @@ class TestExpScalars:
             for C, S in (_exp_scalars(cfg, t), np.array([_exp_scalars(cfg, x) for x in t.tolist()]).T):
                 assert np.all(np.abs(C - C_ref) <= 4e-15 * amp)
                 assert np.all(np.abs(S - S_ref) <= 4e-15 * np.abs(t) * amp)
+
+    @pytest.mark.parametrize("B, E", [(1.0, 0.25), (2.0, 0.5), (1.0, 1e-6), (1.0, 0.4999)])
+    def test_kernel_is_the_inline_half_angle_form_bit_for_bit(self, B, E):
+        # the subcritical (C, S) as _exp_kernel formed them before _tan_half:
+        # u = tan(g t / 4), C = (1 - u^2) v and S = u v (4 / g) with
+        # v = 1 / (1 + u^2); equal arrays with equal signs, also at -0.0
+        cfg = MagneticConfig(B, E)
+        rng = np.random.default_rng(44)
+        T = period(cfg)
+        t = np.concatenate([rng.uniform(-50.0, 50.0, 100_000) * T, [0.0, -0.0, 1e-300, -5e-324],
+                            np.arange(-4, 5) * T, rng.uniform(-1e-3, 1e-3, 1000)])
+        g = cfg.gamma
+        u = np.tan(0.25 * g * t)
+        u2 = u * u
+        v = 1.0 / (1.0 + u2)
+        C, S = _exp_kernel(cfg, t)
+        for got, want in ((C, (1.0 - u2) * v), (S, u * v * (4.0 / g))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("B,E", [(1.0, 0.25), (2.0, 0.5), (1.0, 0.49), (1.0, 1e-6), (0.7, 0.1)])
     def test_half_angle_form_matches_mpmath(self, B, E):

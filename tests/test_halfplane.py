@@ -1,4 +1,4 @@
-"""Half-plane geometry: Moebius action, distance, fiber rotation, frames."""
+"""Half-plane geometry: Moebius action, distance, frames."""
 
 import cmath
 import math
@@ -13,7 +13,6 @@ from magflow import (
     from_disk,
     hyp_dist,
     hyp_norm,
-    rotation_about_i,
     to_disk,
 )
 from magflow.halfplane import hyp_dist_vec
@@ -25,12 +24,29 @@ def mobius_apply(g, p):
     return Tangent((g.a * p.z + g.b) / w, p.v / (w * w))
 
 
+def rotation(angle):
+    """The isometry fixing i whose derivative at i is multiplication by
+    e^{i angle}, as a Moebius element."""
+    h = 0.5 * angle
+    return Moebius(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
+
+
 def random_moebius(rng, scale=1.0):
     """Random group element via a rotation-stretch-rotation decomposition."""
-    g = rotation_about_i(rng.uniform(0.0, 2.0 * math.pi))
+    g = rotation(rng.uniform(0.0, 2.0 * math.pi))
     s = math.exp(rng.uniform(-scale, scale))
     g = g @ Moebius(s, 0.0, 0.0, 1.0 / s)
-    return g @ rotation_about_i(rng.uniform(0.0, 2.0 * math.pi))
+    return g @ rotation(rng.uniform(0.0, 2.0 * math.pi))
+
+
+def moebius_frame(p):
+    """The frame as frame_of built it from Moebius objects: the translate
+    times the rotation by phase(v) - pi/2, each factor and the product
+    renormalized and stored with the Moebius sign (a > 0, or a = 0 < b)."""
+    h = 0.5 * (cmath.phase(p.v) - 0.5 * math.pi)
+    ry = math.sqrt(p.z.imag)
+    translate = Moebius(ry, p.z.real / ry, 0.0, 1.0 / ry)
+    return translate @ Moebius(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
 
 
 def random_point(rng, spread=1.0):
@@ -171,29 +187,58 @@ class TestHypDist:
 
 class TestFrameOf:
     def test_base_tangent_gives_identity(self):
-        assert frame_of(Tangent(1j, 1j)).close_to(Moebius.identity(), 1e-12)
+        assert Moebius(*frame_of(Tangent(1j, 1j))).close_to(Moebius.identity(), 1e-12)
 
     def test_scaled_axis_point(self):
         g = frame_of(Tangent(2j, 2j))
         r = math.sqrt(2.0)
-        assert g.close_to(Moebius(r, 0.0, 0.0, 1.0 / r), 1e-12)
+        assert Moebius(*g).close_to(Moebius(r, 0.0, 0.0, 1.0 / r), 1e-12)
 
     def test_round_trip_up_to_sign(self):
         rng = np.random.default_rng(23)
         base = Tangent(1j, 1j)
         for _ in range(1000):
             g = random_moebius(rng, scale=2.0)
-            assert frame_of(mobius_apply(g, base)).close_to(g, 1e-9)
+            assert Moebius(*frame_of(mobius_apply(g, base))).close_to(g, 1e-9)
 
     def test_inverse_of_orbit_map(self):
         p = Tangent(1.5 + 0.25j, complex(0.25 * math.cos(2.0), 0.25 * math.sin(2.0)))
-        q = mobius_apply(frame_of(p), Tangent(1j, 1j))
+        q = mobius_apply(Moebius(*frame_of(p)), Tangent(1j, 1j))
         assert abs(q.z - p.z) < 1e-12
         assert abs(q.v - p.v) < 1e-12
+
+    def test_is_the_moebius_construction_up_to_one_sign(self):
+        # the entries of the Moebius frame bit for bit, or all four negated,
+        # and the Moebius sign rule applied to them gives the Moebius frame;
+        # directions in the third quadrant have cos h < 0, where the Moebius
+        # constructor flipped the rotation's sign before the product
+        rng = np.random.default_rng(37)
+        n = 12_000
+        z = rng.uniform(-3.0, 3.0, n) + 1j * np.exp(rng.uniform(-3.0, 3.0, n))
+        ang = np.concatenate([rng.uniform(-math.pi, math.pi, n - 2000),
+                              rng.uniform(-math.pi, -0.5 * math.pi, 2000)])
+        negated = flipped_rotations = 0
+        for zk, ak in zip(z.tolist(), ang.tolist()):
+            p = Tangent(zk, zk.imag * complex(math.cos(ak), math.sin(ak)))
+            got, want = frame_of(p), moebius_frame(p).entries()
+            a, b = got[:2]
+            signed = tuple(-x for x in got) if a < 0.0 or (a == 0.0 and b < 0.0) else got
+            assert signed == want, (p, got, want)
+            negated += got != want
+            flipped_rotations += math.cos(0.5 * (cmath.phase(p.v) - 0.5 * math.pi)) < 0.0
+        assert 0 < negated < n and flipped_rotations >= 2000
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="non-unit tangent"):
             frame_of(Tangent(1j, 2j))
+
+    # numpy may warn on the way to the refusal
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("z, v", [(complex(math.nan, 1.0), 1j), (complex(math.inf, 1.0), 1j),
+                                      (1j, complex(math.nan, 1.0))])
+    def test_rejects_non_finite(self, z, v):
+        with pytest.raises(ValueError, match="tangent is not finite"):
+            frame_of(Tangent(z, v))
 
 
 class TestDiskMap:
@@ -205,8 +250,10 @@ class TestDiskMap:
         assert np.all(np.abs(w) < 1.0)
         assert np.max(np.abs(from_disk(w) - z)) < 1e-12
 
-    def test_rotation_about_i_spins_disk(self):
-        g = rotation_about_i(0.7)
+    def test_frame_at_i_spins_disk(self):
+        # the frame of the tangent at i turned by 0.7 from (i, i) is the
+        # rotation about i by 0.7
+        g = Moebius(*frame_of(Tangent(1j, 1j * cmath.exp(0.7j))))
         z = 0.4 + 1.1j
         got = to_disk(g.apply(z))
         want = cmath.exp(0.7j) * to_disk(z)

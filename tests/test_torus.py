@@ -25,21 +25,35 @@ from magflow import (
     preimages_many,
     psi,
     radius,
-    rotation_about_i,
     singular_constants,
     singular_fits,
     t_of_distance,
     variation_coeffs,
 )
 from magflow import cli
-from magflow.halfplane import from_disk
+from magflow.halfplane import Moebius, from_disk
 from magflow.halfplane import hyp_dist_vec
-from magflow.flow import _exp_entries, _exp_kernel
-from magflow.torus import _CENTER_TOL, _MERGE_T, _half_turn, psi_distance_many, psi_many
+from magflow.flow import _exp_entries, _exp_kernel, _tan_half
+from magflow.torus import _CENTER_TOL, _MERGE_T, psi_distance_many, psi_many
 
 STD = MagneticConfig(1.0, 0.25)
 T_STD = period(STD)
 R_STD = radius(STD)
+
+
+def rotation(angle):
+    """The Moebius element fixing i whose derivative at i is e^{i angle}."""
+    h = 0.5 * angle
+    return Moebius(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
+
+
+def half_turn(theta):
+    """(cos(theta/2), sin(theta/2)) as psi_many took them before _tan_half:
+    (1 - x^2, 2x) / (1 + x^2) inline, from x = tan(theta/4)."""
+    x = np.tan(0.25 * theta)
+    x2 = x * x
+    w = 1.0 / (1.0 + x2)
+    return (1.0 - x2) * w, (x + x) * w
 
 
 def fd_jacobian_det(cfg, theta, t, h=1e-5):
@@ -78,7 +92,7 @@ class TestPsi:
         z = psi_many(STD, th, t)
         for i in range(50):
             one = psi(STD, float(th[i]), float(t[i]))
-            ref = (rotation_about_i(float(th[i])) @ flow_matrix(STD, float(t[i]))).apply(1j)
+            ref = (rotation(float(th[i])) @ flow_matrix(STD, float(t[i]))).apply(1j)
             assert abs(z[i] - one) < 1e-12
             assert abs(z[i] - ref) < 1e-12
 
@@ -106,6 +120,17 @@ class TestPsi:
                 with pytest.raises(ValueError, match=message):
                     f(STD, np.array([0.0, theta, 1.0]), 1.0)
 
+    def test_rotation_is_the_inline_half_turn_bit_for_bit(self):
+        # psi_many's rotation entries against the inline form it had, equal
+        # arrays with equal signs, also at -0.0 and next to the pole at 2 pi
+        rng = np.random.default_rng(45)
+        two_pi = 2.0 * math.pi
+        theta = np.concatenate([rng.uniform(-100.0, 100.0, 100_000), [0.0, -0.0, 5e-324, -5e-324],
+                                np.nextafter(two_pi, [0.0, 7.0]), rng.uniform(-1e-6, 1e-6, 100)])
+        for got, want in zip(_tan_half(np.tan(0.25 * theta)), half_turn(theta)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_half_turn_matches_mpmath(self):
         # R(theta/2) from x = tan(theta/4), whose pole sits at theta = 2 pi:
         # within two units in the last place of 1 of cos and sin of theta/2
@@ -117,7 +142,7 @@ class TestPsi:
                              [0.0, two_pi, math.pi, 4.0 * math.pi, -two_pi, 1e3]])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            rc, rs = _half_turn(th)
+            rc, rs = _tan_half(np.tan(0.25 * th))
         with mp.workdps(40):
             want_c = np.array([float(mp.cos(mp.mpf(x) / 2)) for x in th.tolist()])
             want_s = np.array([float(mp.sin(mp.mpf(x) / 2)) for x in th.tolist()])
@@ -128,12 +153,13 @@ class TestPsi:
     @pytest.mark.parametrize("B, E", [(1.0, 0.25), (1.3, 0.3), (2.0, 0.5)])
     def test_product_is_the_inline_one_bit_for_bit(self, B, E):
         # P = R(theta/2) exp(tF) as psi_many formed it entry by entry before
-        # it ran flow._framed: negating rs and swapping the sum are exact
+        # it ran _framed and _tan_half: negating rs and swapping the sum are
+        # exact
         cfg = MagneticConfig(B, E)
         rng = np.random.default_rng(9)
         theta = rng.uniform(-10.0, 10.0, (300, 1))
         t = rng.uniform(-3.0, 3.0, 200) * period(cfg)
-        rc, rs = _half_turn(theta)
+        rc, rs = half_turn(theta)
         m11, m12, m21, m22 = _exp_entries(cfg, *_exp_kernel(cfg, t))
         p11, p12 = rc * m11 + rs * m21, rc * m12 + rs * m22
         p21, p22 = rc * m21 - rs * m11, rc * m22 - rs * m12
@@ -504,6 +530,19 @@ class TestRadialKernel:
     the compositions they were before it are kept here as oracles."""
 
     CONFIGS = [(1.0, 0.25), (1.3, 0.3), (2.0, 0.5), (1.0, 1e-6), (1.0, 0.4999)]
+
+    @pytest.mark.parametrize("B, E", [(1.0, 0.25), (2.0, 0.5), (1.3, 0.3), (0.5, 0.1),
+                                      (1.0, 0.4999), (1.0, 0.5 * (1.0 - 1e-8))])
+    def test_alpha_is_the_t_free_closed_form(self, B, E):
+        # alpha = (gamma/E) / (2 S sqrt(1 - S^2)) with S^2 = gamma^2 sinh^2(d/2) / (2E)
+        # is 1 / (sinh(d/2) sqrt(2E - gamma^2 sinh^2(d/2))), free of t; at
+        # E_c it is 1 / (B sinh(d/2)).  Measured 1.4e-12 at worst; small E
+        # is left out, where cosh d - 1 cancels in _radial (1.3e-7 at 1e-6)
+        cfg = MagneticConfig(B, E)
+        d = np.linspace(0.01, 0.9 * radius(cfg), 2001)
+        sh = np.sinh(0.5 * d)
+        want = 1.0 / (sh * np.sqrt(2.0 * E - cfg.gamma ** 2 * sh * sh))
+        np.testing.assert_allclose(alpha_radial(cfg, d), want, rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("B, E", CONFIGS)
     def test_wrappers_match_the_parent_composition_bit_for_bit(self, B, E):
