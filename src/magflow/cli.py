@@ -227,64 +227,33 @@ def cmd_flow(args) -> int:
 # ---------------------------------------------------------------------------
 # density
 
-def _disk_grid(xs: np.ndarray):
-    """The grid xs x xs of the disk model (row iy holds y = xs[iy]): the
-    points inside it and their half-plane images, i at the others."""
-    from .halfplane import from_disk
-
-    u = xs[None, :] + 1j * xs[:, None]
-    valid = np.abs(u) < 0.999999
-    return valid, from_disk(np.where(valid, u, 0.0))
-
-
 def _cover_rows(cfg: MagneticConfig, xs: np.ndarray, band: float):
-    """Cover grid as (index, columns): columns (d_to_center, alpha_raw,
-    n_preimages, flag) hold one entry per distinct grid distance, from one
-    density_cover_many call, and the grid-shaped index picks each cell's
-    entry; d is inf off the disk model.
+    """Cover grid as (index, columns): columns (d_to_center, alpha_raw, n_preimages, flag)
+    hold one entry per distinct grid distance, from one density_cover_many call, and the
+    grid-shaped index picks each cell's entry; d is inf off the disk model of _disk_blocks.
 
     Every column is a function of d alone, and the grid's symmetry repeats
     distances: grid 300's 90,000 cells take 30,103.  np.unique merges -0.0
     with 0.0 and NaN with NaN, which would change bytes; no grid distance
     is either: d = 2 asinh(|z - i| / ...) is +0.0 or positive at every
     point inside the disk, and inf off it."""
-    from .halfplane import hyp_dist_vec
+    from .halfplane import _disk_blocks, hyp_dist_vec
     from .torus import density_cover_many
 
-    valid, z = _disk_grid(xs)
-    d, index = np.unique(np.where(valid, hyp_dist_vec(z, 1j), np.inf), return_inverse=True)
-    return index.reshape(z.shape), (d, *density_cover_many(cfg, d, band))
+    d = np.concatenate([np.where(inside, hyp_dist_vec(z, 1j), np.inf)
+                        for _, _, inside, z in _disk_blocks(xs)])  # blocks freed before np.unique
+    d, index = np.unique(d, return_inverse=True)
+    return index.reshape(len(xs), len(xs)), (d, *density_cover_many(cfg, d, band))
 
 
-def _surface_rows(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
-    """Surface grid as _cover_rows gives the cover grid, from one
-    density_surface_many call over the points inside the disk; the columns
-    hold one entry per cell, and the index is the identity.  d_to_center is
-    the folded point's."""
-    from .halfplane import hyp_dist_vec
-    from .surface import density_surface_many
-    from .torus import Flag
-
-    valid, z = _disk_grid(xs)
-    d = np.full(z.shape, np.inf)
-    alpha = np.zeros(z.shape)
-    n_pre = np.zeros(z.shape, dtype=np.int64)
-    flags = np.empty(z.shape, dtype=object)
-    flags[:] = Flag.OUTSIDE  # np.full would store the plain string
-    y0, alpha[valid], n_pre[valid], flags[valid] = density_surface_many(
-        group, cfg, z[valid], band)
-    d[valid] = hyp_dist_vec(y0, 1j)
-    return np.arange(z.size).reshape(z.shape), tuple(c.ravel() for c in (d, alpha, n_pre, flags))
-
-
+_HEADER = "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
 # column entries whose row tails are formatted into one text; a chunk's
 # text, about 35 kB, comes from the heap, not from a fresh mapping
 _TAIL_CHUNK = 512
 
 
 def _density_csv(cfg: MagneticConfig, xs: np.ndarray, grid):
-    """density_grid.csv one grid row at a time, from the (index, columns) of
-    _cover_rows or _surface_rows.
+    """The cover's density_grid.csv one grid row at a time, from _cover_rows's (index, columns).
 
     Each column entry's row tail d,alpha_raw,alpha_normalized,n_preimages,flag
     is formatted once: entries k of chunk k // _TAIL_CHUNK share one text, in
@@ -307,12 +276,39 @@ def _density_csv(cfg: MagneticConfig, xs: np.ndarray, grid):
         end = 1 + np.flatnonzero(np.frombuffer(chunks[-1].encode(), np.uint8) == ord("\n"))
         starts[part], ends[part] = np.append(0, end[:-1]), end
     coords = ["%.17g," % v for v in xs.tolist()]
-    yield "x,y,d_to_center,alpha_raw,alpha_normalized,n_preimages,flag\n"
+    yield _HEADER
     for iy, y in enumerate(coords):
         k = index[iy]
         cells = map(str.__getitem__, map(chunks.__getitem__, (k // _TAIL_CHUNK).tolist()),
                     map(slice, starts[k].tolist(), ends[k].tolist()))
         yield "".join(chain.from_iterable(zip(coords, repeat(y), cells)))
+
+
+def _surface_csv(group, cfg: MagneticConfig, xs: np.ndarray, band: float):
+    """The Bolza density_grid.csv, a _disk_blocks block at a time: one density_surface_many
+    call over its points in the disk, then one _rows call per row; d is the folded point's."""
+    from .flow import period
+    from .halfplane import _disk_blocks, hyp_dist_vec
+    from .surface import density_surface_many
+    from .torus import Flag
+
+    norm = 2.0 * math.pi * period(cfg)
+    text = {f: f.value for f in Flag}.__getitem__
+    coords = ["%.17g," % v for v in xs.tolist()]  # each formatted once, as _density_csv does
+    yield _HEADER
+    for lo, _, inside, z in _disk_blocks(xs):
+        d = np.full(inside.shape, np.inf)
+        alpha = np.zeros(inside.shape)
+        n_pre = np.zeros(inside.shape, dtype=np.int64)
+        flags = np.empty(inside.shape, dtype=object)
+        flags[:] = Flag.OUTSIDE.value  # one str; np.full would store one per cell
+        y0, alpha[inside], n_pre[inside], f = density_surface_many(group, cfg, z[inside], band)
+        flags[inside] = list(map(text, f.tolist()))
+        d[inside] = hyp_dist_vec(y0, 1j)
+        for iy, y in enumerate(coords[lo:lo + len(inside)]):
+            yield _rows("%s%s%.17g,%.17g,%.17g,%d,%s\n", coords, repeat(y), d[iy].tolist(),
+                        alpha[iy].tolist(), (alpha[iy] / norm).tolist(), n_pre[iy].tolist(),
+                        flags[iy].tolist())
 
 
 def cmd_density(args) -> int:
@@ -348,10 +344,10 @@ def cmd_density(args) -> int:
         sidecar["translates"] = len(translates_meeting_disk(group, R))
         extent = math.tanh(0.5 * group.circumradius)
         xs = np.linspace(-extent, extent, n)
-        grid = _surface_rows(group, cfg, xs, band)
+        rows = _surface_csv(group, cfg, xs, band)  # runs in _write, after every refusal
     else:
         xs = np.linspace(-math.tanh(0.5 * R), math.tanh(0.5 * R), n)
-        grid = _cover_rows(cfg, xs, band)
+        rows = _density_csv(cfg, xs, _cover_rows(cfg, xs, band))
 
     mass = density_mass(cfg)
     sidecar.update(singular_fits(cfg))
@@ -363,7 +359,7 @@ def cmd_density(args) -> int:
 
     print(f"R_E {_fmt(R)}")
     print(f"mass {_fmt(mass)} expected {_fmt(expected)}")
-    _write(out, "density_grid.csv", _density_csv(cfg, xs, grid))
+    _write(out, "density_grid.csv", rows)
     _write(out, "density_summary.json", summary)
     return 0
 

@@ -197,7 +197,7 @@ def flow_matrix(cfg: MagneticConfig, t: float) -> Moebius:
 
 
 def _check_shell(cfg: MagneticConfig, p: Tangent) -> None:
-    if abs(hyp_norm(p) - cfg.lam) > 1e-8 * max(1.0, cfg.lam):
+    if not abs(hyp_norm(p) - cfg.lam) <= 1e-8 * max(1.0, cfg.lam):  # a nan norm is off it too
         raise _range_error(cfg, hyp_norm(p), "off energy shell", "|v|/Im z")
 
 

@@ -15,6 +15,7 @@ by 1/sqrt(det) and _compose, the two in turn; none of them fixes a sign.
 The unit tangent bundle is PSL(2, R) through the orbit of the reference
 tangent (i, i); ``frame_of`` inverts that map and returns entries.
 ``Moebius``, stored with a deterministic sign, is flow.flow_matrix's type.
+The density grids, area average and preimage check walk one grid: _disk_blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_GRID_CELLS = 1 << 14  # points in a block of _disk_blocks, in whole rows
 
 
 class Moebius:
@@ -180,3 +183,14 @@ def to_disk(z):
 def from_disk(w):
     """Inverse Cayley map, unit disk to half-plane, 0 to i; works on arrays."""
     return 1j * (1.0 + w) / (1.0 - w)
+
+
+def _disk_blocks(xs, radius: float = 0.999999):
+    """The disk-model grid xs x xs (row iy holds y = xs[iy]) in blocks of whole rows, at least
+    one and about _GRID_CELLS points a block: (lo, u, inside, z) for the rows from lo, inside =
+    |u| < radius, z = from_disk(u) there and i elsewhere; each is the whole grid's, bit for bit."""
+    rows = max(1, _GRID_CELLS // len(xs))
+    for lo in range(0, len(xs), rows):
+        u = xs[None, :] + 1j * xs[lo:lo + rows, None]
+        inside = np.abs(u) < radius
+        yield lo, u, inside, from_disk(np.where(inside, u, 0.0))

@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import MagneticConfig, _exp_entries, _exp_scalars, _shell_frame
-from .halfplane import (Tangent, _compose, _framed, _unit, from_disk, hyp_dist, hyp_dist_vec,
-                        to_disk)
+from .halfplane import (Tangent, _compose, _disk_blocks, _framed, _unit, from_disk, hyp_dist,
+                        hyp_dist_vec, to_disk)
 from .torus import _cover_terms, _flags, radius
 
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
@@ -57,8 +57,6 @@ _BLOCK_STEPS = 1024
 _BLOCK_BT = 8.0
 # a single step longer than _BLOCK_BT / B may reach this far, no further
 _MAX_BLOCK_COSH = 1e8
-# area_average evaluates this many grid rows at a time
-_AREA_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,32 +363,26 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
 def area_average(group: FuchsianGroup, observable, resolution: int = 600) -> float:
     """Area average of an observable over the fundamental domain.
 
-    Disk-model grid quadrature of the masked observable with the hyperbolic
-    area element 4 dA_eucl / (1 - |u|^2)^2, normalized by the exact polygon
-    area (angle defect).  Supports observables vanishing near the domain
-    boundary best; the mask is the Dirichlet membership test.
+    Disk-model grid quadrature of the masked observable with the hyperbolic area element
+    4 dA_eucl / (1 - |u|^2)^2, normalized by the exact polygon area (angle defect).  Supports
+    observables vanishing near the domain boundary best; the mask is the Dirichlet membership
+    test.  The blocks of _disk_blocks fill one term array, whose one sum has a whole grid's bits.
     """
     if resolution < 2:
         raise ValueError(f"area-average resolution must be at least 2, got {resolution}")
     re = math.tanh(0.5 * group.circumradius)
     xs = np.linspace(-re, re, resolution)
     cell = (xs[1] - xs[0]) ** 2
-    # the grid is evaluated _AREA_ROWS rows at a time into one term array,
-    # whose single sum keeps the bits of a whole-grid evaluation
     terms = np.empty((resolution, resolution))
     hit = False
-    for lo in range(0, resolution, _AREA_ROWS):
-        u = xs[None, :] + 1j * xs[lo:lo + _AREA_ROWS, None]
-        inside_disk = np.abs(u) < re
-        z = np.where(inside_disk, from_disk(np.where(inside_disk, u, 0.0)), 1j)
-        # the membership test only where the disk test passed: about a fifth
-        # of the square grid lies outside the circumscribed disk
-        mask = inside_disk.copy()
-        mask[inside_disk] = in_domain_mask(group, z[inside_disk])
+    for lo, u, mask, z in _disk_blocks(xs, re):
+        # the block's disk test, narrowed by the membership test where it passed:
+        # about a fifth of the square grid lies outside the circumscribed disk
+        mask[mask] = in_domain_mask(group, z[mask])
         hit = hit or bool(mask.any())
         weight = 4.0 / (1.0 - np.abs(u) ** 2) ** 2
         vals = np.asarray(observable(z), dtype=float)
-        terms[lo:lo + _AREA_ROWS] = np.where(mask, vals * weight, 0.0)
+        terms[lo:lo + len(u)] = np.where(mask, vals * weight, 0.0)
     if not hit:
         raise ValueError(f"area-average resolution {resolution} puts no grid point "
                          "inside the domain")

@@ -27,7 +27,7 @@ from .flow import (
     lyapunov_exponent,
     period,
 )
-from .halfplane import Tangent, from_disk, hyp_dist, hyp_dist_vec
+from .halfplane import Tangent, _disk_blocks, from_disk, hyp_dist, hyp_dist_vec
 from .mc import compare_to_closed_form, sample_pushforward
 from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
@@ -218,9 +218,7 @@ def check_preimage_counts() -> dict:
     translates = translates_meeting_disk(group, R)
     re = math.tanh(0.5 * group.circumradius)
     xs = np.linspace(-re, re, 100)
-    u = (xs[None, :] + 1j * xs[:, None]).ravel()
-    u = u[np.abs(u) < re]
-    z = from_disk(u)
+    z = np.concatenate([w[inside] for _, _, inside, w in _disk_blocks(xs, re)])
     z = z[in_domain_mask(group, z)]
     counts = np.zeros(z.shape, dtype=int)
     for a, b, c, d in translates:

@@ -5,7 +5,9 @@ Each criterion lives in magflow.verify with its tolerance pinned there; the
 the measured value and the tolerance it missed.
 """
 
-from magflow import verify
+import pytest
+
+from magflow import halfplane, verify
 from magflow.verify import CHECKS
 
 
@@ -54,6 +56,13 @@ class TestAcceptance:
         # 2 inside / 1 boundary / 0 outside over 10^3 probes; surface count
         # bounded by twice the translate count on a 100x100 grid
         run(verify.check_preimage_counts)
+
+    # one grid row per block, and blocks of three rows with a last block of one
+    @pytest.mark.parametrize("cells", [100, 3 * 100 + 5])
+    def test_08_preimage_counts_do_not_depend_on_the_grid_blocks(self, monkeypatch, cells):
+        want = verify.check_preimage_counts()
+        monkeypatch.setattr(halfplane, "_GRID_CELLS", cells)
+        assert verify.check_preimage_counts() == want
 
     def test_09_lyapunov_trichotomy(self):
         # < 1e-3 through the critical energy, sqrt(2E-B^2)/2 +- 1e-3 above

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 import magflow
 from magflow import (
     MagneticConfig, Tangent, alpha_radial, bolza_group, cli, compare_to_closed_form,
-    density_cover_many,
-    flow_exact_many, hyp_dist, ladder, period, preimages_cover, radius, sample_pushforward,
+    density_cover_many, density_surface_many,
+    flow_exact_many, halfplane, hyp_dist, ladder, period, preimages_cover, radius,
+    sample_pushforward,
 )
 from magflow.halfplane import from_disk, hyp_dist_vec
 from magflow.spectrum import critical_gaps, ladder_arrays, ladder_slices, select_levels
+from magflow.torus import Flag
 from magflow.verify import CHECKS
 
 STD = MagneticConfig(1.0, 0.25)
@@ -55,10 +57,37 @@ def assert_same_text(got, want):
 
 
 def grid_columns(grid):
-    """The (index, columns) of cli._cover_rows or cli._surface_rows as
+    """The (index, columns) of cli._cover_rows, or of surface_grid, as
     grid-shaped columns."""
     index, columns = grid
     return [c[index] for c in columns]
+
+
+def disk_grid(xs):
+    """The whole disk-model grid xs x xs at once (row iy holds y = xs[iy]):
+    the points inside radius 0.999999 and their half-plane images, i at the
+    others; the oracle of the blocks of halfplane._disk_blocks."""
+    u = xs[None, :] + 1j * xs[:, None]
+    valid = np.abs(u) < 0.999999
+    return valid, from_disk(np.where(valid, u, 0.0))
+
+
+def surface_grid(group, cfg, xs, band):
+    """The Bolza grid as (index, columns) from one density_surface_many call
+    over every point of the whole disk-model grid inside the disk: one
+    column entry per cell and the identity index; d_to_center is the folded
+    point's, and a cell off the disk is inf, 0, 0, Outside.  The oracle of
+    the block-by-block cli._surface_csv."""
+    valid, z = disk_grid(xs)
+    d = np.full(z.shape, np.inf)
+    alpha = np.zeros(z.shape)
+    n_pre = np.zeros(z.shape, dtype=np.int64)
+    flags = np.empty(z.shape, dtype=object)
+    flags[:] = Flag.OUTSIDE  # np.full would store a string
+    y0, alpha[valid], n_pre[valid], flags[valid] = density_surface_many(
+        group, cfg, z[valid], band)
+    d[valid] = hyp_dist_vec(y0, 1j)
+    return np.arange(z.size).reshape(z.shape), tuple(c.ravel() for c in (d, alpha, n_pre, flags))
 
 
 def wild(lo, hi):
@@ -429,12 +458,14 @@ class TestDensityCommand:
 
     @staticmethod
     def grid_of(surface, cfg, n, band):
-        """The CLI's xs and its (index, columns) for one density run."""
+        """The CLI's xs for one density run and an (index, columns) of its
+        grid: the cover's from cli._cover_rows, the Bolza surface's from the
+        whole-grid oracle surface_grid."""
         if surface == "bolza":
             group = bolza_group()
             extent = math.tanh(0.5 * group.circumradius)
             xs = np.linspace(-extent, extent, n)
-            return xs, cli._surface_rows(group, cfg, xs, band)
+            return xs, surface_grid(group, cfg, xs, band)
         extent = math.tanh(0.5 * radius(cfg))
         xs = np.linspace(-extent, extent, n)
         return xs, cli._cover_rows(cfg, xs, band)
@@ -448,11 +479,16 @@ class TestDensityCommand:
         pytest.param("cover", 1.0, 1e-6, 50, 0.0, id="cover-E1e-06-50-0.0"),
         pytest.param("bolza", 1.0, 0.25, 61, 1e-3, id="bolza-61-0.001")])
     def test_row_writer_matches_per_line_oracle(self, surface, B, E, grid, band):
-        # the writer's tails, looked up through the index, against one
-        # f-string per cell of the columns the index expands
+        # the writer's text against one f-string per cell of the columns the
+        # index expands: the cover's tails are looked up through its index,
+        # the Bolza rows are evaluated block by block
         cfg = MagneticConfig(B, E)
         xs, rows = self.grid_of(surface, cfg, grid, band)
-        got = "".join(cli._density_csv(cfg, xs, rows)).splitlines(keepends=True)
+        if surface == "bolza":
+            text = cli._surface_csv(bolza_group(), cfg, xs, band)
+        else:
+            text = cli._density_csv(cfg, xs, rows)
+        got = "".join(text).splitlines(keepends=True)
         want = list(self.per_line_csv(cfg, xs, grid_columns(rows)))
         assert len(got) == len(want) == grid * grid + 1
         # the first differing line, not a diff of the whole table
@@ -463,12 +499,13 @@ class TestDensityCommand:
         (1.3, 0.3, 60, 1e-3)])
     def test_cover_rows_match_the_full_grid_kernel_bit_for_bit(self, B, E, grid, band):
         # the kernel runs once per distinct distance; through the index its
-        # columns are those of one density_cover_many call on every cell
+        # columns are those of one density_cover_many call on every cell of
+        # the whole grid
         cfg = MagneticConfig(B, E)
         xs, rows = self.grid_of("cover", cfg, grid, band)
         index, (d, *_) = rows
         assert len(d) < grid * grid and np.all(np.diff(d) > 0.0)
-        valid, z = cli._disk_grid(xs)
+        valid, z = disk_grid(xs)
         full = np.where(valid, hyp_dist_vec(z, 1j), np.inf)
         want = (full, *density_cover_many(cfg, full, band))
         for got, w in zip(grid_columns(rows), want):
@@ -489,6 +526,36 @@ class TestDensityCommand:
         finally:
             tracemalloc.stop()
         assert size > 9e6 and peak < 3e6
+
+    # one grid row per block at grid 61, and blocks of three rows with a last
+    # block of one
+    @pytest.mark.parametrize("cells", [61, 3 * 61 + 5])
+    def test_grid_blocks_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, cells):
+        argv = ["density", "--surface", "bolza", "--grid", "61"]
+        assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        xs, want = self.grid_of("cover", STD, 61, 1e-3)
+        monkeypatch.setattr(halfplane, "_GRID_CELLS", cells)
+        assert cli.main([*argv, "--out", str(tmp_path / "blocks")]) == 0
+        assert ((tmp_path / "blocks" / "density_grid.csv").read_bytes()
+                == (tmp_path / "whole" / "density_grid.csv").read_bytes())
+        index, columns = cli._cover_rows(STD, xs, 1e-3)
+        assert np.array_equal(index, want[0])
+        for got, w in zip(columns, want[1]):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+
+    def test_bolza_writer_traced_peak_is_one_block(self):
+        # the whole-grid writer held grid-sized object and float arrays, and
+        # peaked at 22.8 MB at grid 300; one block of 16,384 points, at 5.9 MB
+        extent = math.tanh(0.5 * bolza_group().circumradius)
+        xs = np.linspace(-extent, extent, 300)
+        "".join(cli._surface_csv(bolza_group(), STD, np.linspace(-0.5, 0.5, 8), 1e-3))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, cli._surface_csv(bolza_group(), STD, xs, 1e-3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 9e6 and peak < 8e6
 
     def test_bolza_single_translate_regime_matches_cover(self, tmp_path):
         cfg = MagneticConfig(1.0, 0.15)
@@ -541,6 +608,7 @@ class TestDensityCommand:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "Chern constraint violated" in capsys.readouterr().err
+        assert not (tmp_path / "density_grid.csv").exists()
 
     def test_enumeration_cap(self, tmp_path, capsys):
         rc = cli.main(["density", "--surface", "bolza", "--B", "1", "--E", "0.497",
@@ -549,6 +617,7 @@ class TestDensityCommand:
         sidecar = read_json(tmp_path / "density_summary.json")
         assert sidecar["enumeration_cap_exceeded"] is True
         assert "enumeration cap" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["density_summary.json"]
 
     @CLEAN_EXIT
     @given(surface=st.sampled_from(["cover", "bolza"]), B=SURFACE_B, E=wild(0.0, 1.0),

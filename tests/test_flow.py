@@ -128,6 +128,16 @@ class TestFlowExact:
         with pytest.raises(ValueError, match="off energy shell"):
             flow_exact(STD, Tangent(1j, 1j), 1.0)
 
+    @pytest.mark.parametrize("E", [0.0, 0.25])
+    def test_nan_velocity_is_off_shell(self, E):
+        # |nan - lam| > tol is false: the shell test must not pass a nan norm,
+        # which at E = 0 both flows returned as a nan tangent
+        cfg = MagneticConfig(1.0, E)
+        message = f"off energy shell at B=1.0, E={E!r}, |v|/Im z=nan"
+        for run in (lambda p: flow_exact(cfg, p, 1.0), lambda p: flow_numeric(cfg, p, 1.0, 1e-3)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(Tangent(1j, complex(math.nan, 0.0)))
+
     def test_shell_tolerance_is_relative_to_the_speed(self):
         # at lam = sqrt(2e18) the rounding of |v| / Im z alone is about
         # 1e-16 lam = 1.4e-7, above an absolute 1e-8

@@ -15,7 +15,8 @@ from magflow import (
     hyp_norm,
     to_disk,
 )
-from magflow.halfplane import hyp_dist_vec
+from magflow import halfplane
+from magflow.halfplane import _disk_blocks, hyp_dist_vec
 
 
 def mobius_apply(g, p):
@@ -258,3 +259,21 @@ class TestDiskMap:
         got = to_disk(g.apply(z))
         want = cmath.exp(0.7j) * to_disk(z)
         assert abs(got - want) < 1e-12
+
+
+class TestDiskBlocks:
+    @pytest.mark.parametrize("cells, sizes", [
+        (1 << 14, [61]), (61, [1] * 61), (3 * 61 + 5, [3] * 20 + [1]), (1, [1] * 61)])
+    def test_blocks_tile_the_whole_grid_bit_for_bit(self, monkeypatch, cells, sizes):
+        monkeypatch.setattr(halfplane, "_GRID_CELLS", cells)
+        xs = np.linspace(-0.95, 0.95, 61)
+        blocks = list(_disk_blocks(xs, 0.9))
+        assert [lo for lo, *_ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert [len(u) for _, u, _, _ in blocks] == sizes
+        u = xs[None, :] + 1j * xs[:, None]
+        inside = np.abs(u) < 0.9
+        z = np.where(inside, from_disk(np.where(inside, u, 0.0)), 1j)
+        got_u, got_inside, got_z = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+        assert np.array_equal(got_inside, inside)
+        for got, want in ((got_u, u), (got_z, z)):
+            assert got.tobytes() == want.tobytes()  # signed zeros included

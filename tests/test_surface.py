@@ -30,7 +30,7 @@ from magflow import (
     relation_residual,
     translates_meeting_disk,
 )
-from magflow import surface
+from magflow import halfplane, surface
 from magflow.flow import _exp_entries, _exp_scalars, _shell_frame
 from magflow.halfplane import Moebius, _framed, frame_of, from_disk, hyp_dist_vec
 from magflow.surface import (
@@ -720,10 +720,20 @@ class TestBirkhoffAverage:
             want = float(np.sum(np.where(mask, vals * weight, 0.0)) * (xs[1] - xs[0]) ** 2)
             assert area_average(GROUP, observable, resolution) == want / octagon_area(GROUP)
 
+    # one row per block, and blocks of three rows with a last block of one
+    # (at 121) or two (at 401)
+    @pytest.mark.parametrize("resolution, cells", [
+        (121, 121), (121, 3 * 121 + 5), (401, 401), (401, 3 * 401 + 5)])
+    def test_area_average_does_not_depend_on_the_grid_blocks(self, monkeypatch, resolution,
+                                                               cells):
+        want = area_average(GROUP, surface._bump, resolution)
+        monkeypatch.setattr(halfplane, "_GRID_CELLS", cells)
+        assert area_average(GROUP, surface._bump, resolution) == want
+
     def test_area_average_memory_is_row_blocked(self):
-        # the grid at 800 is 640,000 points, 10 MB per complex array; row
-        # blocks hold the float term array (5.1 MB) and one block of
-        # temporaries (8.3 MB traced in all, 58 MB evaluated at once)
+        # the grid at 800 is 640,000 points, 10 MB per complex array; blocks
+        # of 20 rows hold the float term array (5.1 MB) and one block of
+        # temporaries (9.0 MB traced in all, 58 MB evaluated at once)
         area_average(GROUP, surface._bump, 8)  # first-call allocations
         tracemalloc.start()
         try:
