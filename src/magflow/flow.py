@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfplane import Moebius, Tangent, _framed, frame_of, hyp_norm
+from .halfplane import Moebius, Tangent, _act, _framed, frame_of, hyp_norm
 
 # |B^2 - 2E| below this counts as critical
 _REGIME_TOL = 1e-12
@@ -215,9 +215,8 @@ def flow_exact_many(cfg: MagneticConfig, p: Tangent, t):
     if frame is None:
         _require_finite(cfg, t)
         return np.full(np.shape(t), p.z, dtype=complex), np.full(np.shape(t), p.v, dtype=complex)
-    fa, fb, fc, fd = _framed(frame, _flow_entries(cfg, t))
-    w = fc * 1j + fd
-    return (fa * 1j + fb) / w, (1j / (w * w)) * cfg.lam
+    z, w = _act(_framed(frame, _flow_entries(cfg, t)), 1j)
+    return z, (1j / (w * w)) * cfg.lam
 
 
 def flow_exact(cfg: MagneticConfig, p: Tangent, t: float) -> Tangent:
@@ -247,7 +246,7 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     _check_shell(cfg, p)
     if cfg.E == 0.0:
         return NumericFlowResult(p, False)
-    warn = cfg.regime is Regime.SUBCRITICAL and dt > period(cfg) / 100.0
+    warn = _coarse(cfg, dt)
     if t == 0.0:
         return NumericFlowResult(p, warn)
 
@@ -294,15 +293,22 @@ def flow_numeric(cfg: MagneticConfig, p: Tangent, t: float, dt: float,
     return NumericFlowResult(Tangent(complex(x, y), complex(vx, vy)), warn)
 
 
+def _coarse(cfg: MagneticConfig, dt: float) -> bool:
+    return cfg.E > 0.0 and cfg.regime is Regime.SUBCRITICAL and dt > period(cfg) / 100.0
+
+
 def flow_numeric_rows(cfg: MagneticConfig, p: Tangent, ts, dt: float, j_sign: float = 1.0):
-    """flow_numeric chained from p at ts[0] over the times ts: rows z, v and any step warning."""
-    rows, warned = [p], False
+    """flow_numeric chained from p at ts[0] over the times ts: rows z, v and any step warning.
+    Only p is held to cfg's shell; a later row runs at its start's speed, as RK4 reads B alone."""
+    rows, at = [p], cfg
     for t0, t1 in zip(ts, ts[1:]):
-        res = flow_numeric(cfg, rows[-1], float(t1 - t0), dt, j_sign)
-        rows.append(res.p)
-        warned = warned or res.step_warning
+        rows.append(flow_numeric(at, rows[-1], float(t1 - t0), dt, j_sign).p)
+        s = hyp_norm(rows[-1])
+        if not math.isfinite(cfg.B * cfg.B + s * s):  # no MagneticConfig holds such a speed
+            raise _range_error(cfg, dt, "RK4 speed left float range", "dt")
+        at = MagneticConfig(cfg.B, 0.5 * s * s)
     return (np.array([q.z for q in rows], dtype=complex),
-            np.array([q.v for q in rows], dtype=complex), warned)
+            np.array([q.v for q in rows], dtype=complex), len(rows) > 1 and _coarse(cfg, dt))
 
 
 def period(cfg: MagneticConfig) -> float:

@@ -8,9 +8,9 @@ maps
 
 acting on tangent vectors through the derivative, v -> v / (c z + d)^2.
 A matrix and its negative act identically, so elements live in PSL(2, R).
-This module holds the one arithmetic of entries (a, b, c, d), floats or
-arrays along a first axis: the 2x2 product _framed, _unit's renormalization
-by 1/sqrt(det) and _compose, the two in turn; none of them fixes a sign.
+This module holds the one arithmetic of entries (a, b, c, d), floats or arrays
+along a first axis: the 2x2 product _framed, _unit (times 1/sqrt(det)), _compose
+(the two in turn; none fixes a sign), the action _act and cosh d(i, g.i).
 
 The unit tangent bundle is PSL(2, R) through the orbit of the reference
 tangent (i, i); ``frame_of`` inverts that map and returns entries.
@@ -158,6 +158,17 @@ def _unit(g):
 def _compose(g, h):
     """Entries of g h along the first axes, by _framed then _unit: the one group product."""
     return _unit(np.array(_framed(g, h)))
+
+
+def _act(g, z):
+    """(g.z, c z + d) for entries (a, b, c, d) along g's first axis, broadcast against z."""
+    w = g[2] * z + g[3]
+    return (g[0] * z + g[1]) / w, w
+
+
+def _cosh_displacement(g):
+    """cosh d(i, g.i) for entries (a, b, c, d) along the first axis of g."""
+    return 0.5 * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2)
 
 
 def frame_of(p: Tangent) -> tuple:

@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .flow import MagneticConfig, _exp_entries, _exp_scalars, _shell_frame
-from .halfplane import (Tangent, _compose, _disk_blocks, _framed, _unit, from_disk, hyp_dist,
-                        hyp_dist_vec, to_disk)
+from .halfplane import (Tangent, _act, _compose, _cosh_displacement, _disk_blocks, _framed,
+                        _unit, from_disk, hyp_dist, hyp_dist_vec, to_disk)
 from .torus import _cover_terms, _flags, radius
 
 ENUM_CAP = 6.0  # translate enumeration refuses disks at least this large
@@ -185,14 +185,13 @@ def _descend_many(generators, z):
     holds the generator indices applied to z[j] in order, padded with -1.
     """
     z = _half_plane(z)
-    ga, gb, gc, gd = generators.T
     d0 = hyp_dist_vec(z, 1j)
     live = np.arange(z.size)
     moves = []
     for _ in range(_MAX_STEPS):
         zl = z[live]
         best = np.argmin(_ranks(generators, zl), axis=0)  # first minimum: the lowest index
-        w = (ga[best] * zl + gb[best]) / (gc[best] * zl + gd[best])
+        w = _act(generators.T.take(best, axis=1), zl)[0]  # C order, unlike T[:, best]
         best_d = hyp_dist_vec(w, 1j)
         go = best_d < d0[live] - _DESCENT_EPS
         if not go.any():
@@ -221,11 +220,6 @@ def in_domain_mask(group: FuchsianGroup, z):
     flat = _half_plane(z)
     ok = np.abs(flat - 1j) ** 2 <= _ranks(group.generators, flat).min(axis=0) + 2e-12 * flat.imag
     return ok.reshape(np.shape(z))
-
-
-def _cosh_displacement(g):
-    """cosh d(i, g.i) for each row (a, b, c, d) of an entry array."""
-    return 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2 + g[:, 2] ** 2 + g[:, 3] ** 2)
 
 
 def _first_orbit_points(g, rho: float):
@@ -268,13 +262,13 @@ def translates_meeting_disk(group: FuchsianGroup, R: float):
     layers = [np.empty((0, 4)), np.array([[1.0, 0.0, 0.0, 1.0]])]
     while len(layers[-1]):
         h = _compose(layers[-1].T[:, :, None], group.generators.T[:, None, :]).reshape(4, -1).T
-        h = h[_cosh_displacement(h) <= explore]
+        h = h[_cosh_displacement(h.T) <= explore]
         new = _first_orbit_points(np.concatenate([layers[-2], h]), group.inradius)
         layers.append(h[new[len(layers[-2]):]])
     found = np.concatenate(layers)
-    found = found[_cosh_displacement(found) <= include]
+    found = found[_cosh_displacement(found.T) <= include]
     key = found * np.copysign(1.0, np.where(found[:, 0] == 0.0, found[:, 1], found[:, 0]))[:, None]
-    found = found[np.lexsort(np.vstack([key.T[::-1], _cosh_displacement(found)]))]
+    found = found[np.lexsort(np.vstack([key.T[::-1], _cosh_displacement(found.T)]))]
     found.flags.writeable = False
     return found
 
@@ -296,8 +290,8 @@ def density_surface_many(group: FuchsianGroup, cfg: MagneticConfig, y, band: flo
     count = np.zeros(y0.shape, dtype=np.int64)
     near_center = np.zeros(y0.shape, dtype=bool)
     near_boundary = np.zeros(y0.shape, dtype=bool)
-    for a, b, c, d in translates_meeting_disk(group, R):
-        dist = hyp_dist_vec(1j, (a * y0 + b) / (c * y0 + d))
+    for g in translates_meeting_disk(group, R):
+        dist = hyp_dist_vec(1j, _act(g, y0)[0])
         hit = np.flatnonzero(dist < R + 1e-9)
         totals = (alpha, count, near_center, near_boundary)  # + on the masks is or
         for total, term in zip(totals, _cover_terms(cfg, dist[hit], band)):
@@ -346,16 +340,15 @@ def birkhoff_average(group: FuchsianGroup, cfg: MagneticConfig, observable,
     # block's start carries a rounding error of about 1e-16 cosh d (its Im is
     # a cancelling determinant)
     with np.errstate(over="ignore"):  # an infinite cosh d is refused as well
-        if not _cosh_displacement(table[:, 1, -1][None]) <= _MAX_BLOCK_COSH:
+        if not _cosh_displacement(table[:, 1, -1]) <= _MAX_BLOCK_COSH:
             raise ValueError(f"time step T/n_steps = {dt!r} is too long: "
                              f"frames past cosh d = {_MAX_BLOCK_COSH:g} lose precision")
     totals = np.zeros(frames.shape[1])
     for done in range(0, n_steps, block):
         m = min(block, n_steps - done)
-        fa, fb, fc, fd = framed = np.array(_framed(frames[:, :, None],
-                                                   table[:, 0 if done == 0 else 1, :m]))
-        z, words = _descend_many(group.generators, (fa * 1j + fb) / (fc * 1j + fd))
-        totals += np.reshape(observable(z), fa.shape).sum(axis=1)
+        framed = np.array(_framed(frames[:, :, None], table[:, 0 if done == 0 else 1, :m]))
+        z, words = _descend_many(group.generators, _act(framed, 1j)[0])
+        totals += np.reshape(observable(z), framed.shape[1:]).sum(axis=1)
         frames = _compose(word_element(group, words[m - 1::m]).T, _unit(framed[:, :, -1]))
     return (totals / n_steps).tolist()
 

@@ -42,12 +42,12 @@ the flags, and the Bolza surface runs it on each translate's hits); the
 preimages' torus coordinates (preimages_many; preimages_cover is its
 one-point wrapper); and the fits of both singular blowups (singular_fits).
 
-psi_many forms P = R(theta/2) exp(tF) with halfplane's 2x2 product, _framed:
-R(theta/2) takes cos and sin of theta/2 from one tangent of theta/4, and
-exp(tF) takes (C, S) from the flow module's kernel, both by flow._tan_half,
-so neither runs a libm cosine or sine on its arrays.  The distance needs
-no entry of P: R(theta/2) fixes i, and exp(tF) = (m_jk) has determinant 1,
-m11 - m22 = lam S and m12 + m21 = 0, so
+psi_many forms P = R(theta/2) exp(tF) with halfplane's 2x2 product, _framed,
+and P.i with its action on points, _act.  R(theta/2) takes cos and sin of
+theta/2 from one tangent of theta/4, and exp(tF) takes (C, S) from the flow
+module's kernel, both by flow._tan_half, so neither runs a libm cosine or sine
+on its arrays.  The distance needs no entry of P: R(theta/2) fixes i, and
+exp(tF) = (m_jk) has determinant 1, m11 - m22 = lam S and m12 + m21 = 0, so
 cosh d - 1 = ((m11 - m22)^2 + (m12 + m21)^2) / 2 = (lam S)^2 / 2 and
 
     d(i, Psi(theta, t)) = 2 asinh(lam |S(t)| / 2),
@@ -71,7 +71,7 @@ import numpy as np
 from .flow import (_REGIME_TOL, MagneticConfig, Regime, _exp_entries, _exp_kernel,
                    _exp_scalars, _range_error, _require_finite, _tan_half, period,
                    variation_coeffs)
-from .halfplane import _framed, hyp_dist_vec, to_disk
+from .halfplane import _act, _framed, hyp_dist_vec, to_disk
 
 # preimage pair closer than this in t is a tangency with the boundary
 _MERGE_T = 1e-7
@@ -134,8 +134,7 @@ def psi_many(cfg: MagneticConfig, theta, t):
     entries of P = R(theta/2) exp(tF)."""
     theta, t = _torus_inputs(cfg, theta, t)
     rc, rs = _tan_half(np.tan(0.25 * theta))
-    p11, p12, p21, p22 = _framed((rc, rs, -rs, rc), _exp_entries(cfg, *_exp_kernel(cfg, t)))
-    return (p11 * 1j + p12) / (p21 * 1j + p22)
+    return _act(_framed((rc, rs, -rs, rc), _exp_entries(cfg, *_exp_kernel(cfg, t))), 1j)[0]
 
 
 def _psi_distance(cfg: MagneticConfig, t):

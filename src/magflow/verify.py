@@ -27,7 +27,7 @@ from .flow import (
     lyapunov_exponent,
     period,
 )
-from .halfplane import Tangent, _disk_blocks, from_disk, hyp_dist, hyp_dist_vec
+from .halfplane import Tangent, _act, _disk_blocks, from_disk, hyp_dist, hyp_dist_vec
 from .mc import compare_to_closed_form, sample_pushforward
 from .spectrum import critical_gaps, ladder_arrays, select_levels
 from .surface import (
@@ -221,8 +221,8 @@ def check_preimage_counts() -> dict:
     z = np.concatenate([w[inside] for _, _, inside, w in _disk_blocks(xs, re)])
     z = z[in_domain_mask(group, z)]
     counts = np.zeros(z.shape, dtype=int)
-    for a, b, c, d in translates:
-        counts += 2 * (hyp_dist_vec((a * z + b) / (c * z + d), 1j) < R)
+    for g in translates:
+        counts += 2 * (hyp_dist_vec(_act(g, z)[0], 1j) < R)
     max_count = int(counts.max())
     bound = 2 * len(translates)
     ok = ok and max_count <= bound
@@ -298,8 +298,7 @@ def check_bolza_integrity() -> dict:
         ang = rng.uniform(0.0, 2.0 * math.pi)
         starts.append(from_disk(math.tanh(0.5 * r) * complex(math.cos(ang), math.sin(ang))))
         words.append(rng.integers(0, 8, size=5))
-    moved = [(a * z + b) / (c * z + d)
-             for (a, b, c, d), z in zip(word_element(group, words).tolist(), starts)]
+    moved = [_act(g, z)[0] for g, z in zip(word_element(group, words).tolist(), starts)]
     folded, _ = _descend_many(group.generators, moved)
     worst = float(np.max(hyp_dist_vec(folded, np.array(starts))))
     passed = resid < 1e-9 and area_err < 1e-6 and worst < 1e-8

@@ -194,6 +194,18 @@ class TestFlowCommand:
         assert header == ["t", "re_z", "im_z", "re_v", "im_v"]
         assert len(rows) == 201
 
+    @pytest.mark.parametrize("grid, dt, warned", [("11", "0.05", False), ("101", "0.05", False),
+                                                  ("3", "0.5", True)])
+    def test_coarse_steps_run_and_are_flagged(self, tmp_path, grid, dt, warned):
+        # RK4's drift in speed over these steps once failed the energy-shell check of a row
+        rc = cli.main(["flow", "--grid", grid, "--dt", dt, "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("flow_exact.csv", "flow_numeric.csv", "flow_summary.json"):
+            assert (tmp_path / name).exists()
+        summary = read_json(tmp_path / "flow_summary.json")
+        assert summary["step_warning"] is warned
+        assert len(read_csv(tmp_path / "flow_numeric.csv")[1]) == int(grid)
+
     @pytest.mark.parametrize("E", [0.25, 2.0])
     def test_table_matches_fmt_oracle(self, E):
         # the row-template table against one _fmt join per line

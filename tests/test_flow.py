@@ -359,6 +359,43 @@ class TestFlowNumeric:
         T = period(STD)
         assert flow_numeric_rows(STD, shell_tangent(STD), [0.0, 1.0], 0.02 * T)[2]
 
+    @pytest.mark.parametrize("rows, dt, warn", [(11, 0.05, False), (101, 0.05, False),
+                                                (3, 0.5, True)])
+    def test_rows_run_through_the_integrators_drift(self, rows, dt, warn):
+        # at these steps the speed drifts off cfg's shell by more than its 1e-8 tolerance;
+        # each row after the first runs at its own tangent's energy, so every row is the
+        # RK4 chain's, bit for bit, and the warning is the one of (cfg, dt)
+        T = period(STD)
+        ts = 2.0 * T * np.arange(rows) / (rows - 1)
+        z, v, warned = flow_numeric_rows(STD, shell_tangent(STD), ts, dt)
+        cur = shell_tangent(STD)
+        for k in range(1, rows):
+            x, y, vx, vy = reference_rk4(STD, cur, float(ts[k] - ts[k - 1]), dt)
+            cur = Tangent(complex(x, y), complex(vx, vy))
+            assert (z[k], v[k]) == (cur.z, cur.v)
+        assert max(abs(abs(v) / z.imag - STD.lam)) > 1e-8
+        assert warned is warn
+
+    def test_rows_warning_needs_a_row_and_energy(self):
+        coarse = 0.02 * period(STD)
+        assert flow_numeric_rows(STD, shell_tangent(STD), [0.0, 0.0], coarse)[2] is True
+        assert flow_numeric_rows(STD, shell_tangent(STD), [0.0], coarse)[2] is False
+        at_rest = MagneticConfig(1.0, 0.0)
+        assert flow_numeric_rows(at_rest, Tangent(1j, 0j), [0.0, 1.0], 10.0)[2] is False
+
+    def test_rows_refuse_an_off_shell_start(self):
+        with pytest.raises(ValueError, match="off energy shell"):
+            flow_numeric_rows(STD, Tangent(1j, 3j), [0.0, 1.0], 1e-3)
+
+    @pytest.mark.parametrize("v", [1e300j, complex(math.nan, 1.0)])
+    def test_rows_refuse_a_speed_out_of_range_naming_rk4(self, monkeypatch, v):
+        # a row whose speed no MagneticConfig can hold is the integrator's fault
+        monkeypatch.setattr(flow, "flow_numeric",
+                            lambda *args: flow.NumericFlowResult(Tangent(1j, v), False))
+        with pytest.raises(ValueError, match=r"^RK4 speed left float range at B=1.0, E=0.25, "
+                                             r"dt=0.001$"):
+            flow_numeric_rows(STD, shell_tangent(STD), [0.0, 1.0, 2.0], 1e-3)
+
     def test_step_warning(self):
         p = shell_tangent(STD)
         T = period(STD)

@@ -148,6 +148,58 @@ class TestMobiusApply:
             assert abs(q1.v - q2.v) < 1e-12
 
 
+def bits(x):
+    """The bytes of x as complex128: equal only for the same bits, signed zeros included."""
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+class TestAct:
+    """halfplane._act, the one action on points, against Moebius.apply and the formula."""
+
+    @staticmethod
+    def formula(a, b, c, d, z):
+        return (a * z + b) / (c * z + d)
+
+    def test_scalars_match_moebius_apply_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            g = random_moebius(rng, scale=2.0)
+            # points in the upper half-plane, below it, and real ones as complex and as float
+            x = float(rng.normal())
+            for z in (random_point(rng), random_point(rng).conjugate(), complex(x, 0.0), x):
+                got, w = halfplane._act(g.entries(), z)
+                assert type(got) is type(g.apply(z)) and bits(got) == bits(g.apply(z))
+                assert bits(w) == bits(g.c * z + g.d)
+
+    def test_entry_array_against_points_matches_formula_bitwise(self):
+        rng = np.random.default_rng(42)
+        g = np.array([random_moebius(rng, scale=2.0).entries() for _ in range(300)]).T
+        z = np.array([random_point(rng) for _ in range(300)])
+        z[::3] = z[::3].conjugate()
+        got, w = halfplane._act(g, z)
+        assert got.shape == w.shape == (300,)
+        assert bits(got) == bits([self.formula(*g[:, k], z[k]) for k in range(300)])
+        assert bits(w) == bits(g[2] * z + g[3])
+
+    def test_one_row_against_points_matches_formula_bitwise(self):
+        rng = np.random.default_rng(43)
+        row = np.array(random_moebius(rng, scale=2.0).entries())
+        z = np.array([random_point(rng) for _ in range(35)]).reshape(5, 7)
+        got, w = halfplane._act(row, z)
+        assert got.shape == w.shape == (5, 7)
+        assert bits(got) == bits([[self.formula(*row, zk) for zk in zr] for zr in z])
+        assert bits(w) == bits(row[2] * z + row[3])
+
+    def test_cosh_displacement_is_cosh_of_the_distance_moved(self):
+        rng = np.random.default_rng(44)
+        gs = [random_moebius(rng, scale=3.0) for _ in range(200)]
+        want = [math.cosh(hyp_dist(1j, g.apply(1j))) for g in gs]
+        got = halfplane._cosh_displacement(np.array([g.entries() for g in gs]).T)
+        assert got.shape == (200,)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert halfplane._cosh_displacement(gs[0].entries()) == got[0]
+
+
 class TestHypDist:
     def test_coincident_points(self):
         assert hyp_dist(1j, 1j) == 0.0
